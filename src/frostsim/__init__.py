@@ -7,7 +7,7 @@ triangular mesh.
 """
 
 from .climate_io import ClimateSeries, load_climate, synthetic_winter_series
-from .constitutive import TransportParams, default_lime_mortar
+from .constitutive import TransportParams
 from .driver import DEFAULT_CONFIG, RunSummary, load_config, run, validate_config
 from .errors import FrostsimError
 from .ice import IceModel, IceParams, PoreSizeDistribution, load_psd_csv
@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ClimateSeries", "load_climate", "synthetic_winter_series",
-    "TransportParams", "default_lime_mortar",
+    "TransportParams",
     "DEFAULT_CONFIG", "RunSummary", "load_config", "run", "validate_config",
     "FrostsimError",
     "IceModel", "IceParams", "PoreSizeDistribution", "load_psd_csv",

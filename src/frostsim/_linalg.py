@@ -1,5 +1,5 @@
-"""Shared sparse helpers: fixed-pattern assembly, symmetric Dirichlet
-elimination and a guarded direct solve."""
+"""Shared sparse helpers: fixed-pattern assembly, Dirichlet reduction to
+the free dofs and a guarded direct solve."""
 
 from __future__ import annotations
 
@@ -31,26 +31,15 @@ class SparsePattern:
                              shape=(self._n, self._n))
 
 
-def apply_dirichlet(A: sp.spmatrix, b: np.ndarray, dofs: np.ndarray,
-                    values: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Eliminate Dirichlet dofs symmetrically.
+def apply_dirichlet(A: sp.csr_matrix, b: np.ndarray, free: np.ndarray,
+                    fixed: np.ndarray, values: np.ndarray):
+    """Restrict A x = b to the free dofs: A_ff and b_f - A_fc x_fixed.
 
-    Moves the known columns to the right-hand side, zeroes the rows and
-    columns, and places 1 on the diagonal with the prescribed value in b,
-    so the reduced system stays symmetric when A is.
+    ``free`` is the complement of ``fixed``, which lists each dof once;
+    the reduced system is symmetric when A is.
     """
-    n = A.shape[0]
-    x = np.zeros(n)
-    x[dofs] = values
-    b2 = b - A @ x
-    keep = np.ones(n)
-    keep[dofs] = 0.0
-    d_free = sp.diags(keep)
-    d_fix = sp.diags(1.0 - keep)
-    A2 = (d_free @ A @ d_free + d_fix).tocsr()
-    b2 *= keep
-    b2[dofs] = values
-    return A2, b2
+    A_f = A[free]
+    return A_f[:, free], b[free] - A_f[:, fixed] @ values
 
 
 class SparseLU:

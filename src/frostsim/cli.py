@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import constitutive, ice
-from .driver import load_config, run, _load_psd
+from .driver import build_models, load_config, run
 from .errors import (
     ClimateFormatError,
     ConfigError,
@@ -26,8 +26,6 @@ from .errors import (
     SingularSystemError,
     StepFailureError,
 )
-from .ice import IceModel, IceParams
-from .mechanics import MechParams, biot_coefficient
 from .mesh import generate_lshape, write_mesh
 
 _CONFIG_ERRORS = (ConfigError, InvalidParametersError, InvalidPsdError,
@@ -71,11 +69,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    out = args.out
-    if out is None:
-        cfg = load_config(args.config)
-        out = cfg["output"]["dir"] or "frostsim_out"
-    summary = run(args.config, out_dir=out)
+    cfg = load_config(args.config)
+    out = args.out if args.out is not None else \
+        cfg["output"]["dir"] or "frostsim_out"
+    summary = run(cfg, out_dir=out)
     d_max = float(summary.mechanics.d_w.max()) if summary.mesh.num_elements \
         else 0.0
     print(f"completed {summary.config['time']['steps']} steps, "
@@ -94,13 +91,7 @@ def _cmd_make_mesh(args) -> int:
 
 
 def _cmd_material_curves(args) -> int:
-    cfg = load_config(args.config)
-    params = constitutive.TransportParams(**cfg["material"])
-    ice_cfg = cfg["ice"]
-    model = IceModel(_load_psd(ice_cfg),
-                     IceParams(gamma_li=ice_cfg["gamma_li"],
-                               delta_s_m=ice_cfg["delta_s_m"],
-                               n=ice_cfg["n"], p_l=ice_cfg["p_l"]))
+    params, model, _ = build_models(load_config(args.config))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -143,22 +134,11 @@ def _cmd_material_curves(args) -> int:
 
 
 def _cmd_check_config(args) -> int:
-    cfg = load_config(args.config)
-    params = constitutive.TransportParams(**cfg["material"])
-    mech = cfg["mechanics"]
-    MechParams(E=mech["E"], nu=mech["nu"], f_t=mech["f_t"],
-               eps_f=mech["eps_f"], l_intl=mech["l_intl"],
-               alpha=mech["alpha"], n=cfg["ice"]["n"],
-               residual_stiffness=mech["residual_stiffness"],
-               body_force=tuple(mech["body_force"]))
-    IceModel(_load_psd(cfg["ice"]),
-             IceParams(gamma_li=cfg["ice"]["gamma_li"],
-                       delta_s_m=cfg["ice"]["delta_s_m"],
-                       n=cfg["ice"]["n"], p_l=cfg["ice"]["p_l"]))
+    params, _, mech = build_models(load_config(args.config))
     print("config ok")
     print(f"b_phi  = {params.b_phi:.10g}")
-    print(f"eps_0  = {mech['f_t'] / mech['E']:.10g}")
-    print(f"b      = {biot_coefficient(cfg['ice']['n']):.10g}")
+    print(f"eps_0  = {mech.eps_0:.10g}")
+    print(f"b      = {mech.biot:.10g}")
     return 0
 
 

@@ -72,11 +72,6 @@ class TransportParams:
         object.__setattr__(self, "b_phi", derive_b_phi(self.w_f, self.w_80))
 
 
-def default_lime_mortar() -> TransportParams:
-    """Parameter set of the reference lime mortar."""
-    return TransportParams()
-
-
 def derive_b_phi(w_f: float, w_80: float) -> float:
     """Sorption shape factor from the 80 % humidity reference content.
 

@@ -40,7 +40,7 @@ from .transport_solver import (
 
 __all__ = [
     "DEFAULT_CONFIG", "ProbeRecord", "RunSummary", "StepFields",
-    "default_probes", "load_config", "validate_config", "run",
+    "build_models", "default_probes", "load_config", "validate_config", "run",
     "write_probe_csv", "read_probe_csv", "write_field_snapshot",
 ]
 
@@ -190,6 +190,23 @@ def _load_climate(climate_cfg: dict) -> ClimateSeries:
     return load_climate(name)
 
 
+def build_models(cfg: dict) -> tuple[TransportParams, IceModel, MechParams]:
+    """Material, ice and mechanics models of a validated config.
+
+    The porosity of the ice section also sets the Biot coefficient.
+    """
+    ice_cfg = cfg["ice"]
+    mech_cfg = cfg["mechanics"]
+    transport_params = TransportParams(**cfg["material"])
+    ice = IceModel(_load_psd(ice_cfg),
+                   IceParams(gamma_li=ice_cfg["gamma_li"],
+                             delta_s_m=ice_cfg["delta_s_m"],
+                             n=ice_cfg["n"], p_l=ice_cfg["p_l"]))
+    mech_params = MechParams(**{**mech_cfg, "n": ice_cfg["n"],
+                                "body_force": tuple(mech_cfg["body_force"])})
+    return transport_params, ice, mech_params
+
+
 def default_probes(mesh: Mesh, count: int = 5) -> np.ndarray:
     """Probe line through the coldest part of the wall.
 
@@ -298,19 +315,7 @@ def run(config: dict | str | Path | None = None,
         cfg["output"]["dir"] = str(out_dir)
 
     mesh = _build_mesh(cfg["mesh"])
-    transport_params = TransportParams(**cfg["material"])
-    ice_cfg = cfg["ice"]
-    ice = IceModel(_load_psd(ice_cfg),
-                   IceParams(gamma_li=ice_cfg["gamma_li"],
-                             delta_s_m=ice_cfg["delta_s_m"],
-                             n=ice_cfg["n"], p_l=ice_cfg["p_l"]))
-    mech_cfg = cfg["mechanics"]
-    mech_params = MechParams(E=mech_cfg["E"], nu=mech_cfg["nu"],
-                             f_t=mech_cfg["f_t"], eps_f=mech_cfg["eps_f"],
-                             l_intl=mech_cfg["l_intl"],
-                             alpha=mech_cfg["alpha"], n=ice_cfg["n"],
-                             residual_stiffness=mech_cfg["residual_stiffness"],
-                             body_force=tuple(mech_cfg["body_force"]))
+    transport_params, ice, mech_params = build_models(cfg)
     climate = _load_climate(cfg["climate"])
 
     probes = cfg["probes"]
@@ -393,6 +398,11 @@ def run(config: dict | str | Path | None = None,
                                  p_p=p_p, prev=mstate,
                                  tol=numerics["damage_tol"],
                                  max_iter=numerics["damage_max_iter"])
+        if not mstate.converged:
+            raise StepFailureError(
+                f"mechanics failed at step {k} (t = {state.t / 3600.0:g} h): "
+                f"damage still moving after {mstate.iterations} iterations",
+                iterations=mstate.iterations)
         damage_history[k] = mstate.d_w
         kappa_history[k] = mstate.kappa
         pressure_history[k] = p_p

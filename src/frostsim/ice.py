@@ -39,10 +39,6 @@ class IceParams:
             raise InvalidParametersError("porosity must lie in (0, 1)")
 
 
-def default_lime_mortar_ice() -> IceParams:
-    return IceParams()
-
-
 class PoreSizeDistribution:
     """Cumulative pore volume table psi(r).
 

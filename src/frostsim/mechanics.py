@@ -17,13 +17,13 @@ Supports come from the mesh tags: u_x = 0 on A edges, u_y = 0 on B edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
-from ._linalg import SparsePattern, solve_sparse
+from ._linalg import SparsePattern, apply_dirichlet, solve_sparse
 from .errors import InvalidParametersError
 from .mesh import BoundaryTag, Mesh
 
@@ -118,24 +118,6 @@ class NonlocalAverager:
         return self.weights @ np.asarray(element_values, dtype=float)
 
 
-def apply_dirichlet(K: sp.csr_matrix, F: np.ndarray, free: np.ndarray,
-                    fixed: np.ndarray, values: np.ndarray):
-    """Restrict K u = F to the free dofs: K_ff and F_f - K_fc u_fixed.
-
-    ``free`` is the complement of ``fixed``, computed once per problem.
-    Slicing keeps the reduced system symmetric without the full-size
-    products of the symmetric elimination the transport solver uses.
-    """
-    K_f = K[free]
-    return K_f[:, free], F[free] - K_f[:, fixed] @ values
-
-
-def nonlocal_average(element_values: np.ndarray, mesh: Mesh,
-                     length: float) -> np.ndarray:
-    """One-off nonlocal average; build a NonlocalAverager to reuse weights."""
-    return NonlocalAverager(mesh, length)(element_values)
-
-
 @dataclass(frozen=True)
 class MechParams:
     E: float = 1e10             # Pa
@@ -170,10 +152,6 @@ class MechParams:
         return biot_coefficient(self.n)
 
 
-def default_lime_mortar_mech() -> MechParams:
-    return MechParams()
-
-
 @dataclass
 class MechState:
     """Displacements plus the damage history of every element."""
@@ -195,7 +173,8 @@ class MechanicsProblem:
     """Assembled geometry, supports and nonlocal weights for one mesh.
 
     ``constraints`` overrides the tag-derived supports with explicit
-    (dof ids, values); dof 2i is u_x of node i, dof 2i + 1 is u_y.
+    (dof ids, values); dof 2i is u_x of node i, dof 2i + 1 is u_y. A dof
+    listed twice keeps its first value.
     """
 
     def __init__(self, mesh: Mesh, params: MechParams,
@@ -235,8 +214,10 @@ class MechanicsProblem:
             self.constraint_dofs = cd
             self.constraint_values = np.zeros(len(cd))
         else:
-            self.constraint_dofs = np.asarray(constraints[0], dtype=np.int64)
-            self.constraint_values = np.asarray(constraints[1], dtype=float)
+            self.constraint_dofs, first = np.unique(
+                np.asarray(constraints[0], dtype=np.int64), return_index=True)
+            self.constraint_values = np.asarray(constraints[1],
+                                                dtype=float)[first]
         if len(self.constraint_dofs) < 3:
             raise InvalidParametersError(
                 "mechanics needs at least 3 constrained dofs to fix rigid "
@@ -328,11 +309,3 @@ class MechanicsProblem:
                 converged = True
                 break
         return MechState(u, kappa, d, converged, iterations)
-
-
-def solve_equilibrium(mesh: Mesh, theta, theta_ref: float, p_p,
-                      prev: MechState | None, params: MechParams,
-                      **options) -> MechState:
-    """Convenience wrapper building a MechanicsProblem for a single solve."""
-    return MechanicsProblem(mesh, params).solve(theta, theta_ref, p_p, prev,
-                                                **options)

@@ -58,16 +58,8 @@ def shape_gradients(coords: np.ndarray) -> tuple[np.ndarray, float]:
     coords = np.asarray(coords, dtype=float)
     if coords.shape != (3, 2):
         raise ValueError("expected (3, 2) vertex array")
-    x = coords[:, 0]
-    y = coords[:, 1]
-    twice_area = (x[1] - x[0]) * (y[2] - y[0]) - (x[2] - x[0]) * (y[1] - y[0])
-    if twice_area <= 0.0:
-        raise DegenerateElementError(
-            f"triangle area {0.5 * twice_area:g} is not positive")
-    b = np.array([y[1] - y[2], y[2] - y[0], y[0] - y[1]])
-    c = np.array([x[2] - x[1], x[0] - x[2], x[1] - x[0]])
-    grads = np.column_stack([b, c]) / twice_area
-    return grads, 0.5 * twice_area
+    grads, areas = _all_geometry(coords, np.array([[0, 1, 2]]))
+    return grads[0], areas[0]
 
 
 def _all_geometry(nodes: np.ndarray, elements: np.ndarray):

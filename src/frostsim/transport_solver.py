@@ -20,9 +20,9 @@ one step share an LU factor while it keeps reducing the residual.
 
 Boundary terms: Robin exchange adds alpha L/2 to the diagonal of the
 matching block and alpha ambient L/2 to the load (edge-lumped); prescribed
-boundary fluxes are positive into the domain; Dirichlet rows are eliminated
-symmetrically. Volumetric sources exist as callables for verification
-problems only.
+boundary fluxes are positive into the domain; Dirichlet dofs leave the
+system, which is solved on the free dofs. Volumetric sources exist as
+callables for verification problems only.
 """
 
 from __future__ import annotations
@@ -298,6 +298,7 @@ class TransportProblem:
     flux : mapping BoundaryTag -> BoundaryFlux, optional
     dirichlet_theta, dirichlet_phi : sequence of (node_ids, value), optional
         value is a float or callable(t) returning a float or per-node array.
+        A node listed in two groups of one field keeps the first value.
     source_heat, source_moist : callable(x, y, t), optional
         Volumetric sources for verification problems; evaluated at element
         centroids.
@@ -330,6 +331,16 @@ class TransportProblem:
         self.lumped_capacity = lumped_capacity
 
         n = mesh.num_nodes
+        # each prescribed dof once, and the complement; without any, the
+        # free "index" is a full slice so the unconstrained path never
+        # gathers
+        self._fixed, self._first = np.unique(np.concatenate(
+            [np.zeros(0, dtype=np.int64)]
+            + [nodes for nodes, _ in self.dirichlet_theta]
+            + [nodes + n for nodes, _ in self.dirichlet_phi]),
+            return_index=True)
+        self._free = (np.setdiff1d(np.arange(2 * n), self._fixed)
+                      if len(self._fixed) else slice(None))
         conn = mesh.elements
         grads = mesh.grads
         areas = mesh.areas
@@ -510,25 +521,12 @@ class TransportProblem:
 
     # -- dirichlet ---------------------------------------------------------
 
-    def _dirichlet_at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        n = self.mesh.num_nodes
-        dofs = []
-        vals = []
-        for offset, groups in ((0, self.dirichlet_theta), (n, self.dirichlet_phi)):
-            for nodes, value in groups:
-                v = _at(value, t)
-                dofs.append(nodes + offset)
-                vals.append(np.broadcast_to(np.asarray(v, dtype=float),
-                                            nodes.shape))
-        if not dofs:
-            return np.zeros(0, dtype=np.int64), np.zeros(0)
-        return np.concatenate(dofs), np.concatenate(vals)
-
-    def _project(self, r: np.ndarray) -> np.ndarray:
-        if self.phi_bounds is not None:
-            n = self.mesh.num_nodes
-            np.clip(r[n:], self.phi_bounds[0], self.phi_bounds[1], out=r[n:])
-        return r
+    def _dirichlet_at(self, t: float) -> np.ndarray:
+        """Prescribed values at time t, in the order of ``self._fixed``."""
+        vals = [np.broadcast_to(np.asarray(_at(value, t), dtype=float),
+                                nodes.shape)
+                for nodes, value in self.dirichlet_theta + self.dirichlet_phi]
+        return np.concatenate([np.zeros(0)] + vals)[self._first]
 
     # -- time stepping -----------------------------------------------------
 
@@ -538,19 +536,22 @@ class TransportProblem:
         Dirichlet dofs get the numeric time derivative of their prescribed
         value. Use this to seed rdot before the first trapezoidal step.
         """
-        r = state.r
-        sys = self.assemble(state.theta, state.phi, state.t)
+        return self._rates(state.r, state.t)
+
+    def _rates(self, r, t, suppressed=None):
+        """rdot at the full state r and time t, as in consistent_rates."""
+        n = self.mesh.num_nodes
+        sys = self.assemble(r[:n], r[n:], t, suppressed_nodes=suppressed)
         rhs = sys.F - sys.K @ r
-        dofs, _ = self._dirichlet_at(state.t)
-        if len(dofs):
-            dt = 1e-6
-            _, v0 = self._dirichlet_at(state.t)
-            _, v1 = self._dirichlet_at(state.t + dt)
-            rates = (v1 - v0) / dt
-            A, b = apply_dirichlet(sys.C, rhs, dofs, rates)
-        else:
-            A, b = sys.C, rhs
-        return solve_sparse(A, b)
+        if not len(self._fixed):
+            return solve_sparse(sys.C, rhs)
+        dt = 1e-6
+        rates = (self._dirichlet_at(t + dt) - self._dirichlet_at(t)) / dt
+        rdot = np.empty(len(rhs))
+        rdot[self._fixed] = rates
+        rdot[self._free] = solve_sparse(*apply_dirichlet(
+            sys.C, rhs, self._free, self._fixed, rates))
+        return rdot
 
     def step(self, state: TransportState, dt: float, *, gamma: float = 0.5,
              tol: float = 1e-6, max_iter: int = 50,
@@ -570,33 +571,44 @@ class TransportProblem:
         f_base, rain = self._step_loads(t_new)
         exchange = gdt * self._exchange_diagonal()
         mass_hist = self._mass_history(history)
-        dofs, vals = self._dirichlet_at(t_new)
         step_reference = getattr(self.coefficients, "step_reference", None)
         reference = (None if step_reference is None
                      else step_reference(self.mesh.element_mean(state.theta)))
-
-        def builder(r):
-            suppressed[:] |= r[n:] >= _SATURATED
-            A, b = self._step_operator(r[:n], r[n:], gdt, exchange, f_base,
-                                       rain, mass_hist, suppressed,
-                                       reference=reference)
-            if len(dofs):
-                A, b = apply_dirichlet(A, b, dofs, vals)
-            return A, b
-
+        # Picard runs on the free dofs; r_new is the full iterate with the
+        # prescribed values in place, theta dofs ahead of phi in both
+        fixed, free = self._fixed, self._free
+        vals = self._dirichlet_at(t_new)
         # forward Euler predictor; a good guess lets mild steps converge
         # in one or two solves
-        result = nonlinear_iterate(builder, r_old + dt * rdot_old, tol=tol,
+        r_new = r_old + dt * rdot_old
+        r_new[fixed] = vals
+        r_free = r_new[free]
+        n_t = n - int(np.count_nonzero(fixed < n))
+
+        def builder(x):
+            r_new[free] = x
+            suppressed[:] |= r_new[n:] >= _SATURATED
+            A, b = self._step_operator(r_new[:n], r_new[n:], gdt, exchange,
+                                       f_base, rain, mass_hist, suppressed,
+                                       reference=reference)
+            if len(fixed):
+                A, b = apply_dirichlet(A, b, free, fixed, vals)
+            return A, b
+
+        def project(x):
+            if self.phi_bounds is not None:
+                np.clip(x[n_t:], *self.phi_bounds, out=x[n_t:])
+            return x
+
+        result = nonlinear_iterate(builder, r_free, tol=tol,
                                    max_iter=max_iter, relax=relax,
-                                   blocks=[(0, n), (n, 2 * n)],
-                                   project=self._project)
-        r_new = result.r
+                                   blocks=[(0, n_t), (n_t, len(r_free))],
+                                   project=project)
+        r_new[free] = result.r
         if gamma > 0.0:
             rdot_new = (r_new - r_old - dt * (1.0 - gamma) * rdot_old) / (gamma * dt)
         else:
-            sys = self.assemble(r_new[:n], r_new[n:], t_new,
-                                suppressed_nodes=suppressed)
-            rdot_new = solve_sparse(sys.C, sys.F - sys.K @ r_new)
+            rdot_new = self._rates(r_new, t_new, suppressed)
         return TransportState(t_new, r_new[:n].copy(), r_new[n:].copy(),
                               rdot_new, picard_iterations=result.iterations)
 
@@ -608,9 +620,7 @@ class TransportProblem:
         except StepFailureError:
             if max_halvings <= 0:
                 raise
-        half = self.step if max_halvings == 1 else self.advance
-        kwargs = dict(options)
-        if max_halvings > 1:
-            kwargs["max_halvings"] = max_halvings - 1
-        mid = half(state, 0.5 * dt, **kwargs)
-        return half(mid, 0.5 * dt, **kwargs)
+        mid = self.advance(state, 0.5 * dt, max_halvings=max_halvings - 1,
+                           **options)
+        return self.advance(mid, 0.5 * dt, max_halvings=max_halvings - 1,
+                            **options)

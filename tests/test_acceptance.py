@@ -72,7 +72,7 @@ def fine_pore_run():
 
 def test_01_moisture_and_vapor_curves():
     t0 = time.perf_counter()
-    params = constitutive.default_lime_mortar()
+    params = constitutive.TransportParams()
     w80 = constitutive.water_content(0.8, params)
     psat0 = constitutive.saturation_pressure(0.0)
     # both closed forms of the saturation curve, evaluated at the splice
@@ -92,7 +92,7 @@ def test_01_moisture_and_vapor_curves():
 
 def test_02_crystallization_pressure_thermodynamics():
     t0 = time.perf_counter()
-    params = ice.default_lime_mortar_ice()
+    params = ice.IceParams()
     thetas = np.linspace(-30.0, -0.1, 200)
     r_cr = ice.critical_radius(thetas, params)
     chi_at_cr = ice.wall_pressure(r_cr, thetas, params)
@@ -117,7 +117,7 @@ def test_02_crystallization_pressure_thermodynamics():
 
 
 def test_03_pore_size_quadrature_robustness():
-    params = ice.default_lime_mortar_ice()
+    params = ice.IceParams()
     psd = _spec01_psd()
     changes = {}
     for theta in (-5.0, -20.0):
@@ -200,7 +200,7 @@ def test_06_elastic_patch_test_and_damage_anchors():
     bnd = mesh.nodes_with_tag(BoundaryTag.EXT)
     dofs = np.concatenate([2 * bnd, 2 * bnd + 1])
     vals = np.concatenate([ux[bnd], uy[bnd]])
-    params = mechanics.default_lime_mortar_mech()
+    params = mechanics.MechParams()
     prob = mechanics.MechanicsProblem(mesh, params, constraints=(dofs, vals))
     state = prob.solve()
     strain_err = float(np.max(np.abs(

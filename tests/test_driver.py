@@ -330,6 +330,25 @@ class TestRun:
         with pytest.raises(StepFailureError, match="step 1"):
             driver.run(cfg)
 
+    def test_damage_nonconvergence_is_step_failure(self, tmp_path):
+        cfg = small_run_config(tmp_path, steps=1, mechanics={"f_t": 1e3},
+                               numerics={"damage_max_iter": 1})
+        with pytest.raises(StepFailureError,
+                           match="mechanics failed at step 1") as info:
+            driver.run(cfg)
+        assert info.value.iterations == 1
+
+    def test_build_models_follows_config(self):
+        cfg = driver.validate_config({
+            "material": {"w_80": 30.0},
+            "ice": {"psd_file": "spec02", "n": 0.13},
+            "mechanics": {"f_t": 1.5e6, "body_force": [0.0, -1.0]}})
+        params, ice, mech = driver.build_models(cfg)
+        assert params.w_80 == 30.0
+        assert ice.params.n == mech.n == 0.13
+        assert mech.f_t == 1.5e6
+        assert mech.body_force == (0.0, -1.0)
+
 
 class TestCli:
     def test_check_config(self, tmp_path, capsys):
@@ -339,6 +358,15 @@ class TestCli:
         assert "config ok" in out
         assert "1.043809524" in out
         assert "0.00025" in out
+
+    def test_check_config_prints_derived_values(self, tmp_path, capsys):
+        path = write_config(tmp_path, {
+            "ice": {"psd_file": "spec02", "n": 0.13},
+            "mechanics": {"f_t": 1.5e6, "E": 8e9}})
+        assert cli.main(["check-config", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "b      = 0.2300884956" in lines
+        assert f"eps_0  = {1.5e6 / 8e9:.10g}" in lines
 
     def test_check_config_rejects_bad_file(self, tmp_path, capsys):
         path = write_config(tmp_path, {"time": {"steps": 0}})
@@ -351,6 +379,13 @@ class TestCli:
         assert cli.main(["run", "--config", str(path),
                          "--out", str(out)]) == 0
         assert (out / "probes.csv").is_file()
+        assert "completed 1 steps" in capsys.readouterr().out
+
+    def test_run_without_out_writes_to_configured_dir(self, tmp_path, capsys):
+        cfg = small_run_config(tmp_path, steps=1, output={"dir": "results"})
+        path = write_config(tmp_path, cfg)
+        assert cli.main(["run", "--config", str(path)]) == 0
+        assert (tmp_path / "results" / "probes.csv").is_file()
         assert "completed 1 steps" in capsys.readouterr().out
 
     def test_run_missing_config_is_config_error(self, tmp_path, capsys):
@@ -369,6 +404,15 @@ class TestCli:
                          "--out", str(tmp_path / "out")])
         assert code == 3
         assert "solver failure" in capsys.readouterr().err
+
+    def test_run_damage_failure_exit_code(self, tmp_path, capsys):
+        cfg = small_run_config(tmp_path, steps=1, mechanics={"f_t": 1e3},
+                               numerics={"damage_max_iter": 1})
+        path = write_config(tmp_path, cfg)
+        code = cli.main(["run", "--config", str(path),
+                         "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert "mechanics failed at step 1" in capsys.readouterr().err
 
     def test_make_mesh(self, tmp_path, capsys):
         target = tmp_path / "wall.mesh"
@@ -394,4 +438,16 @@ class TestCli:
             text = (out / name).read_text()
             assert len(text.splitlines()) > 100
             assert "np" not in text
+        capsys.readouterr()
+
+    def test_material_curves_follow_pore_table(self, tmp_path, capsys):
+        texts = {}
+        for spec, n in (("spec01", 0.35), ("spec02", 0.13)):
+            path = write_config(tmp_path, {"ice": {"psd_file": spec, "n": n}},
+                                name=f"{spec}.json")
+            out = tmp_path / spec
+            assert cli.main(["material-curves", "--config", str(path),
+                             "--out", str(out)]) == 0
+            texts[spec] = (out / "ice.csv").read_text()
+        assert texts["spec01"] != texts["spec02"]
         capsys.readouterr()

@@ -144,7 +144,7 @@ class TestNonlocalAverager:
             (a0 * v[0] + w * a1 * v[1]) / (a0 + w * a1),
             (w * a0 * v[0] + a1 * v[1]) / (w * a0 + a1),
         ])
-        got = mech.nonlocal_average(v, mesh, length)
+        got = mech.NonlocalAverager(mesh, length)(v)
         np.testing.assert_allclose(got, expect, rtol=1e-13)
 
     def test_smoothing_contracts_range(self, lshape_coarse):
@@ -197,6 +197,19 @@ class TestProblemSetup:
             mech.MechanicsProblem(unit_triangle, mech.MechParams(),
                                   constraints=(np.array([0, 1]),
                                                np.zeros(2)))
+
+    def test_dof_listed_twice_is_constrained_once(self):
+        mesh = generate_rectangle(1.0, 1.0, 4, 4)
+        bnd = mesh.nodes_with_tag(BoundaryTag.EXT)
+        dofs = np.concatenate([2 * bnd, 2 * bnd + 1])
+        vals = np.concatenate([1e-4 * mesh.nodes[bnd, 0],
+                               -5e-5 * mesh.nodes[bnd, 1]])
+        once = mech.MechanicsProblem(mesh, mech.MechParams(),
+                                     constraints=(dofs, vals)).solve()
+        twice = mech.MechanicsProblem(
+            mesh, mech.MechParams(),
+            constraints=(np.tile(dofs, 2), np.tile(vals, 2))).solve()
+        np.testing.assert_allclose(twice.u, once.u, rtol=0.0, atol=1e-16)
 
     def test_mesh_without_support_tags_rejected(self):
         mesh = generate_rectangle(1.0, 1.0, 2, 2)   # everything tagged EXT
@@ -350,15 +363,6 @@ class TestEquilibrium:
         half = prob.effective_stress(
             u, np.full(lshape_coarse.num_elements, 0.5))
         np.testing.assert_allclose(half, 0.5 * sigma, rtol=1e-12)
-
-    def test_wrapper_matches_problem_solve(self, lshape_coarse):
-        p_p = np.full(lshape_coarse.num_elements, 3e6)
-        via_wrapper = mech.solve_equilibrium(
-            lshape_coarse, None, 0.0, p_p, None, mech.MechParams())
-        direct = mech.MechanicsProblem(lshape_coarse,
-                                       mech.MechParams()).solve(p_p=p_p)
-        np.testing.assert_array_equal(via_wrapper.u, direct.u)
-        np.testing.assert_array_equal(via_wrapper.d_w, direct.d_w)
 
     def test_zero_state_shapes(self, lshape_coarse):
         state = mech.MechState.zero(lshape_coarse)

@@ -237,15 +237,13 @@ class TestDirichlet:
                                     [1.0, 3.0, 1.0],
                                     [0.0, 1.0, 2.0]]))
         b = np.array([1.0, 2.0, 3.0])
-        A2, b2 = ts.apply_dirichlet(A, b, np.array([0]), np.array([5.0]))
-        dense = A2.toarray()
-        np.testing.assert_allclose(dense, dense.T)
-        np.testing.assert_allclose(dense[0], [1.0, 0.0, 0.0])
-        assert b2[0] == 5.0
+        A2, b2 = ts.apply_dirichlet(A, b, np.array([1, 2]), np.array([0]),
+                                    np.array([5.0]))
+        # the free block of a symmetric matrix stays symmetric
+        np.testing.assert_array_equal(A2.toarray(), [[3.0, 1.0], [1.0, 2.0]])
         # the eliminated column moved to the right-hand side
-        np.testing.assert_allclose(b2[1:], [2.0 - 5.0, 3.0])
-        x = np.linalg.solve(dense, b2)
-        assert x[0] == pytest.approx(5.0, abs=1e-14)
+        np.testing.assert_array_equal(b2, [2.0 - 5.0, 3.0])
+        x = np.concatenate([[5.0], np.linalg.solve(A2.toarray(), b2)])
         np.testing.assert_allclose(A.toarray()[1:] @ x, b[1:], rtol=1e-14)
 
     def test_step_pins_prescribed_values(self):
@@ -261,6 +259,48 @@ class TestDirichlet:
         out = prob.step(state, 0.5, tol=1e-10, relax=1.0)
         np.testing.assert_allclose(out.theta[bnd], 5.5, atol=1e-9)
         np.testing.assert_allclose(out.phi[bnd], 0.25, atol=1e-12)
+
+    def test_relaxed_step_holds_prescribed_values_exactly(self):
+        # the prescribed dofs leave the Picard system, so an under-relaxed
+        # iteration cannot leave them short of their values
+        mesh = generate_rectangle(1.0, 1.0, 4, 4)
+        bnd = boundary_nodes(mesh)
+        prob = ts.TransportProblem(
+            mesh, ts.ConstantCoefficients(),
+            dirichlet_theta=[(bnd, lambda t: 5.0 + t * t)],
+            dirichlet_phi=[(bnd, 0.25)],
+            phi_bounds=None)
+        state = ts.TransportState.uniform(mesh, 5.0, 0.25)
+        state.rdot = prob.consistent_rates(state)
+        out = prob.step(state, 0.5, relax=0.7)
+        assert out.picard_iterations > 1
+        np.testing.assert_array_equal(out.theta[bnd], 5.25)
+        np.testing.assert_array_equal(out.phi[bnd], 0.25)
+
+    def test_node_in_two_groups_is_prescribed_once(self):
+        mesh = generate_rectangle(1.0, 1.0, 4, 4)
+        bnd = boundary_nodes(mesh)
+        out = []
+        for groups in ([(bnd, 2.0)], [(bnd, 2.0), (bnd[:3], 2.0)]):
+            prob = ts.TransportProblem(
+                mesh, ts.ConstantCoefficients(), dirichlet_theta=groups,
+                source_heat=lambda x, y, t: 1.0, phi_bounds=None)
+            state = ts.TransportState.uniform(mesh, 2.0, 0.5)
+            state.rdot = prob.consistent_rates(state)
+            out.append(prob.step(state, 0.5, tol=1e-12, relax=1.0).theta)
+        np.testing.assert_allclose(out[1], out[0], rtol=0.0, atol=1e-12)
+
+    def test_explicit_step_rates_keep_boundary_slope(self):
+        mesh = generate_rectangle(1.0, 1.0, 4, 4)
+        bnd = boundary_nodes(mesh)
+        prob = ts.TransportProblem(
+            mesh, ts.ConstantCoefficients(),
+            dirichlet_theta=[(bnd, lambda t: 5.0 + t)],
+            phi_bounds=None)
+        state = ts.TransportState.uniform(mesh, 5.0, 0.5)
+        state.rdot = prob.consistent_rates(state)
+        out = prob.step(state, 0.5, gamma=0.0, relax=1.0, tol=1e-12)
+        np.testing.assert_allclose(out.rdot[bnd], 1.0, rtol=1e-5)
 
     def test_consistent_rates_solve_and_boundary_slope(self):
         mesh = generate_rectangle(1.0, 1.0, 3, 3)
