@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
-from ._linalg import SparsePattern, apply_dirichlet, solve_sparse
+from ._linalg import SparseLU, SparsePattern, apply_dirichlet, solve_sparse
 from .errors import InvalidParametersError
 from .mesh import BoundaryTag, Mesh
 
@@ -175,6 +175,13 @@ class MechanicsProblem:
     ``constraints`` overrides the tag-derived supports with explicit
     (dof ids, values); dof 2i is u_x of node i, dof 2i + 1 is u_y. A dof
     listed twice keeps its first value.
+
+    The problem keeps the LU factor of its last reduced stiffness together
+    with the per-element stiffness factor it came from. A damage iteration
+    whose factor array equals the kept one, value for value, reuses that
+    LU instead of factorising again; the matrix is then the same, so the
+    displacements are bitwise those of a fresh factorisation. Once damage
+    moves, the next iteration factorises again.
     """
 
     def __init__(self, mesh: Mesh, params: MechParams,
@@ -224,6 +231,9 @@ class MechanicsProblem:
                 "body motion")
         self._free = np.setdiff1d(np.arange(2 * mesh.num_nodes),
                                   self.constraint_dofs)
+        # LU of the reduced stiffness and the stiffness factor it is for
+        self._lu: SparseLU | None = None
+        self._lu_factor: np.ndarray | None = None
 
     # -- pieces -------------------------------------------------------------
 
@@ -295,7 +305,9 @@ class MechanicsProblem:
             F = self._loads(factor, p_p, eps_th)
             A, b = apply_dirichlet(K, F, self._free, self.constraint_dofs,
                                    self.constraint_values)
-            u[self._free] = solve_sparse(A, b)
+            if self._lu is None or not np.array_equal(factor, self._lu_factor):
+                self._lu, self._lu_factor = SparseLU(A), factor
+            u[self._free] = solve_sparse(self._lu, b)
             u[self.constraint_dofs] = self.constraint_values
             eq = mazars_equivalent_strain(self.strains(u))
             kappa = np.maximum(kappa_floor, self.averager(eq))

@@ -51,6 +51,11 @@ __all__ = [
 
 _SATURATED = 1.0 - 1e-9
 
+# (row field, column field) of the element blocks of K and of C, in the
+# order their values are listed; 0 is theta, 1 is phi
+_K_BLOCKS = ((0, 0), (0, 1), (1, 0), (1, 1))
+_C_BLOCKS = ((0, 0), (1, 1))
+
 Value = float | Callable[[float], float]
 
 
@@ -354,20 +359,13 @@ class TransportProblem:
         self._M9 = (mass_pattern[None, :, :]
                     * areas[:, None, None]).reshape(len(conn), 9)
         self._M33 = self._M9.reshape(-1, 3, 3)
-        r_ = np.repeat(conn, 3, axis=1).ravel()     # (E, 9) i i i j j j ...
-        c_ = np.tile(conn, (1, 3)).ravel()          # (E, 9) i j k i j k ...
         self._conn_flat = conn.ravel()
-        # scatter indices for the four K blocks and the two C blocks
-        self._k_rows = np.concatenate([r_, r_, r_ + n, r_ + n])
-        self._k_cols = np.concatenate([c_, c_ + n, c_, c_ + n])
-        self._c_rows = np.concatenate([r_, r_ + n])
-        self._c_cols = np.concatenate([c_, c_ + n])
         # pattern of the block operator [C + gdt K]: the element entries
         # of the four blocks, then the diagonal for the exchange terms
+        rows, cols = self._block_entries(_K_BLOCKS)
         diag = np.arange(2 * n)
-        self._pattern = SparsePattern(np.concatenate([self._k_rows, diag]),
-                                      np.concatenate([self._k_cols, diag]),
-                                      2 * n)
+        self._pattern = SparsePattern(np.concatenate([rows, diag]),
+                                      np.concatenate([cols, diag]), 2 * n)
 
         # edge nodes and lumped weights per tag that carries a condition;
         # the condition values are read live from self.robin / self.flux so
@@ -381,6 +379,17 @@ class TransportProblem:
                                        np.repeat(0.5 * lengths[idx], 2))
 
     # -- assembly ----------------------------------------------------------
+
+    def _block_entries(self, blocks):
+        """Rows and columns of the element entries of the given blocks, in
+        order; a block is (row field, column field), 0 for theta, 1 for phi.
+        Only the set-up and ``assemble`` need them, so they are not kept."""
+        conn = self.mesh.elements
+        n = self.mesh.num_nodes
+        r_ = np.repeat(conn, 3, axis=1).ravel()     # (E, 9) i i i j j j ...
+        c_ = np.tile(conn, (1, 3)).ravel()          # (E, 9) i j k i j k ...
+        return (np.concatenate([r_ + i * n for i, _ in blocks]),
+                np.concatenate([c_ + j * n for _, j in blocks]))
 
     def _centroid_state(self, theta: np.ndarray, phi: np.ndarray):
         theta_c = self.mesh.element_mean(theta)
@@ -413,10 +422,10 @@ class TransportProblem:
         k_vals = np.concatenate([stiff(cf.k_tt), stiff(cf.k_tp),
                                  stiff(cf.k_pt), stiff(cf.k_pp)])
         c_vals = np.concatenate([store(cf.c_tt), store(cf.c_pp)])
-        K = sp.coo_matrix((k_vals, (self._k_rows, self._k_cols)),
+        K = sp.coo_matrix((k_vals, self._block_entries(_K_BLOCKS)),
                           shape=(2 * n, 2 * n)).tocsr() \
             + sp.diags(self._exchange_diagonal(), format="csr")
-        C = sp.coo_matrix((c_vals, (self._c_rows, self._c_cols)),
+        C = sp.coo_matrix((c_vals, self._block_entries(_C_BLOCKS)),
                           shape=(2 * n, 2 * n)).tocsr()
         f_base, rain = self._step_loads(t)
         return AssembledSystem(K, C, self._with_rain(f_base, rain,
@@ -614,7 +623,10 @@ class TransportProblem:
 
     def advance(self, state: TransportState, dt: float, *,
                 max_halvings: int = 4, **options) -> TransportState:
-        """Advance by dt, halving the step on failure up to max_halvings times."""
+        """Advance by dt, halving the step on failure up to max_halvings times.
+
+        The result's ``picard_iterations`` sums those of the substeps that
+        succeeded."""
         try:
             return self.step(state, dt, **options)
         except StepFailureError:
@@ -622,5 +634,7 @@ class TransportProblem:
                 raise
         mid = self.advance(state, 0.5 * dt, max_halvings=max_halvings - 1,
                            **options)
-        return self.advance(mid, 0.5 * dt, max_halvings=max_halvings - 1,
-                            **options)
+        end = self.advance(mid, 0.5 * dt, max_halvings=max_halvings - 1,
+                           **options)
+        end.picard_iterations += mid.picard_iterations
+        return end

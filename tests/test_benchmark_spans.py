@@ -2,7 +2,9 @@
 module attribute name. Renaming or deleting one of them, or calling it
 through a reference bound at import time, would leave the traced
 benchmark without its per-layer figures; this check catches that in the
-ordinary test run.
+ordinary test run. It also checks that every damage iteration solves
+through ``mechanics.solve_sparse``, also when it reuses a kept factor, so
+that the traced solve count stays whole.
 """
 
 import os
@@ -22,8 +24,9 @@ from frostsim import driver
 tracer = spans.Tracer()
 spans.install(tracer)
 driver.run({"mesh": {"h": 0.2}, "time": {"steps": 2}}, out_dir=sys.argv[1])
-_, missing = spans.layer_metrics(tracer, writes_output=True)
+metrics, missing = spans.layer_metrics(tracer, writes_output=True)
 print(sorted(missing))
+print(metrics["mechanics.solves"], metrics["mechanics.damage_iterations"])
 """
 
 
@@ -35,4 +38,7 @@ def test_tracer_wraps_every_layer(tmp_path):
                           env=env, capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    missing, mech_counts = proc.stdout.strip().splitlines()
+    assert missing == "[]"
+    solves, damage_iterations = map(int, mech_counts.split())
+    assert solves == damage_iterations > 0

@@ -370,3 +370,72 @@ class TestEquilibrium:
         assert state.kappa.shape == (lshape_coarse.num_elements,)
         assert state.d_w.shape == (lshape_coarse.num_elements,)
         assert state.converged
+
+
+class TestFactorCache:
+    """The reduced stiffness is factorised once per damage state, and a
+    kept factor gives bitwise the displacements of a fresh one."""
+
+    @pytest.fixture()
+    def factorisations(self, monkeypatch):
+        made = []
+
+        class CountingLU(mech.SparseLU):
+            def __init__(self, A):
+                super().__init__(A)
+                made.append(self)
+
+        monkeypatch.setattr(mech, "SparseLU", CountingLU)
+        return made
+
+    @staticmethod
+    def fresh(mesh, **inputs):
+        return mech.MechanicsProblem(mesh, mech.MechParams()).solve(**inputs)
+
+    def test_undamaged_solves_share_one_factor(self, lshape_coarse,
+                                               factorisations):
+        prob = mech.MechanicsProblem(lshape_coarse, mech.MechParams())
+        theta = np.full(lshape_coarse.num_nodes, 20.0)
+        loads = [dict(p_p=np.full(lshape_coarse.num_elements, 1e5)),
+                 dict(theta=theta, theta_ref=14.0),
+                 dict(theta=theta, theta_ref=14.0,
+                      p_p=np.full(lshape_coarse.num_elements, 2e5))]
+        states = [prob.solve(**load) for load in loads]
+        assert len(factorisations) == 1
+        for load, state in zip(loads, states):
+            np.testing.assert_array_equal(state.d_w, 0.0)
+            np.testing.assert_array_equal(
+                state.u, self.fresh(lshape_coarse, **load).u)
+
+    def test_damage_growth_factorises_again(self, lshape_coarse,
+                                            factorisations):
+        prob = mech.MechanicsProblem(lshape_coarse, mech.MechParams())
+        prob.solve(p_p=np.full(lshape_coarse.num_elements, 1e5))
+        p_p = np.full(lshape_coarse.num_elements, 6e6)
+        loaded = prob.solve(p_p=p_p)
+        assert loaded.d_w.max() > 0.0
+        # the first round reuses the undamaged factor, every later round
+        # has moved damage and needs its own
+        assert len(factorisations) == loaded.iterations > 1
+        # the next step starts from the damage the last round produced,
+        # which no kept factor was built for
+        after = prob.solve(p_p=1.1 * p_p, prev=loaded)
+        assert len(factorisations) == loaded.iterations + after.iterations
+
+        np.testing.assert_array_equal(loaded.u,
+                                      self.fresh(lshape_coarse, p_p=p_p).u)
+        np.testing.assert_array_equal(
+            after.u, self.fresh(lshape_coarse, p_p=1.1 * p_p, prev=loaded).u)
+
+    def test_undamaged_state_after_damage_factorises_again(
+            self, lshape_coarse, factorisations):
+        prob = mech.MechanicsProblem(lshape_coarse, mech.MechParams())
+        loaded = prob.solve(p_p=np.full(lshape_coarse.num_elements, 6e6))
+        assert loaded.d_w.max() > 0.0
+        made = len(factorisations)
+        p_p = np.full(lshape_coarse.num_elements, 1e5)
+        state = prob.solve(p_p=p_p, prev=mech.MechState.zero(lshape_coarse))
+        assert state.iterations == 1
+        assert len(factorisations) == made + 1
+        np.testing.assert_array_equal(state.u,
+                                      self.fresh(lshape_coarse, p_p=p_p).u)

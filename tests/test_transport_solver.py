@@ -578,6 +578,8 @@ class TestAdaptiveAdvance:
         out = prob.advance(self.initial(unit_triangle), 1.0, relax=1.0)
         assert prob.attempts == [1.0, 0.5, 0.25, 0.25, 0.5, 0.25, 0.25]
         assert out.t == pytest.approx(1.0)
+        # one solve per linear quarter step, summed over all four
+        assert out.picard_iterations == 4
 
         # the salvaged result equals four plain quarter steps
         plain = ts.TransportProblem(unit_triangle, ts.ConstantCoefficients(),
