@@ -90,6 +90,14 @@ def _cmd_make_mesh(args) -> int:
     return 0
 
 
+def _write_table(path: Path, header: str, columns) -> None:
+    """Write equal-length columns as a CSV of full-precision floats."""
+    rows = [header] + [",".join(repr(float(v)) for v in row)
+                       for row in zip(*columns)]
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    print(f"wrote {path}")
+
+
 def _cmd_material_curves(args) -> int:
     params, model, _ = build_models(load_config(args.config))
     out = Path(args.out)
@@ -97,39 +105,25 @@ def _cmd_material_curves(args) -> int:
 
     phi = np.linspace(0.0, 1.0, 201)
     w = constitutive.water_content(phi, params)
-    rows = ["phi,w_kg_m3,dw_dphi_kg_m3,D_phi_m2_s,lambda_W_mK"]
-    d_phi = constitutive.moisture_diffusivity(phi, params)
-    lam = constitutive.thermal_conductivity(w, params)
-    cap = constitutive.moisture_capacity(phi, params)
-    for i in range(len(phi)):
-        vals = (phi[i], w[i], cap[i], d_phi[i], lam[i])
-        rows.append(",".join(repr(float(v)) for v in vals))
-    (out / "moisture.csv").write_text("\n".join(rows) + "\n",
-                                      encoding="utf-8")
+    _write_table(out / "moisture.csv",
+                 "phi,w_kg_m3,dw_dphi_kg_m3,D_phi_m2_s,lambda_W_mK",
+                 (phi, w, constitutive.moisture_capacity(phi, params),
+                  constitutive.moisture_diffusivity(phi, params),
+                  constitutive.thermal_conductivity(w, params)))
 
     theta = np.linspace(-30.0, 40.0, 201)
-    p_sat = constitutive.saturation_pressure(theta)
-    dp = constitutive.saturation_pressure_derivative(theta)
-    dv = constitutive.vapor_permeability(theta, params)
-    hv = constitutive.latent_heat_vapor(theta)
-    rows = ["theta_C,p_sat_Pa,dp_sat_dtheta_Pa_K,delta_v_kg_m_s_Pa,h_v_J_kg"]
-    for i in range(len(theta)):
-        vals = (theta[i], p_sat[i], dp[i], dv[i], hv[i])
-        rows.append(",".join(repr(float(v)) for v in vals))
-    (out / "thermal.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    _write_table(out / "thermal.csv",
+                 "theta_C,p_sat_Pa,dp_sat_dtheta_Pa_K,delta_v_kg_m_s_Pa,h_v_J_kg",
+                 (theta, constitutive.saturation_pressure(theta),
+                  constitutive.saturation_pressure_derivative(theta),
+                  constitutive.vapor_permeability(theta, params),
+                  constitutive.latent_heat_vapor(theta)))
 
     theta_f = np.linspace(-30.0, -0.1, 200)
-    r_cr = ice.critical_radius(theta_f, model.params)
-    p_p = model.pore_pressure(theta_f)
     w_i, _ = model.ice_content(theta_f, np.ones_like(theta_f), params)
-    rows = ["theta_C,r_cr_m,p_p_Pa,w_i_sat_kg_m3"]
-    for i in range(len(theta_f)):
-        vals = (theta_f[i], r_cr[i], p_p[i], w_i[i])
-        rows.append(",".join(repr(float(v)) for v in vals))
-    (out / "ice.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
-
-    for name in ("moisture.csv", "thermal.csv", "ice.csv"):
-        print(f"wrote {out / name}")
+    _write_table(out / "ice.csv", "theta_C,r_cr_m,p_p_Pa,w_i_sat_kg_m3",
+                 (theta_f, ice.critical_radius(theta_f, model.params),
+                  model.pore_pressure(theta_f), w_i))
     return 0
 
 

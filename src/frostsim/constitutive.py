@@ -167,7 +167,6 @@ def liquid_conductivity(phi, params: TransportParams):
     D_l = 3.8 (a_abs / w_f)^2 10^e with e = 3 w / (w_f - 1) by default;
     the 'kunzel' variant uses e = 3 (w / w_f - 1).
     """
-    phi = _check_phi(phi)
     w = water_content(phi, params)
     base = 3.8 * (params.a_abs / params.w_f) ** 2
     if params.capillary_exponent == "literal":
@@ -219,7 +218,6 @@ def effective_heat_capacity(theta, phi, params: TransportParams,
     states against one reference pass it, else it is computed here.
     """
     theta = _check_theta(theta)
-    phi = _check_phi(phi)
     w = water_content(phi, params)
     if ice_model is None:
         w_i = np.zeros_like(np.broadcast_arrays(theta, phi)[0])

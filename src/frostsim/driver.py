@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
@@ -44,25 +44,23 @@ __all__ = [
     "write_probe_csv", "read_probe_csv", "write_field_snapshot",
 ]
 
+
+def _field_defaults(cls, skip: str = "") -> dict:
+    return {f.name: f.default for f in fields(cls)
+            if f.init and f.name != skip}
+
+
 # Reference scenario: lime mortar wall cross section, one winter month.
-# Null file entries select the data files bundled with the package.
+# The material, ice and mechanics values are the defaults of the parameter
+# classes, where their units are documented. The porosity n lives in the
+# ice section only; it also sets the Biot coefficient. Null file entries
+# select the data files bundled with the package.
 DEFAULT_CONFIG: dict = {
     "mesh": {"file": None, "outer": 1.0, "thickness": 0.4, "h": 0.03},
-    "material": {
-        "w_f": 160.0, "w_80": 23.0, "lambda_0": 0.45, "b_tcs": 9.0,
-        "rho_s": 1670.0, "mu": 9.63, "a_abs": 0.82, "c_s": 1000.0,
-        "c_l": 4187.0, "c_i": 2100.0, "h_i": 3.34e5,
-        "capillary_exponent": "literal",
-    },
-    "ice": {
-        "gamma_li": 0.0409, "delta_s_m": 1.2e6, "n": 0.35, "p_l": 0.0,
-        "psd_file": None,
-    },
-    "mechanics": {
-        "E": 1e10, "nu": 0.2, "f_t": 2.5e6, "eps_f": 2.5e-3,
-        "l_intl": 1e-3, "alpha": 1.2e-5, "residual_stiffness": 1e-6,
-        "body_force": [0.0, 0.0],
-    },
+    "material": _field_defaults(TransportParams),
+    "ice": {**_field_defaults(IceParams), "psd_file": None},
+    "mechanics": {**_field_defaults(MechParams, skip="n"),
+                  "body_force": [0.0, 0.0]},
     "climate": {"file": None},
     "interior": {"theta": 24.0, "phi": 0.6},
     "transfer": {"alpha_h": 8.0, "beta_v": 5.6e-8, "alpha_swr": 0.6},
@@ -93,8 +91,6 @@ def _schema() -> dict:
 
 
 def _merge_defaults(defaults, overrides, where="config"):
-    if overrides is None:
-        return copy.deepcopy(defaults)
     if isinstance(defaults, dict):
         if not isinstance(overrides, dict):
             raise ConfigError(f"{where} must be an object")
@@ -131,25 +127,15 @@ def validate_config(config: dict, base_dir: str | Path | None = None) -> dict:
     for section, key in (("mesh", "file"), ("ice", "psd_file"),
                          ("climate", "file")):
         value = cfg[section][key]
-        if value is not None and not Path(value).is_absolute() \
-                and value not in ("spec01", "spec02"):
-            cfg[section][key] = str(base / value)
+        if value is None or value in ("spec01", "spec02"):
+            continue
+        if not Path(value).is_absolute():
+            value = cfg[section][key] = str(base / value)
+        if not Path(value).is_file():
+            raise ConfigError(f"{section}.{key}: no such file: {value}")
     if cfg["output"]["dir"] is not None \
             and not Path(cfg["output"]["dir"]).is_absolute():
         cfg["output"]["dir"] = str(base / cfg["output"]["dir"])
-
-    if cfg["time"]["dt_s"] <= 0.0:
-        raise ConfigError("time.dt_s must be positive")
-    if cfg["time"]["steps"] < 1:
-        raise ConfigError("time.steps must be at least 1")
-    if not 0.0 <= cfg["time"]["gamma"] <= 1.0:
-        raise ConfigError("time.gamma must lie in [0, 1]")
-    for section, key in (("mesh", "file"), ("ice", "psd_file"),
-                         ("climate", "file")):
-        value = cfg[section][key]
-        if value is not None and value not in ("spec01", "spec02") \
-                and not Path(value).is_file():
-            raise ConfigError(f"{section}.{key}: no such file: {value}")
     return cfg
 
 
@@ -199,9 +185,8 @@ def build_models(cfg: dict) -> tuple[TransportParams, IceModel, MechParams]:
     mech_cfg = cfg["mechanics"]
     transport_params = TransportParams(**cfg["material"])
     ice = IceModel(_load_psd(ice_cfg),
-                   IceParams(gamma_li=ice_cfg["gamma_li"],
-                             delta_s_m=ice_cfg["delta_s_m"],
-                             n=ice_cfg["n"], p_l=ice_cfg["p_l"]))
+                   IceParams(**{key: value for key, value in ice_cfg.items()
+                                if key != "psd_file"}))
     mech_params = MechParams(**{**mech_cfg, "n": ice_cfg["n"],
                                 "body_force": tuple(mech_cfg["body_force"])})
     return transport_params, ice, mech_params

@@ -172,9 +172,12 @@ def average_pore_pressure(theta, psd: PoreSizeDistribution, params: IceParams,
     """Equivalent pore pressure from crystals averaged over the PSD, Pa.
 
     p_p = p_l + (1/n) sum chi(r_mid) dpsi over frozen pores, integrated
-    with a midpoint rule on log-spaced sub-bins of the table, the first
-    bin split exactly at the critical radius. Returns p_l (gauge zero by
-    default) at or above 0 degC. Accepts scalars or 1-D arrays.
+    with a midpoint rule in log r on ``bins_per_interval * (rows - 1)``
+    bins of equal log width from max(r_cr, r_min) to r_max, where r_min
+    and r_max are the first and last table radii and r_cr the critical
+    radius; the integral is zero once r_cr reaches r_max. Returns p_l
+    (gauge zero by default) at or above 0 degC. Accepts scalars or 1-D
+    arrays.
     """
     theta_arr = np.atleast_1d(np.asarray(theta, dtype=float))
     out = np.full(theta_arr.shape, params.p_l)

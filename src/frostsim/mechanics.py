@@ -212,19 +212,13 @@ class MechanicsProblem:
                                       2 * mesh.num_nodes)
 
         if constraints is None:
-            fixedentries = []
-            for tag, comp in ((BoundaryTag.A, 0), (BoundaryTag.B, 1)):
-                nodes = mesh.nodes_with_tag(tag)
-                fixedentries.append(2 * nodes + comp)
-            cd = np.unique(np.concatenate(fixedentries)) if fixedentries else \
-                np.zeros(0, dtype=np.int64)
-            self.constraint_dofs = cd
-            self.constraint_values = np.zeros(len(cd))
-        else:
-            self.constraint_dofs, first = np.unique(
-                np.asarray(constraints[0], dtype=np.int64), return_index=True)
-            self.constraint_values = np.asarray(constraints[1],
-                                                dtype=float)[first]
+            fixed = np.concatenate([
+                2 * mesh.nodes_with_tag(BoundaryTag.A),
+                2 * mesh.nodes_with_tag(BoundaryTag.B) + 1])
+            constraints = (fixed, np.zeros(len(fixed)))
+        self.constraint_dofs, first = np.unique(
+            np.asarray(constraints[0], dtype=np.int64), return_index=True)
+        self.constraint_values = np.asarray(constraints[1], dtype=float)[first]
         if len(self.constraint_dofs) < 3:
             raise InvalidParametersError(
                 "mechanics needs at least 3 constrained dofs to fix rigid "

@@ -160,9 +160,6 @@ class Mesh:
         """Average a nodal field over the three nodes of every element."""
         return np.asarray(nodal_field)[self.elements].mean(axis=1)
 
-    def boundary_node_ids(self) -> np.ndarray:
-        return np.unique(self.boundary_edge_nodes())
-
     # -- validation -------------------------------------------------------
 
     def _validate_boundary(self):
@@ -212,56 +209,42 @@ def _grid_lines(inner: float, outer: float, h: float) -> np.ndarray:
 
 
 def _mesh_from_grid(xs: np.ndarray, ys: np.ndarray, keep_cell, tag_of_edge) -> Mesh:
-    """Triangulate the kept cells of a tensor grid and tag boundary edges."""
-    nx = len(xs)
-    ny = len(ys)
-    used = np.zeros((nx, ny), dtype=bool)
-    cells = []
-    for i in range(nx - 1):
-        for j in range(ny - 1):
-            if keep_cell(xs[i], xs[i + 1], ys[j], ys[j + 1]):
-                cells.append((i, j))
-                used[i:i + 2, j:j + 2] = True
-    if not cells:
+    """Triangulate the kept cells of a tensor grid and tag boundary edges.
+
+    Cells, nodes and boundary edges are numbered x-major. Each kept cell
+    gives two counterclockwise triangles through its diagonal.
+    """
+    keep = np.array([[keep_cell(xs[i], xs[i + 1], ys[j], ys[j + 1])
+                      for j in range(len(ys) - 1)]
+                     for i in range(len(xs) - 1)], dtype=bool)
+    ci, cj = np.nonzero(keep)
+    if len(ci) == 0:
         raise InvalidGeometryError("no cells fall inside the domain")
 
-    node_id = -np.ones((nx, ny), dtype=np.int64)
-    order = np.argwhere(used)
-    for k, (i, j) in enumerate(order):
-        node_id[i, j] = k
-    nodes = np.array([[xs[i], ys[j]] for i, j in order], dtype=float)
+    used = np.zeros((len(xs), len(ys)), dtype=bool)
+    for di, dj in ((0, 0), (1, 0), (1, 1), (0, 1)):
+        used[ci + di, cj + dj] = True
+    ni, nj = np.nonzero(used)
+    node_id = np.full(used.shape, -1, dtype=np.int64)
+    node_id[ni, nj] = np.arange(len(ni))
+    nodes = np.column_stack([xs[ni], ys[nj]])
 
-    elements = []
-    for i, j in cells:
-        p00 = node_id[i, j]
-        p10 = node_id[i + 1, j]
-        p11 = node_id[i + 1, j + 1]
-        p01 = node_id[i, j + 1]
-        elements.append((p00, p10, p11))
-        elements.append((p00, p11, p01))
-    elements = np.array(elements, dtype=np.int64)
+    p00 = node_id[ci, cj]
+    p10 = node_id[ci + 1, cj]
+    p11 = node_id[ci + 1, cj + 1]
+    p01 = node_id[ci, cj + 1]
+    elements = np.column_stack([p00, p10, p11, p00, p11, p01]).reshape(-1, 3)
 
     # tag topological boundary edges through the caller's geometric rule
-    n = len(nodes)
-    codes = _sorted_edge_codes(elements, n).reshape(len(elements), 3)
+    codes = _sorted_edge_codes(elements, len(nodes)).reshape(len(elements), 3)
     unique, counts = np.unique(codes, return_counts=True)
-    boundary = set(unique[counts == 1].tolist())
-    bedges = []
-    seen = set()
-    for e in range(len(elements)):
-        for k in range(3):
-            code = codes[e, k]
-            if code in boundary and code not in seen:
-                seen.add(code)
-                a = elements[e, k]
-                b = elements[e, (k + 1) % 3]
-                mid = 0.5 * (nodes[a] + nodes[b])
-                tag = tag_of_edge(mid[0], mid[1])
-                if tag is None:
-                    raise InvalidGeometryError(
-                        f"boundary edge at {mid} matches no face")
-                bedges.append((e, k, int(tag)))
-    return Mesh(nodes, elements, np.array(bedges, dtype=np.int64))
+    e, k = np.nonzero(np.isin(codes, unique[counts == 1]))
+    mid = 0.5 * (nodes[elements[e, k]] + nodes[elements[e, (k + 1) % 3]])
+    tags = [tag_of_edge(x, y) for x, y in mid]
+    if None in tags:
+        raise InvalidGeometryError(
+            f"boundary edge at {mid[tags.index(None)]} matches no face")
+    return Mesh(nodes, elements, np.column_stack([e, k, tags]))
 
 
 def generate_lshape(outer: float, thickness: float, h: float) -> Mesh:

@@ -143,17 +143,19 @@ class KunzelCoefficients:
         delta_v = constitutive.vapor_permeability(theta, params, self.constants)
         h_v = constitutive.latent_heat_vapor(theta, self.constants)
         w = constitutive.water_content(phi, params)
+        c_pp = constitutive.moisture_capacity(phi, params)
         return CoefficientFields(
             k_tt=constitutive.thermal_conductivity(w, params)
                  + h_v * delta_v * phi * dp_sat,
             k_tp=h_v * delta_v * p_sat,
             k_pt=delta_v * phi * dp_sat,
-            k_pp=constitutive.moisture_diffusivity(phi, params)
+            # D_phi = D_l dw/dphi, as in constitutive.moisture_diffusivity
+            k_pp=constitutive.liquid_conductivity(phi, params) * c_pp
                  + delta_v * p_sat,
             c_tt=constitutive.effective_heat_capacity(theta, phi, params,
                                                       self.ice_model,
                                                       theta_ref, frozen_ref),
-            c_pp=constitutive.moisture_capacity(phi, params),
+            c_pp=c_pp,
         )
 
 
@@ -439,15 +441,11 @@ class TransportProblem:
         base = np.zeros(2 * n)
         for tag, bc in self.robin.items():
             nodes, weights = self._edge_scatter[tag]
-            if len(nodes) == 0:
-                continue
             np.add.at(base, nodes, bc.alpha_h * _at(bc.theta_amb, t) * weights)
             np.add.at(base, nodes + n, bc.beta_v * _at(bc.phi_amb, t) * weights)
         rain = []
         for tag, fl in self.flux.items():
             nodes, weights = self._edge_scatter[tag]
-            if len(nodes) == 0:
-                continue
             np.add.at(base, nodes, _at(fl.q_heat, t) * weights)
             q_m = _at(fl.q_moist, t) * weights
             if fl.suppress_moist_at_saturation:
@@ -482,8 +480,6 @@ class TransportProblem:
         diag = np.zeros(2 * n)
         for tag, bc in self.robin.items():
             nodes, weights = self._edge_scatter[tag]
-            if len(nodes) == 0:
-                continue
             np.add.at(diag, nodes, bc.alpha_h * weights)
             np.add.at(diag, nodes + n, bc.beta_v * weights)
         return diag

@@ -1,11 +1,15 @@
 import copy
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from frostsim import cli, driver
+from frostsim.constitutive import TransportParams
 from frostsim.errors import ConfigError, StepFailureError
+from frostsim.ice import IceParams
+from frostsim.mechanics import MechParams
 from frostsim.mesh import generate_lshape, generate_rectangle, load_mesh
 
 CLIMATE_HEADER = "time_h,theta_ext_C,phi_ext,rain_kg_m2_s,swr_W_m2"
@@ -34,6 +38,32 @@ def small_run_config(tmp_path, steps=2, **extra):
     return cfg
 
 
+class TestDefaultConfig:
+    def test_model_sections_are_class_defaults(self):
+        cfg = driver.DEFAULT_CONFIG
+        init = {cls: [f.name for f in fields(cls) if f.init]
+                for cls in (TransportParams, IceParams, MechParams)}
+        assert list(cfg["material"]) == init[TransportParams]
+        assert list(cfg["ice"]) == init[IceParams] + ["psd_file"]
+        assert list(cfg["mechanics"]) == [
+            name for name in init[MechParams] if name != "n"]
+        assert TransportParams(**cfg["material"]) == TransportParams()
+        ice = {k: v for k, v in cfg["ice"].items() if k != "psd_file"}
+        assert IceParams(**ice) == IceParams()
+        mech = {**cfg["mechanics"], "n": cfg["ice"]["n"],
+                "body_force": tuple(cfg["mechanics"]["body_force"])}
+        assert MechParams(**mech) == MechParams()
+        assert cfg["mechanics"]["body_force"] == [0.0, 0.0]
+
+    def test_sections_match_schema(self):
+        # a parameter-class field without a schema entry fails here
+        props = driver._schema()["properties"]
+        assert set(driver.DEFAULT_CONFIG) == set(props)
+        for name, section in driver.DEFAULT_CONFIG.items():
+            if isinstance(section, dict):
+                assert set(section) == set(props[name]["properties"]), name
+
+
 class TestValidateConfig:
     def test_empty_config_gets_all_defaults(self):
         cfg = driver.validate_config({})
@@ -58,12 +88,20 @@ class TestValidateConfig:
             driver.validate_config({"time": {"steps": "many"}})
 
     def test_bad_time_values(self):
-        with pytest.raises(ConfigError):
+        # the schema rejects them; the messages name its paths
+        with pytest.raises(ConfigError, match="time/steps"):
             driver.validate_config({"time": {"steps": 0}})
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="time/gamma"):
             driver.validate_config({"time": {"gamma": 1.5}})
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="time/dt_s"):
             driver.validate_config({"time": {"dt_s": 0.0}})
+
+    def test_explicit_nulls_equal_defaults(self):
+        cfg = driver.validate_config({
+            "mesh": {"file": None}, "ice": {"psd_file": None},
+            "climate": {"file": None}, "probes": None,
+            "output": {"dir": None}})
+        assert cfg == driver.DEFAULT_CONFIG
 
     def test_missing_data_file(self):
         with pytest.raises(ConfigError, match="no such file"):
@@ -372,6 +410,17 @@ class TestCli:
         path = write_config(tmp_path, {"time": {"steps": 0}})
         assert cli.main(["check-config", str(path)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_run_nan_gamma_is_config_error(self, tmp_path, capsys):
+        # JSON's NaN passes the schema's [0, 1] bounds on time.gamma; the
+        # time stepper rejects it before the first solve
+        path = tmp_path / "nan.json"
+        path.write_text('{"mesh": {"h": 0.2}, '
+                        '"time": {"steps": 1, "gamma": NaN}}')
+        code = cli.main(["run", "--config", str(path),
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "gamma must lie in [0, 1]" in capsys.readouterr().err
 
     def test_run_writes_outputs(self, tmp_path, capsys):
         out = tmp_path / "results"

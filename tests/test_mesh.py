@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from frostsim.errors import (
 from frostsim.mesh import (
     BoundaryTag,
     Mesh,
+    _mesh_from_grid,
     generate_lshape,
     generate_rectangle,
     load_mesh,
@@ -161,6 +164,69 @@ class TestRectangle:
         assert mesh.num_elements == 16
         assert len(mesh.edges_with_tag(BoundaryTag.EXT)) == 12
         assert np.all(mesh.areas > 0.0)
+
+
+def _boundary_rows(mesh):
+    return np.column_stack([mesh.bedge_elem, mesh.bedge_local,
+                            mesh.bedge_tag]).tolist()
+
+
+class TestGeneratedArrays:
+    """The generators' numbering is part of their contract: probe ids,
+    mesh files and the benchmark baselines refer to it."""
+
+    def test_minimal_lshape_arrays(self):
+        mesh = generate_lshape(0.2, 0.1, 0.1)
+        assert mesh.nodes.tolist() == [
+            [0.0, 0.0], [0.0, 0.1], [0.0, 0.2], [0.1, 0.0], [0.1, 0.1],
+            [0.1, 0.2], [0.2, 0.0], [0.2, 0.1]]
+        assert mesh.elements.tolist() == [
+            [0, 3, 4], [0, 4, 1], [1, 4, 5], [1, 5, 2], [3, 6, 7], [3, 7, 4]]
+        ext, inner, a, b = (int(t) for t in BoundaryTag)
+        assert _boundary_rows(mesh) == [
+            [0, 0, ext], [1, 2, ext], [2, 1, inner], [3, 1, b],
+            [3, 2, ext], [4, 0, ext], [4, 1, a], [5, 1, inner]]
+
+    def test_rectangle_arrays(self):
+        mesh = generate_rectangle(1.0, 0.5, 2, 1)
+        assert mesh.nodes.tolist() == [
+            [0.0, 0.0], [0.0, 0.5], [0.5, 0.0], [0.5, 0.5], [1.0, 0.0],
+            [1.0, 0.5]]
+        assert mesh.elements.tolist() == [
+            [0, 2, 3], [0, 3, 1], [2, 4, 5], [2, 5, 3]]
+        ext = int(BoundaryTag.EXT)
+        assert _boundary_rows(mesh) == [
+            [0, 0, ext], [1, 1, ext], [1, 2, ext], [2, 0, ext], [2, 1, ext],
+            [3, 1, ext]]
+        assert mesh.areas.tolist() == [0.125] * 4
+
+    def test_reference_mesh_digest(self):
+        mesh = generate_lshape(1.0, 0.4, 0.03)
+        digest = hashlib.sha256()
+        for arr, dtype in ((mesh.nodes, "<f8"), (mesh.elements, "<i8"),
+                           (mesh.bedge_elem, "<i8"), (mesh.bedge_local, "<i8"),
+                           (mesh.bedge_tag, "<i8")):
+            digest.update(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+        assert digest.hexdigest() == (
+            "a2d13b7ec0214251f20cd3908cb9bacb254a5a6396997272fd105ab1cbed69bf")
+
+
+class TestMeshFromGrid:
+    def test_no_kept_cell(self):
+        xs = np.linspace(0.0, 1.0, 3)
+        with pytest.raises(InvalidGeometryError, match="no cells"):
+            _mesh_from_grid(xs, xs, lambda *cell: False,
+                            lambda mx, my: BoundaryTag.EXT)
+
+    def test_untagged_boundary_edge(self):
+        xs = np.linspace(0.0, 1.0, 3)
+
+        def tag(mx, my):
+            return None if mx > 0.99 else BoundaryTag.EXT
+
+        with pytest.raises(InvalidGeometryError,
+                           match=r"boundary edge at \[1\.\s+0\.25\] matches no face"):
+            _mesh_from_grid(xs, xs, lambda *cell: True, tag)
 
 
 class TestParse:
