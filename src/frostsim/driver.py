@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
@@ -105,6 +106,19 @@ def _merge_defaults(defaults, overrides, where="config"):
     return copy.deepcopy(overrides)
 
 
+def _non_finite(value, path: str = ""):
+    """Paths of the NaN and infinite numbers in a parsed JSON value, which
+    Python's json reads but no schema bound rejects."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _non_finite(item, f"{path}/{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _non_finite(item, f"{path}/{i}")
+    elif isinstance(value, float) and not math.isfinite(value):
+        yield path.lstrip("/")
+
+
 def validate_config(config: dict, base_dir: str | Path | None = None) -> dict:
     """Schema-check a config fragment and fill in every default.
 
@@ -114,6 +128,8 @@ def validate_config(config: dict, base_dir: str | Path | None = None) -> dict:
     """
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
+    for spot in _non_finite(config):
+        raise ConfigError(f"invalid config at {spot}: numbers must be finite")
     validator = jsonschema.Draft202012Validator(_schema())
     errors = sorted(validator.iter_errors(config), key=lambda e: list(e.path))
     if errors:
@@ -278,6 +294,7 @@ class RunSummary:
     kappa_history: np.ndarray       # (steps + 1, E)
     pore_pressure_history: np.ndarray   # (steps + 1, E), Pa
     picard_iterations: np.ndarray   # (steps,)
+    factorisations: np.ndarray      # (steps,) transport LU factorisations
     outputs: list[Path] = field(default_factory=list)
 
 
@@ -359,6 +376,7 @@ def run(config: dict | str | Path | None = None,
     kappa_history = np.zeros((steps + 1, e))
     pressure_history = np.zeros((steps + 1, e))
     picard = np.zeros(steps, dtype=np.int64)
+    factorisations = np.zeros(steps, dtype=np.int64)
     averager = _node_averager(mesh)
     probe_rows = averager[probe_nodes]
     records: list[ProbeRecord] = []
@@ -392,6 +410,7 @@ def run(config: dict | str | Path | None = None,
         kappa_history[k] = mstate.kappa
         pressure_history[k] = p_p
         picard[k - 1] = state.picard_iterations
+        factorisations[k - 1] = state.factorisations
 
         if k % outcfg["probe_every"] == 0 or k == steps:
             ux = mstate.u[2 * probe_nodes]
@@ -419,7 +438,7 @@ def run(config: dict | str | Path | None = None,
         outputs.append(probe_path)
     return RunSummary(cfg, mesh, state, mstate, probe_nodes, records,
                       damage_history, kappa_history, pressure_history,
-                      picard, outputs)
+                      picard, factorisations, outputs)
 
 
 def write_probe_csv(records: list[ProbeRecord], path: str | Path) -> None:

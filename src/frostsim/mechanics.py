@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.spatial import cKDTree
 
 from ._linalg import SparseLU, SparsePattern, apply_dirichlet, solve_sparse
 from .errors import InvalidParametersError
@@ -81,6 +80,44 @@ def damage_function(kappa, eps_0: float, eps_f: float):
     return out
 
 
+def _compact(cells: np.ndarray) -> np.ndarray:
+    """Renumber integer cell coordinates so that neighbours stay one apart
+    and every larger gap becomes two; the range then grows with the
+    number of points, not with the extent over the cell size."""
+    values, inverse = np.unique(cells, return_inverse=True)
+    gaps = np.minimum(np.diff(values), 2)
+    return np.concatenate([[0], np.cumsum(gaps)])[inverse]
+
+
+def neighbour_pairs(points: np.ndarray, radius: float) -> np.ndarray:
+    """Index pairs (i, j), i < j, of points at most ``radius`` apart.
+
+    A cell list: the points are binned into squares of side ``radius``,
+    and each is compared with the points of its own and the eight
+    neighbouring squares, found by sorting the square keys.
+    """
+    cx, cy = (_compact(np.floor(points[:, axis] / radius).astype(np.int64))
+              for axis in (0, 1))
+    width = int(cx.max()) + 3               # a margin column on each side
+    key = (cy + 1) * width + cx + 1
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    found = []
+    for shift in (-width - 1, -width, -width + 1, -1, 0, 1,
+                  width - 1, width, width + 1):
+        lo = np.searchsorted(sorted_key, key + shift, side="left")
+        count = np.searchsorted(sorted_key, key + shift, side="right") - lo
+        first = np.repeat(np.arange(len(points)), count)
+        offset = np.arange(len(first)) - np.repeat(np.cumsum(count) - count,
+                                                   count)
+        second = order[np.repeat(lo, count) + offset]
+        found.append(np.stack([first, second], axis=1)[first < second])
+    pairs = np.concatenate(found)
+    d2 = np.sum((points[pairs[:, 0]] - points[pairs[:, 1]]) ** 2, axis=1)
+    pairs = pairs[d2 <= radius ** 2]
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+
+
 class NonlocalAverager:
     """Gaussian area-weighted averaging between element centroids.
 
@@ -96,8 +133,7 @@ class NonlocalAverager:
         self.length = length
         centroids = mesh.centroids
         areas = mesh.areas
-        tree = cKDTree(centroids)
-        pairs = tree.query_pairs(3.0 * length, output_type="ndarray")
+        pairs = neighbour_pairs(centroids, 3.0 * length)
         e = mesh.num_elements
         if len(pairs):
             d2 = np.sum((centroids[pairs[:, 0]] - centroids[pairs[:, 1]]) ** 2,

@@ -15,8 +15,11 @@ is advanced with the one-parameter theta scheme
 (gamma = 0.5 is the trapezoidal rule) and the nonlinearity is resolved by
 Picard iteration on the frozen-coefficient linear system, with the mixing
 factor backed off automatically when the residual grows. The operator is
-filled into a sparsity pattern fixed at construction, and the iterates of
-one step share an LU factor while it keeps reducing the residual.
+filled into a sparsity pattern fixed at construction. One LU factor serves
+the iterates of a step and the steps after it that share gamma dt: each
+linear solve uses the factor, with a few GMRES iterations on it where its
+answer alone is not accurate enough, and A is factorised afresh only when
+those fail too.
 
 Boundary terms: Robin exchange adds alpha L/2 to the diagonal of the
 matching block and alpha ambient L/2 to the load (edge-lumped); prescribed
@@ -51,6 +54,13 @@ __all__ = [
 
 _SATURATED = 1.0 - 1e-9
 
+# a Picard update accepts the kept factor's linear solve once its
+# block-scaled residual is within _ETA of the right-hand side's, gives
+# GMRES on that factor up to _KRYLOV_MAX iterations to get there, and
+# otherwise factorises A afresh
+_ETA = 1e-2
+_KRYLOV_MAX = 4
+
 # (row field, column field) of the element blocks of K and of C, in the
 # order their values are listed; 0 is theta, 1 is phi
 _K_BLOCKS = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -72,6 +82,7 @@ class TransportState:
     phi: np.ndarray
     rdot: np.ndarray
     picard_iterations: int = 0
+    factorisations: int = 0
 
     @classmethod
     def uniform(cls, mesh: Mesh, theta: float, phi: float,
@@ -228,12 +239,51 @@ class NonlinearResult:
     r: np.ndarray
     iterations: int
     residuals: list[float] = field(default_factory=list)
+    lu: SparseLU | None = None      # the factor the last update used
+    factorisations: int = 0
+
+
+def _gmres(A, lu: SparseLU, rhs: np.ndarray,
+           weights: np.ndarray) -> np.ndarray | None:
+    """Solve A x = rhs on the LU factor of another matrix.
+
+    x = LU^-1 rhs stands if ||weights * (rhs - A x)|| is at most _ETA
+    ||weights * rhs||; else GMRES, right-preconditioned with LU^-1
+    diag(weights)^-1 so that it minimises that norm, corrects x for up to
+    _KRYLOV_MAX iterations. Returns None if x still misses _ETA.
+    """
+    tol = _ETA * float(np.linalg.norm(weights * rhs))
+    x = solve_sparse(lu, rhs)
+    r0 = weights * (rhs - A @ x)
+    beta = float(np.linalg.norm(r0))
+    if beta <= tol:
+        return x
+    basis = [r0 / beta]
+    directions = []
+    hess = np.zeros((_KRYLOV_MAX + 1, _KRYLOV_MAX))
+    target = np.zeros(_KRYLOV_MAX + 1)
+    target[0] = beta
+    for j in range(_KRYLOV_MAX):
+        directions.append(solve_sparse(lu, basis[j] / weights))
+        v = weights * (A @ directions[j])
+        for i, q in enumerate(basis):       # modified Gram-Schmidt
+            hess[i, j] = q @ v
+            v -= hess[i, j] * q
+        hess[j + 1, j] = np.linalg.norm(v)
+        h, g = hess[:j + 2, :j + 1], target[:j + 2]
+        y = np.linalg.lstsq(h, g, rcond=None)[0]
+        res = float(np.linalg.norm(g - h @ y))
+        if res <= tol or hess[j + 1, j] == 0.0:
+            break
+        basis.append(v / hess[j + 1, j])
+    return x + np.stack(directions, axis=1) @ y if res <= tol else None
 
 
 def nonlinear_iterate(system_builder, r_guess: np.ndarray, *,
                       tol: float = 1e-6, max_iter: int = 50,
                       relax: float = 0.7, blocks=None,
-                      project=None) -> NonlinearResult:
+                      project=None, lu: SparseLU | None = None
+                      ) -> NonlinearResult:
     """Safeguarded Picard iteration on A(r) r = b(r).
 
     ``system_builder(r)`` returns the frozen-coefficient pair (A, b).
@@ -246,11 +296,15 @@ def nonlinear_iterate(system_builder, r_guess: np.ndarray, *,
     growing tenfold over five iterations) and exceeding ``max_iter``
     solves raise StepFailureError.
 
-    Each solve is a defect correction r + LU^-1 (b - A r) with the LU
-    factor of an earlier iterate's matrix. A is factorised afresh at the
-    first iterate, and whenever the last update removed less than half
-    of the residual share omega that an exact solve would remove on a
-    linear system, so a reused factor only stands in while it works.
+    Each update is r - omega delta with A delta = A r - b solved on an LU
+    factor: ``lu``, the factor of an earlier matrix, or one of A made at
+    the first update when ``lu`` is None. A kept factor's delta stands
+    when its residual, scaled per block by 1 / ||b_block|| as in the
+    convergence test, is within _ETA of the scaled right-hand side; else
+    up to _KRYLOV_MAX GMRES iterations on the factor correct it. Only
+    when that still misses _ETA is A factorised afresh and solved
+    exactly. The result carries the last factor and the count of
+    factorisations made.
     """
     if not 0.0 < relax <= 1.0:
         raise InvalidParametersError("relaxation factor must lie in (0, 1]")
@@ -262,18 +316,20 @@ def nonlinear_iterate(system_builder, r_guess: np.ndarray, *,
     if blocks is None:
         blocks = [(0, len(r))]
     residuals: list[float] = []
+    weights = np.empty(len(r))
     omega = relax
-    lu = None
+    made = 0
     for k in range(max_iter + 1):
         A, b = system_builder(r)
         mismatch = A @ r - b
         res = 0.0
         for lo, hi in blocks:
             scale = max(float(np.linalg.norm(b[lo:hi])), 1e-30)
+            weights[lo:hi] = 1.0 / scale
             res = max(res, float(np.linalg.norm(mismatch[lo:hi])) / scale)
         residuals.append(res)
         if res < tol:
-            return NonlinearResult(r, k, residuals)
+            return NonlinearResult(r, k, residuals, lu, made)
         if k >= 5 and res > 10.0 * residuals[k - 5]:
             raise StepFailureError(
                 f"Picard iteration diverging after {k} iterations",
@@ -282,11 +338,16 @@ def nonlinear_iterate(system_builder, r_guess: np.ndarray, *,
             raise StepFailureError(
                 f"no convergence in {max_iter} iterations (residual {res:.3e})",
                 residual_norm=res, iterations=k)
-        if lu is None or res > (1.0 - 0.5 * omega) * residuals[k - 1]:
-            lu = SparseLU(A)
         if k >= 1 and res > residuals[k - 1]:
             omega = max(0.5 * omega, 0.25 * relax)
-        r = r - omega * solve_sparse(lu, mismatch)
+        delta = None if lu is None else _gmres(A, lu, mismatch, weights)
+        if delta is None:
+            # SparseLU factorises at its first solve, so the old factor is
+            # released before the new one takes memory
+            lu = SparseLU(A)
+            made += 1
+            delta = solve_sparse(lu, mismatch)
+        r = r - omega * delta
         if project is not None:
             r = project(r)
     raise AssertionError("unreachable")
@@ -336,6 +397,8 @@ class TransportProblem:
         self.source_moist = source_moist
         self.phi_bounds = phi_bounds
         self.lumped_capacity = lumped_capacity
+        # (gamma dt, LU) of the last step's operator, passed on to the next
+        self._kept: tuple[float, SparseLU | None] | None = None
 
         n = mesh.num_nodes
         # each prescribed dof once, and the complement; without any, the
@@ -605,24 +668,33 @@ class TransportProblem:
                 np.clip(x[n_t:], *self.phi_bounds, out=x[n_t:])
             return x
 
+        # the kept factor is handed over, not referenced from here, so a
+        # refactorisation frees it before building its successor
         result = nonlinear_iterate(builder, r_free, tol=tol,
                                    max_iter=max_iter, relax=relax,
                                    blocks=[(0, n_t), (n_t, len(r_free))],
-                                   project=project)
+                                   project=project, lu=self._take_factor(gdt))
+        self._kept = (gdt, result.lu)
         r_new[free] = result.r
         if gamma > 0.0:
             rdot_new = (r_new - r_old - dt * (1.0 - gamma) * rdot_old) / (gamma * dt)
         else:
             rdot_new = self._rates(r_new, t_new, suppressed)
         return TransportState(t_new, r_new[:n].copy(), r_new[n:].copy(),
-                              rdot_new, picard_iterations=result.iterations)
+                              rdot_new, picard_iterations=result.iterations,
+                              factorisations=result.factorisations)
+
+    def _take_factor(self, gdt: float) -> SparseLU | None:
+        """Release the kept factor; return it if it was built for gdt."""
+        kept, self._kept = self._kept, None
+        return kept[1] if kept is not None and kept[0] == gdt else None
 
     def advance(self, state: TransportState, dt: float, *,
                 max_halvings: int = 4, **options) -> TransportState:
         """Advance by dt, halving the step on failure up to max_halvings times.
 
-        The result's ``picard_iterations`` sums those of the substeps that
-        succeeded."""
+        The result's ``picard_iterations`` and ``factorisations`` sum those
+        of the substeps that succeeded."""
         try:
             return self.step(state, dt, **options)
         except StepFailureError:
@@ -633,4 +705,5 @@ class TransportProblem:
         end = self.advance(mid, 0.5 * dt, max_halvings=max_halvings - 1,
                            **options)
         end.picard_iterations += mid.picard_iterations
+        end.factorisations += mid.factorisations
         return end

@@ -1,11 +1,12 @@
 import copy
 import json
+import math
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from frostsim import cli, driver
+from frostsim import cli, driver, transport_solver
 from frostsim.constitutive import TransportParams
 from frostsim.errors import ConfigError, StepFailureError
 from frostsim.ice import IceParams
@@ -95,6 +96,18 @@ class TestValidateConfig:
             driver.validate_config({"time": {"gamma": 1.5}})
         with pytest.raises(ConfigError, match="time/dt_s"):
             driver.validate_config({"time": {"dt_s": 0.0}})
+
+    @pytest.mark.parametrize("fragment, spot", [
+        ({"time": {"dt_s": math.nan}}, "time/dt_s"),
+        ({"material": {"w_f": math.inf}}, "material/w_f"),
+        ({"interior": {"theta": -math.inf}}, "interior/theta"),
+        ({"mechanics": {"body_force": [0.0, math.nan]}},
+         "mechanics/body_force/1"),
+    ])
+    def test_non_finite_numbers(self, fragment, spot):
+        with pytest.raises(ConfigError, match=f"at {spot}: numbers must be "
+                                              "finite"):
+            driver.validate_config(fragment)
 
     def test_explicit_nulls_equal_defaults(self):
         cfg = driver.validate_config({
@@ -347,6 +360,25 @@ class TestRun:
         np.testing.assert_array_equal(summary.damage_history[0], 0.0)
         assert np.all(summary.picard_iterations >= 1)
 
+    def test_factorisations_per_step(self, tmp_path, monkeypatch):
+        made = []
+
+        class CountingLU(transport_solver.SparseLU):
+            def __init__(self, A):
+                super().__init__(A)
+                made.append(self)
+
+        monkeypatch.setattr(transport_solver, "SparseLU", CountingLU)
+        summary = driver.run(small_run_config(tmp_path, steps=4))
+        per_step = summary.factorisations
+        assert per_step.shape == summary.picard_iterations.shape == (4,)
+        assert per_step.sum() == len(made)
+        # the first step factorises, the steps after it start from its
+        # factor, and no update makes more than one
+        assert per_step[0] >= 1
+        assert per_step[1:].sum() < summary.picard_iterations[1:].sum()
+        assert np.all(per_step <= summary.picard_iterations)
+
     def test_explicit_probes(self, tmp_path):
         cfg = small_run_config(tmp_path, steps=1, probes=[0, 5])
         summary = driver.run(cfg)
@@ -412,15 +444,29 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
 
     def test_run_nan_gamma_is_config_error(self, tmp_path, capsys):
-        # JSON's NaN passes the schema's [0, 1] bounds on time.gamma; the
-        # time stepper rejects it before the first solve
+        # JSON's NaN passes the schema's [0, 1] bounds on time.gamma;
+        # validate_config rejects it before any model is built
         path = tmp_path / "nan.json"
         path.write_text('{"mesh": {"h": 0.2}, '
                         '"time": {"steps": 1, "gamma": NaN}}')
         code = cli.main(["run", "--config", str(path),
                          "--out", str(tmp_path / "out")])
         assert code == 2
-        assert "gamma must lie in [0, 1]" in capsys.readouterr().err
+        assert "time/gamma: numbers must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, spot", [
+        ('{"time": {"dt_s": NaN}}', "time/dt_s"),
+        ('{"mechanics": {"E": Infinity}}', "mechanics/E"),
+    ])
+    def test_run_non_finite_is_config_error(self, tmp_path, capsys, text,
+                                            spot):
+        # both reached the solver before and failed there with exit 3
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code = cli.main(["run", "--config", str(path),
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"{spot}: numbers must be finite" in capsys.readouterr().err
 
     def test_run_writes_outputs(self, tmp_path, capsys):
         out = tmp_path / "results"

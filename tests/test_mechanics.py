@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from frostsim import mechanics as mech
 from frostsim.errors import InvalidParametersError
-from frostsim.mesh import BoundaryTag, generate_rectangle
+from frostsim.mesh import BoundaryTag, generate_lshape, generate_rectangle
 
 
 class TestBiot:
@@ -158,6 +159,66 @@ class TestNonlocalAverager:
     def test_validation(self, lshape_coarse):
         with pytest.raises(InvalidParametersError):
             mech.NonlocalAverager(lshape_coarse, 0.0)
+
+
+def brute_pairs(points, radius):
+    d2 = np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=2)
+    return np.argwhere(np.triu(d2 <= radius ** 2, k=1))
+
+
+def kdtree_weights(mesh, length):
+    """The averaging weights as built from a k-d tree pair query."""
+    from scipy.spatial import cKDTree
+
+    e = mesh.num_elements
+    c, a = mesh.centroids, mesh.areas
+    pairs = cKDTree(c).query_pairs(3.0 * length, output_type="ndarray")
+    w = np.exp(-np.sum((c[pairs[:, 0]] - c[pairs[:, 1]]) ** 2, axis=1)
+               / (2.0 * length ** 2))
+    W = sp.coo_matrix((np.concatenate([w * a[pairs[:, 1]],
+                                       w * a[pairs[:, 0]], a]),
+                       (np.concatenate([pairs[:, 0], pairs[:, 1],
+                                        np.arange(e)]),
+                        np.concatenate([pairs[:, 1], pairs[:, 0],
+                                        np.arange(e)]))),
+                      shape=(e, e)).tocsr()
+    return sp.diags(1.0 / np.asarray(W.sum(axis=1)).ravel()) @ W
+
+
+class TestNeighbourPairs:
+    @pytest.mark.parametrize("radius", [1e-3, 0.03, 0.1, 0.4, 3.0])
+    def test_random_points_match_brute_force(self, radius):
+        points = np.random.default_rng(11).uniform([-0.3, 2.0], [0.7, 2.5],
+                                                   size=(400, 2))
+        np.testing.assert_array_equal(mech.neighbour_pairs(points, radius),
+                                      brute_pairs(points, radius))
+
+    @pytest.mark.parametrize("length", [0.01, 0.03])
+    def test_reference_mesh_with_raised_length(self, length):
+        centroids = generate_lshape(1.0, 0.4, 0.03).centroids
+        got = mech.neighbour_pairs(centroids, 3.0 * length)
+        assert len(got) > 0
+        np.testing.assert_array_equal(got, brute_pairs(centroids,
+                                                       3.0 * length))
+
+    @pytest.mark.parametrize("h", [0.03, 0.015])
+    def test_no_pairs_on_benchmark_meshes(self, h):
+        # with the default l_intl the nonlocal average is the identity on
+        # the reference (h = 0.03) and the fine (h = 0.015) mesh
+        centroids = generate_lshape(1.0, 0.4, h).centroids
+        pairs = mech.neighbour_pairs(centroids, 3.0 * mech.MechParams().l_intl)
+        assert len(pairs) == 0
+
+    @pytest.mark.parametrize("h, length", [(0.03, None), (0.015, None),
+                                           (0.03, 0.01), (0.1, 0.07)])
+    def test_weights_match_kdtree_query(self, h, length):
+        mesh = generate_lshape(1.0, 0.4, h)
+        length = length or mech.MechParams().l_intl
+        got = mech.NonlocalAverager(mesh, length).weights.tocsr()
+        want = kdtree_weights(mesh, length).tocsr()
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(got, name),
+                                          getattr(want, name))
 
 
 class TestMechParams:

@@ -377,6 +377,89 @@ class TestPicardIteration:
         assert result.iterations >= 10
 
 
+class TestFactorReuse:
+    """One LU factor serves the steps of one gamma dt; convergence is
+    still judged on the true system, so a lagged factor costs accuracy
+    nowhere."""
+
+    @pytest.fixture()
+    def factorisations(self, monkeypatch):
+        made = []
+
+        class CountingLU(ts.SparseLU):
+            def __init__(self, A):
+                super().__init__(A)
+                made.append(self)
+
+        monkeypatch.setattr(ts, "SparseLU", CountingLU)
+        return made
+
+    @staticmethod
+    def problem(mesh):
+        robin = {BoundaryTag.EXT: ts.RobinBC(2.0, 0.5, -3.0, 0.2)}
+        coefficients = ts.ConstantCoefficients(k_tt=1.5, k_tp=0.2, k_pt=0.1,
+                                               k_pp=0.8, c_pp=2.0)
+        return ts.TransportProblem(mesh, coefficients, robin=robin,
+                                   phi_bounds=None)
+
+    @staticmethod
+    def initial(mesh):
+        x, y = mesh.nodes.T
+        return ts.TransportState(0.0, 5.0 * x - y, 0.5 + 0.1 * y * x,
+                                 np.zeros(2 * mesh.num_nodes))
+
+    def test_steps_of_one_dt_share_a_factor(self, lshape_coarse,
+                                            factorisations):
+        prob = self.problem(lshape_coarse)
+        states = [self.initial(lshape_coarse)]
+        for _ in range(5):
+            states.append(prob.step(states[-1], 0.5, relax=1.0))
+        assert len(factorisations) == 1
+        assert [s.factorisations for s in states[1:]] == [1, 0, 0, 0, 0]
+        for before, after in zip(states, states[1:]):
+            fresh = self.problem(lshape_coarse).step(before, 0.5, relax=1.0)
+            np.testing.assert_array_equal(after.theta, fresh.theta)
+            np.testing.assert_array_equal(after.phi, fresh.phi)
+
+    def test_new_dt_factorises_again(self, lshape_coarse, factorisations):
+        prob = self.problem(lshape_coarse)
+        state = self.initial(lshape_coarse)
+        made = []
+        for dt in (0.5, 0.25, 0.25, 0.5):
+            state = prob.step(state, dt, relax=1.0)
+            made.append(state.factorisations)
+        assert made == [1, 1, 0, 1]
+        assert len(factorisations) == 3
+
+    @pytest.mark.parametrize("shift, replaced", [(1.0, False), (30.0, True)])
+    def test_wrong_factor_still_reaches_tol(self, factorisations, shift,
+                                            replaced):
+        # GMRES corrects what a mildly wrong factor misses; a badly wrong
+        # one is replaced. Either way the system is solved to tol.
+        n = 40
+        A = sp.diags([-np.ones(n - 1), np.linspace(2.5, 4.0, n),
+                      -np.ones(n - 1)], [-1, 0, 1], format="csr")
+        b = np.sin(np.arange(n, dtype=float))
+        wrong = ts.SparseLU(A + shift * sp.diags(np.cos(np.arange(n)) ** 2))
+        result = ts.nonlinear_iterate(lambda r: (A, b), np.zeros(n),
+                                      relax=1.0, tol=1e-10, lu=wrong)
+        assert result.residuals[-1] < 1e-10
+        np.testing.assert_allclose(A @ result.r, b, atol=1e-9)
+        assert result.factorisations == len(factorisations) - 1 == replaced
+        assert (result.lu is wrong) != replaced
+
+    def test_failed_step_keeps_no_factor(self, lshape_coarse,
+                                         factorisations):
+        prob = self.problem(lshape_coarse)
+        state = prob.step(self.initial(lshape_coarse), 0.5, relax=1.0)
+        with pytest.raises(StepFailureError):
+            prob.step(state, 0.5, relax=1.0, tol=1e-30, max_iter=2)
+        assert len(factorisations) == 1
+        after = prob.step(state, 0.5, relax=1.0)
+        assert after.factorisations == 1
+        assert len(factorisations) == 2
+
+
 # manufactured solution: theta_t = div grad theta + s on the unit square,
 # theta = 0 on the boundary, s chosen so theta = sin(pi x) sin(pi y) exp(-t)
 MMS_T_END = 0.4
@@ -578,8 +661,10 @@ class TestAdaptiveAdvance:
         out = prob.advance(self.initial(unit_triangle), 1.0, relax=1.0)
         assert prob.attempts == [1.0, 0.5, 0.25, 0.25, 0.5, 0.25, 0.25]
         assert out.t == pytest.approx(1.0)
-        # one solve per linear quarter step, summed over all four
+        # one solve per linear quarter step, summed over all four, and one
+        # factor that all four share
         assert out.picard_iterations == 4
+        assert out.factorisations == 1
 
         # the salvaged result equals four plain quarter steps
         plain = ts.TransportProblem(unit_triangle, ts.ConstantCoefficients(),
