@@ -6,7 +6,10 @@ All functions accept scalars or numpy arrays of matching shape; temperatures
 are in degrees Celsius, water contents in kg m^-3, relative humidity is the
 pore air fraction in [0, 1].
 
-Out-of-range inputs raise DomainError rather than extrapolating.
+Out-of-range inputs raise DomainError rather than extrapolating. Each
+checked function calls an unchecked kernel of the same name with a
+leading underscore; the transport coefficients call the kernels on
+centroid states that the transport problem has already bounded.
 """
 
 from __future__ import annotations
@@ -105,7 +108,10 @@ def _check_theta(theta):
 
 def water_content(phi, params: TransportParams):
     """Equilibrium water content w(phi), kg m^-3."""
-    phi = _check_phi(phi)
+    return _water_content(_check_phi(phi), params)
+
+
+def _water_content(phi, params):
     b = params.b_phi
     return params.w_f * (b - 1.0) * phi / (b - phi)
 
@@ -121,7 +127,10 @@ def humidity_from_water_content(w, params: TransportParams):
 
 def moisture_capacity(phi, params: TransportParams):
     """Slope dw/dphi of the sorption isotherm, kg m^-3."""
-    phi = _check_phi(phi)
+    return _moisture_capacity(_check_phi(phi), params)
+
+
+def _moisture_capacity(phi, params):
     b = params.b_phi
     return params.w_f * (b - 1.0) * b / (b - phi) ** 2
 
@@ -133,18 +142,20 @@ def saturation_pressure(theta):
     (22.44, 272.44) below 0 degC and (17.08, 234.18) above. Both branches
     meet at 611 Pa at 0 degC.
     """
-    theta = _check_theta(theta)
-    a = np.where(theta < 0.0, 22.44, 17.08)
-    theta_0 = np.where(theta < 0.0, 272.44, 234.18)
-    return 611.0 * np.exp(a * theta / (theta_0 + theta))
+    return _saturation(_check_theta(theta))[0]
 
 
 def saturation_pressure_derivative(theta):
     """Slope dp_sat/dtheta, Pa K^-1."""
-    theta = _check_theta(theta)
+    return _saturation(_check_theta(theta))[1]
+
+
+def _saturation(theta):
+    """p_sat and dp_sat/dtheta from one evaluation of the fit."""
     a = np.where(theta < 0.0, 22.44, 17.08)
     theta_0 = np.where(theta < 0.0, 272.44, 234.18)
-    return saturation_pressure(theta) * a * theta_0 / (theta_0 + theta) ** 2
+    p_sat = 611.0 * np.exp(a * theta / (theta_0 + theta))
+    return p_sat, p_sat * a * theta_0 / (theta_0 + theta) ** 2
 
 
 def vapor_permeability(theta, params: TransportParams,
@@ -155,7 +166,10 @@ def vapor_permeability(theta, params: TransportParams,
     evaluated at ambient pressure p = p_atm, divided by the resistance
     factor mu.
     """
-    theta = _check_theta(theta)
+    return _vapor_permeability(_check_theta(theta), params, constants)
+
+
+def _vapor_permeability(theta, params, constants):
     T = theta + constants.T0  # K
     delta = 2.306e-5 / (constants.R_v * T) * (T / constants.T0) ** 1.81
     return delta / params.mu
@@ -167,7 +181,10 @@ def liquid_conductivity(phi, params: TransportParams):
     D_l = 3.8 (a_abs / w_f)^2 10^e with e = 3 w / (w_f - 1) by default;
     the 'kunzel' variant uses e = 3 (w / w_f - 1).
     """
-    w = water_content(phi, params)
+    return _liquid_conductivity(water_content(phi, params), params)
+
+
+def _liquid_conductivity(w, params):
     base = 3.8 * (params.a_abs / params.w_f) ** 2
     if params.capillary_exponent == "literal":
         e = 3.0 * w / (params.w_f - 1.0)
@@ -186,6 +203,10 @@ def thermal_conductivity(w, params: TransportParams):
     w = np.asarray(w, dtype=float)
     if np.any(w < 0.0) or np.any(w > params.w_f * (1.0 + 1e-9)):
         raise DomainError("water content outside [0, w_f]")
+    return _thermal_conductivity(w, params)
+
+
+def _thermal_conductivity(w, params):
     return params.lambda_0 * (1.0 + params.b_tcs * w / params.rho_s)
 
 
@@ -195,7 +216,10 @@ def latent_heat_vapor(theta, constants: PhysicalConstants = CONSTANTS):
     h_v = 2.5008e6 (273.15 / T)^(0.167 + 3.67e-4 T); equals 2.5008e6
     exactly at 0 degC and decreases with temperature.
     """
-    theta = _check_theta(theta)
+    return _latent_heat_vapor(_check_theta(theta), constants)
+
+
+def _latent_heat_vapor(theta, constants):
     T = theta + constants.T0  # K
     return 2.5008e6 * (constants.T0 / T) ** (0.167 + 3.67e-4 * T)
 
@@ -219,16 +243,28 @@ def effective_heat_capacity(theta, phi, params: TransportParams,
     """
     theta = _check_theta(theta)
     w = water_content(phi, params)
-    if ice_model is None:
-        w_i = np.zeros_like(np.broadcast_arrays(theta, phi)[0])
+    ice = None
+    if ice_model is not None:
+        ice = ice_model.ice_content(theta, phi, params)
+        if theta_ref is not None and frozen_ref is None:
+            frozen_ref = ice_model.frozen_fraction(theta_ref)
+    return _effective_heat_capacity(theta, w, params, ice, theta_ref,
+                                    frozen_ref)
+
+
+def _effective_heat_capacity(theta, w, params, ice=None, theta_ref=None,
+                             frozen_ref=None):
+    """effective_heat_capacity from w = water_content(phi) and ice = the
+    ice model's (w_i, dw_i/dtheta), or None for no frozen water;
+    ``frozen_ref`` must be given with ``theta_ref`` when there is ice."""
+    if ice is None:
+        w_i = np.zeros(np.broadcast_shapes(np.shape(theta), np.shape(w)))
         dwi_dtheta = w_i
     else:
-        w_i, dwi_dtheta = ice_model.ice_content(theta, phi, params)
+        w_i, dwi_dtheta = ice
         if theta_ref is not None:
-            if frozen_ref is None:
-                frozen_ref = ice_model.frozen_fraction(theta_ref)
             w_i_ref = w * np.reshape(frozen_ref, np.shape(theta_ref))
-            dtheta = np.asarray(theta, dtype=float) - theta_ref
+            dtheta = theta - theta_ref
             wide = np.abs(dtheta) > 1e-3
             chord = (w_i - w_i_ref) / np.where(wide, dtheta, 1.0)
             dwi_dtheta = np.where(wide, np.minimum(chord, 0.0),

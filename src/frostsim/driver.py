@@ -395,7 +395,7 @@ def run(config: dict | str | Path | None = None,
                 f"transport failed at step {k} (t = {state.t / 3600.0:g} h "
                 f"+ {dt:g} s) after retries: {err}",
                 residual_norm=err.residual_norm,
-                iterations=err.iterations) from err
+                iterations=err.iterations, residuals=err.residuals) from err
         p_p = ice.pore_pressure(mesh.element_mean(state.theta))
         mstate = mechanics.solve(theta=state.theta, theta_ref=theta_ref,
                                  p_p=p_p, prev=mstate,

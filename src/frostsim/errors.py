@@ -53,14 +53,16 @@ class StepFailureError(FrostsimError):
     """A nonlinear time step did not converge.
 
     Carries the last residual norm and the number of iterations spent so the
-    caller can decide whether to retry with a smaller step.
+    caller can decide whether to retry with a smaller step, and the
+    residual of every iterate where the solver recorded them.
     """
 
     def __init__(self, message: str, residual_norm: float = float("nan"),
-                 iterations: int = 0):
+                 iterations: int = 0, residuals: list[float] | None = None):
         super().__init__(message)
         self.residual_norm = residual_norm
         self.iterations = iterations
+        self.residuals = list(residuals or [])
 
 
 class ConfigError(FrostsimError, ValueError):

@@ -4,10 +4,15 @@ Pores freeze once their radius exceeds a temperature dependent critical
 radius composed of the curvature radius of the ice-liquid interface and an
 unfrozen adsorbed film on the pore wall. Crystals in frozen pores press on
 the wall; averaging that pressure over the pore size distribution gives the
-equivalent pore pressure that loads the solid skeleton.
+equivalent pore pressure that loads the solid skeleton. ``pore_pressure``
+integrates that average exactly over the piecewise log-linear table;
+``average_pore_pressure`` is the midpoint rule that tests check it
+against.
 
 Temperatures are degrees Celsius and must be strictly below zero where a
-function only makes sense for frozen pores. Radii are meters.
+function only makes sense for frozen pores; the unchecked kernels with a
+leading underscore take temperatures already known to be below zero.
+Radii are meters.
 """
 
 from __future__ import annotations
@@ -23,6 +28,8 @@ from .errors import DomainError, InvalidParametersError, InvalidPsdError
 
 # adsorbed film thickness prefactor, m K^(1/3)
 _FILM_COEF = 1.97e-9
+# temperature step of the centred difference for dw_i/dtheta, K
+_FD_STEP = 0.01
 
 
 @dataclass(frozen=True)
@@ -124,13 +131,19 @@ def _check_freezing(theta):
 
 def adsorbed_layer(theta):
     """Unfrozen film thickness on the pore wall, m, for theta < 0 degC."""
-    theta = _check_freezing(theta)
+    return _adsorbed_layer(_check_freezing(theta))
+
+
+def _adsorbed_layer(theta):
     return _FILM_COEF * (1.0 / np.abs(theta)) ** (1.0 / 3.0)
 
 
 def interface_radius(theta, params: IceParams):
     """Curvature radius of the ice-liquid interface, m, for theta < 0 degC."""
-    theta = _check_freezing(theta)
+    return _interface_radius(_check_freezing(theta), params)
+
+
+def _interface_radius(theta, params):
     return 2.0 * params.gamma_li / (params.delta_s_m * np.abs(theta))
 
 
@@ -141,7 +154,7 @@ def critical_radius(theta, params: IceParams):
     out = np.full(theta.shape, np.inf)
     if np.any(frozen):
         tf = theta[frozen]
-        out[frozen] = interface_radius(tf, params) + adsorbed_layer(tf)
+        out[frozen] = _interface_radius(tf, params) + _adsorbed_layer(tf)
     if out.ndim == 0:
         return float(out)
     return out
@@ -160,8 +173,8 @@ def wall_pressure(r, theta, params: IceParams):
     """
     theta = _check_freezing(theta)
     r = np.asarray(r, dtype=float)
-    r_ir = interface_radius(theta, params)
-    r_ar = adsorbed_layer(theta)
+    r_ir = _interface_radius(theta, params)
+    r_ar = _adsorbed_layer(theta)
     if np.any(r < r_ir + r_ar - 1e-12 * r_ir):
         raise DomainError("pore radius below the critical radius")
     return _chi(r, r_ir, r_ar, params.gamma_li)
@@ -169,7 +182,8 @@ def wall_pressure(r, theta, params: IceParams):
 
 def average_pore_pressure(theta, psd: PoreSizeDistribution, params: IceParams,
                           bins_per_interval: int = 8):
-    """Equivalent pore pressure from crystals averaged over the PSD, Pa.
+    """Equivalent pore pressure by a midpoint rule, Pa; the quadrature
+    oracle of ``pore_pressure``.
 
     p_p = p_l + (1/n) sum chi(r_mid) dpsi over frozen pores, integrated
     with a midpoint rule in log r on ``bins_per_interval * (rows - 1)``
@@ -184,8 +198,8 @@ def average_pore_pressure(theta, psd: PoreSizeDistribution, params: IceParams,
     frozen = theta_arr < 0.0
     if np.any(frozen):
         tf = theta_arr[frozen]
-        r_ir = interface_radius(tf, params)
-        r_ar = adsorbed_layer(tf)
+        r_ir = _interface_radius(tf, params)
+        r_ar = _adsorbed_layer(tf)
         r_cr = r_ir + r_ar
 
         log_lo = np.log(np.maximum(r_cr, psd.radii[0]))
@@ -206,6 +220,46 @@ def average_pore_pressure(theta, psd: PoreSizeDistribution, params: IceParams,
     return out
 
 
+def pore_pressure(theta, psd: PoreSizeDistribution, params: IceParams):
+    """Equivalent pore pressure from crystals averaged over the PSD, Pa.
+
+    The same average as ``average_pore_pressure``, integrated exactly.
+    psi falls linearly in u = ln r on each table interval, at the rate
+    s = -dpsi/du, and chi = gamma_li (2 / r_ir - 1 / (r - r_ar)) has the
+    antiderivative gamma_li (2 u / r_ir - ln(1 - r_ar / r) / r_ar) in u.
+    Each interval adds s times that antiderivative's increase over its
+    frozen part, from max(r_cr, r_lo) to r_hi; the log increment is
+    written as one log1p so that it keeps its digits when r_ar / r is
+    small. Returns p_l at or above 0 degC and, as the integral is then
+    empty, once r_cr reaches the largest table radius. Accepts scalars
+    or 1-D arrays.
+    """
+    theta_arr = np.atleast_1d(np.asarray(theta, dtype=float))
+    out = np.full(theta_arr.shape, params.p_l)
+    frozen = theta_arr < 0.0
+    if np.any(frozen):
+        tf = theta_arr[frozen]
+        r_ir = _interface_radius(tf, params)[:, None]
+        r_ar = _adsorbed_layer(tf)[:, None]
+        r_cr = r_ir + r_ar
+        r_lo = np.maximum(r_cr, psd.radii[:-1])
+        r_hi = psd.radii[1:]
+        # intervals below r_cr have no frozen part: both increments are 0
+        du = np.maximum(psd._log_r[1:] - np.maximum(np.log(r_cr),
+                                                    psd._log_r[:-1]), 0.0)
+        dlog = np.log1p(r_ar * np.maximum(r_hi - r_lo, 0.0)
+                        / (r_hi * (r_lo - r_ar)))
+        rate = -np.diff(psd.cum_porosity) / np.diff(psd._log_r)
+        # a row sum, not a matrix product, so that an element's value does
+        # not depend on how many others freeze with it
+        integral = params.gamma_li * ((2.0 * du / r_ir - dlog / r_ar)
+                                      * rate).sum(axis=1)
+        out[frozen] = params.p_l + integral / params.n
+    if np.isscalar(theta) or np.ndim(theta) == 0:
+        return float(out[0])
+    return out
+
+
 def frozen_fraction(theta, psd: PoreSizeDistribution,
                     params: IceParams) -> np.ndarray:
     """Share psi(r_cr) / n of the pore water that is frozen at theta.
@@ -216,33 +270,32 @@ def frozen_fraction(theta, psd: PoreSizeDistribution,
     frac = np.zeros(t.shape)
     frozen = t < 0.0
     if np.any(frozen):
-        r_cr = interface_radius(t[frozen], params) + adsorbed_layer(t[frozen])
-        frac[frozen] = psd.psi(np.minimum(r_cr, psd.radii[-1])) / params.n
+        tf = t[frozen]
+        r_cr = _interface_radius(tf, params) + _adsorbed_layer(tf)
+        frac[frozen] = np.interp(np.log(np.minimum(r_cr, psd.radii[-1])),
+                                 psd._log_r, psd.cum_porosity) / params.n
     return frac
 
 
 def ice_content(theta, phi, psd: PoreSizeDistribution, params: IceParams,
-                transport: constitutive.TransportParams,
-                fd_step: float = 0.01):
+                transport: constitutive.TransportParams):
     """Frozen water content w_i and its slope dw_i/dtheta.
 
     The water held at humidity phi is assumed distributed over the pore
     volume, so the frozen fraction is psi(r_cr) / n. The slope is a
-    centered finite difference with the given step in kelvin, clamped to
-    be non-positive. Both outputs are zero at or above 0 degC.
+    centered finite difference with a step of _FD_STEP kelvin, clamped to
+    be non-positive; the three temperatures it needs go through one
+    frozen-fraction lookup. Both outputs are zero at or above 0 degC.
     """
     theta_arr = np.asarray(theta, dtype=float)
-    phi_arr = np.asarray(phi, dtype=float)
-    w = constitutive.water_content(phi_arr, transport)
-
-    shape = np.broadcast_shapes(theta_arr.shape, phi_arr.shape)
-    t = np.broadcast_to(theta_arr, shape)
+    w = constitutive.water_content(phi, transport)
+    shape = np.broadcast_shapes(theta_arr.shape, np.shape(w))
+    t = np.broadcast_to(theta_arr, shape).ravel()
+    frac = frozen_fraction(np.concatenate([t, t + _FD_STEP, t - _FD_STEP]),
+                           psd, params).reshape((3,) + shape)
     w = np.broadcast_to(w, shape)
-    w_i = w * frozen_fraction(t, psd, params).reshape(shape)
-    slope = (w * (frozen_fraction(t + fd_step, psd, params)
-                  - frozen_fraction(t - fd_step, psd, params))
-             .reshape(shape) / (2.0 * fd_step))
-    slope = np.minimum(slope, 0.0)
+    w_i = w * frac[0]
+    slope = np.minimum(w * (frac[1] - frac[2]) / (2.0 * _FD_STEP), 0.0)
     if np.ndim(theta) == 0 and np.ndim(phi) == 0:
         return float(w_i.reshape(())), float(slope.reshape(()))
     return w_i, slope
@@ -254,7 +307,8 @@ class IceModel:
 
     Provides the interface the heat capacity and the transport assembly
     expect: ``ice_content(theta, phi, transport)``,
-    ``frozen_fraction(theta)`` and ``pore_pressure(theta)``.
+    ``frozen_fraction(theta)`` and ``pore_pressure(theta)``, the last one
+    the exact integral.
     """
 
     psd: PoreSizeDistribution
@@ -273,4 +327,4 @@ class IceModel:
         return frozen_fraction(theta, self.psd, self.params)
 
     def pore_pressure(self, theta):
-        return average_pore_pressure(theta, self.psd, self.params)
+        return pore_pressure(theta, self.psd, self.params)

@@ -215,9 +215,11 @@ class MechanicsProblem:
     The problem keeps the LU factor of its last reduced stiffness together
     with the per-element stiffness factor it came from. A damage iteration
     whose factor array equals the kept one, value for value, reuses that
-    LU instead of factorising again; the matrix is then the same, so the
-    displacements are bitwise those of a fresh factorisation. Once damage
-    moves, the next iteration factorises again.
+    LU instead of factorising again, and builds neither the stiffness nor
+    its reduction: the load is reduced with the kept free-by-constrained
+    block. The matrices are then the same, so the displacements are
+    bitwise those of a fresh factorisation. Once damage moves, the next
+    iteration factorises again.
     """
 
     def __init__(self, mesh: Mesh, params: MechParams,
@@ -261,9 +263,11 @@ class MechanicsProblem:
                 "body motion")
         self._free = np.setdiff1d(np.arange(2 * mesh.num_nodes),
                                   self.constraint_dofs)
-        # LU of the reduced stiffness and the stiffness factor it is for
+        # LU of the reduced stiffness, the stiffness factor it is for and
+        # the free-by-constrained block of that stiffness
         self._lu: SparseLU | None = None
         self._lu_factor: np.ndarray | None = None
+        self._a_fc: sp.csr_matrix | None = None
 
     # -- pieces -------------------------------------------------------------
 
@@ -278,15 +282,15 @@ class MechanicsProblem:
         t_vec = (b * p_p)[:, None] * _IDENTITY[None, :] \
             + factor[:, None] * eps_th[:, None] * (self.D @ _IDENTITY)[None, :]
         fe = np.einsum("eai,ea->ei", self.B, t_vec) * mesh.areas[:, None]
-        F = np.zeros(2 * mesh.num_nodes)
-        np.add.at(F, self.dofs.ravel(), fe.ravel())
+        dofs, vals = [self.dofs.ravel()], [fe.ravel()]
         bf = self.params.body_force
         if bf[0] != 0.0 or bf[1] != 0.0:
             share = mesh.areas / 3.0
             for comp in (0, 1):
-                np.add.at(F, 2 * mesh.elements.ravel() + comp,
-                          np.repeat(share * bf[comp], 3))
-        return F
+                dofs.append(2 * mesh.elements.ravel() + comp)
+                vals.append(np.repeat(share * bf[comp], 3))
+        return np.bincount(np.concatenate(dofs), np.concatenate(vals),
+                           minlength=2 * mesh.num_nodes)
 
     def strains(self, u: np.ndarray) -> np.ndarray:
         """Element Voigt strains (E, 3) from nodal displacements."""
@@ -331,12 +335,16 @@ class MechanicsProblem:
         iterations = 0
         for iterations in range(1, max_iter + 1):
             factor = np.maximum(1.0 - d, self.params.residual_stiffness)
-            K = self._stiffness(factor)
             F = self._loads(factor, p_p, eps_th)
-            A, b = apply_dirichlet(K, F, self._free, self.constraint_dofs,
-                                   self.constraint_values)
             if self._lu is None or not np.array_equal(factor, self._lu_factor):
+                K = self._stiffness(factor)
+                A, b = apply_dirichlet(K, F, self._free, self.constraint_dofs,
+                                       self.constraint_values)
                 self._lu, self._lu_factor = SparseLU(A), factor
+                self._a_fc = K[self._free][:, self.constraint_dofs]
+            else:
+                # the reduction apply_dirichlet makes, on the kept matrix
+                b = F[self._free] - self._a_fc @ self.constraint_values
             u[self._free] = solve_sparse(self._lu, b)
             u[self.constraint_dofs] = self.constraint_values
             eq = mazars_equivalent_strain(self.strains(u))

@@ -116,6 +116,10 @@ class KunzelCoefficients:
     pressure phi p_sat(theta) is split into its theta and phi parts, which
     produces the off-diagonal coupling blocks. An ice model adds frozen
     water and latent heat to the storage coefficient.
+
+    ``evaluate`` and ``evaluate_step`` do not check their inputs: the
+    transport problem bounds every centroid state by ``theta_range`` and
+    ``phi_range`` before it asks for coefficients.
     """
 
     # admissible centroid state; evaluations outside raise DomainError
@@ -148,24 +152,30 @@ class KunzelCoefficients:
 
     def _evaluate(self, theta, phi, theta_ref=None,
                   frozen_ref=None) -> CoefficientFields:
+        # the unchecked kernels of constitutive: the centroid states come
+        # from TransportProblem._centroid_state, which bounds them by
+        # theta_range and phi_range
         params = self.params
-        p_sat = constitutive.saturation_pressure(theta)
-        dp_sat = constitutive.saturation_pressure_derivative(theta)
-        delta_v = constitutive.vapor_permeability(theta, params, self.constants)
-        h_v = constitutive.latent_heat_vapor(theta, self.constants)
-        w = constitutive.water_content(phi, params)
-        c_pp = constitutive.moisture_capacity(phi, params)
+        theta = np.asarray(theta, dtype=float)
+        phi = np.asarray(phi, dtype=float)
+        p_sat, dp_sat = constitutive._saturation(theta)
+        delta_v = constitutive._vapor_permeability(theta, params,
+                                                   self.constants)
+        h_v = constitutive._latent_heat_vapor(theta, self.constants)
+        w = constitutive._water_content(phi, params)
+        c_pp = constitutive._moisture_capacity(phi, params)
+        ice = (None if self.ice_model is None
+               else self.ice_model.ice_content(theta, phi, params))
         return CoefficientFields(
-            k_tt=constitutive.thermal_conductivity(w, params)
+            k_tt=constitutive._thermal_conductivity(w, params)
                  + h_v * delta_v * phi * dp_sat,
             k_tp=h_v * delta_v * p_sat,
             k_pt=delta_v * phi * dp_sat,
             # D_phi = D_l dw/dphi, as in constitutive.moisture_diffusivity
-            k_pp=constitutive.liquid_conductivity(phi, params) * c_pp
+            k_pp=constitutive._liquid_conductivity(w, params) * c_pp
                  + delta_v * p_sat,
-            c_tt=constitutive.effective_heat_capacity(theta, phi, params,
-                                                      self.ice_model,
-                                                      theta_ref, frozen_ref),
+            c_tt=constitutive._effective_heat_capacity(theta, w, params, ice,
+                                                       theta_ref, frozen_ref),
             c_pp=c_pp,
         )
 
@@ -294,7 +304,7 @@ def nonlinear_iterate(system_builder, r_guess: np.ndarray, *,
     damps the oscillation of the frozen-coefficient map across a phase
     change front without slowing smooth steps. Divergence (residual
     growing tenfold over five iterations) and exceeding ``max_iter``
-    solves raise StepFailureError.
+    solves raise StepFailureError, which carries the residual history.
 
     Each update is r - omega delta with A delta = A r - b solved on an LU
     factor: ``lu``, the factor of an earlier matrix, or one of A made at
@@ -333,11 +343,13 @@ def nonlinear_iterate(system_builder, r_guess: np.ndarray, *,
         if k >= 5 and res > 10.0 * residuals[k - 5]:
             raise StepFailureError(
                 f"Picard iteration diverging after {k} iterations",
-                residual_norm=res, iterations=k)
+                residual_norm=res, iterations=k,
+                residuals=residuals)
         if k == max_iter:
             raise StepFailureError(
                 f"no convergence in {max_iter} iterations (residual {res:.3e})",
-                residual_norm=res, iterations=k)
+                residual_norm=res, iterations=k,
+                residuals=residuals)
         if k >= 1 and res > residuals[k - 1]:
             omega = max(0.5 * omega, 0.25 * relax)
         delta = None if lu is None else _gmres(A, lu, mismatch, weights)

@@ -180,6 +180,70 @@ class TestAveragePorePressure:
         assert isinstance(p, float)
 
 
+@pytest.fixture(scope="module", params=["three_knot", "spec01", "spec02"])
+def psd_case(request, three_knot_psd):
+    """A pore size table with its parameters and temperatures whose
+    critical radius lies below, inside and at or above the table."""
+    from frostsim.driver import _load_psd
+    if request.param == "three_knot":
+        # r_cr: 1.37e-6 and 3.42e-6 above r_max = 1e-6, 2.3e-9 and 4.1e-9
+        # below r_min = 1e-8
+        return (three_knot_psd, ice.IceParams(),
+                [-0.02, -0.05, -0.3, -1.0, -2.0, -5.0, -8.0, -20.0, -39.0])
+    n = 0.35 if request.param == "spec01" else 0.13
+    # r_cr 6.8e-4 at -1e-4 degC, beyond r_max = 1e-4
+    return (_load_psd({"psd_file": request.param}), ice.IceParams(n=n),
+            [-1e-4, -0.02, -0.3, -1.0, -2.0, -5.0, -8.0, -20.0, -39.0])
+
+
+class TestExactPorePressure:
+    """IceModel.pore_pressure integrates the crystal pressure exactly over
+    the piecewise log-linear table."""
+
+    def test_against_adaptive_quadrature(self, psd_case):
+        psd, params, temps = psd_case
+        model = ice.IceModel(psd, params)
+        for theta in temps:
+            assert model.pore_pressure(theta) == pytest.approx(
+                quad_pore_pressure(theta, psd, params), rel=1e-8, abs=1e-12)
+
+    def test_against_fine_midpoint_rule(self, psd_case):
+        psd, params, temps = psd_case
+        got = ice.IceModel(psd, params).pore_pressure(np.array(temps))
+        # the 80-bin midpoint rule is within 1.1e-5 of the integral on the
+        # three-knot table and within 1.5e-7 on the bundled ones
+        want = ice.average_pore_pressure(np.array(temps), psd, params,
+                                         bins_per_interval=80)
+        np.testing.assert_allclose(got, want, rtol=3e-5, atol=1e-9)
+
+    def test_empty_integral_gives_liquid_pressure(self, three_knot_psd):
+        params = ice.IceParams(p_l=250.0)
+        model = ice.IceModel(three_knot_psd, params)
+        assert ice.critical_radius(-0.05, params) > three_knot_psd.radii[-1]
+        for theta in (-0.05, 0.0, 3.0):
+            assert model.pore_pressure(theta) == 250.0
+        assert model.pore_pressure(-0.3) > 250.0
+
+    def test_critical_radius_below_table(self, three_knot_psd, ice_params):
+        # every tabulated pore is frozen, so the whole table integrates to
+        # sum_j s_j int chi du, which the oracle gives with r_cr in place
+        theta = -20.0
+        assert ice.critical_radius(theta, ice_params) < three_knot_psd.radii[0]
+        got = ice.IceModel(three_knot_psd, ice_params).pore_pressure(theta)
+        assert got == pytest.approx(
+            quad_pore_pressure(theta, three_knot_psd, ice_params), rel=1e-12)
+
+    def test_scalar_and_array_inputs(self, spec01_model):
+        theta = np.array([-6.0, 1.0, -0.4, 0.0])
+        p = spec01_model.pore_pressure(theta)
+        assert isinstance(p, np.ndarray) and p.shape == (4,)
+        scalar = spec01_model.pore_pressure(-6.0)
+        assert isinstance(scalar, float)
+        assert scalar == p[0]
+        assert spec01_model.pore_pressure(np.float64(-0.4)) == p[2]
+        assert p[1] == p[3] == 0.0
+
+
 class TestIceContent:
     def test_thaw(self, three_knot_psd, ice_params, mortar):
         w_i, slope = ice.ice_content(2.0, 0.8, three_knot_psd, ice_params,

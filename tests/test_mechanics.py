@@ -500,3 +500,55 @@ class TestFactorCache:
         assert len(factorisations) == made + 1
         np.testing.assert_array_equal(state.u,
                                       self.fresh(lshape_coarse, p_p=p_p).u)
+
+    def test_kept_factor_builds_no_stiffness(self, lshape_coarse,
+                                             factorisations, monkeypatch):
+        # prescribed displacements that are not zero give the kept
+        # reduction a lift to carry, and a body force joins the load
+        mesh = lshape_coarse
+        bnd = mesh.nodes_with_tag(BoundaryTag.A)
+        dofs = np.concatenate([2 * bnd, 2 * bnd + 1])
+        vals = np.concatenate([np.zeros(len(bnd)), 1e-7 * mesh.nodes[bnd, 1]])
+        params = mech.MechParams(body_force=(0.0, -2e4))
+        prob = mech.MechanicsProblem(mesh, params, constraints=(dofs, vals))
+        built = []
+        stiffness = mech.MechanicsProblem._stiffness
+        monkeypatch.setattr(mech.MechanicsProblem, "_stiffness",
+                            lambda self, factor: built.append(factor)
+                            or stiffness(self, factor))
+        theta = np.linspace(12.0, 18.0, mesh.num_nodes)
+        loads = [dict(p_p=np.full(mesh.num_elements, 1e5)),
+                 dict(theta=theta, theta_ref=14.0),
+                 dict(theta=theta, theta_ref=14.0,
+                      p_p=np.linspace(0.0, 2e5, mesh.num_elements))]
+        states = [prob.solve(**load) for load in loads]
+        assert len(built) == len(factorisations) == 1
+        for load, state in zip(loads, states):
+            assert state.iterations == 1
+            np.testing.assert_array_equal(state.d_w, 0.0)
+            fresh = mech.MechanicsProblem(
+                mesh, params, constraints=(dofs, vals)).solve(**load)
+            assert state.u.tobytes() == fresh.u.tobytes()
+
+
+class TestLoads:
+    def test_equal_to_sequential_scatter(self, lshape_coarse):
+        """The one-bincount load vector is bitwise the sum np.add.at makes
+        element by element, body force included."""
+        mesh = lshape_coarse
+        prob = mech.MechanicsProblem(
+            mesh, mech.MechParams(body_force=(3e3, -2e4)))
+        rng = np.random.default_rng(5)
+        factor = rng.uniform(0.1, 1.0, mesh.num_elements)
+        p_p = rng.uniform(0.0, 1e6, mesh.num_elements)
+        eps_th = rng.uniform(-1e-4, 1e-4, mesh.num_elements)
+        t_vec = (prob.params.biot * p_p)[:, None] * mech._IDENTITY \
+            + (factor * eps_th)[:, None] * (prob.D @ mech._IDENTITY)
+        fe = np.einsum("eai,ea->ei", prob.B, t_vec) * mesh.areas[:, None]
+        want = np.zeros(2 * mesh.num_nodes)
+        np.add.at(want, prob.dofs.ravel(), fe.ravel())
+        for comp, force in enumerate(prob.params.body_force):
+            np.add.at(want, 2 * mesh.elements.ravel() + comp,
+                      np.repeat(mesh.areas / 3.0 * force, 3))
+        got = prob._loads(factor, p_p, eps_th)
+        assert got.tobytes() == want.tobytes()

@@ -165,6 +165,96 @@ class TestAssembly:
             prob.assemble(np.full(3, 10.0), np.full(3, 1.5), 0.0)
 
 
+class TestUncheckedEvaluation:
+    """KunzelCoefficients evaluates through the unchecked kernels; the
+    transport problem has bounded the centroid states already."""
+
+    FIELDS = ("k_tt", "k_tp", "k_pt", "k_pp", "c_tt", "c_pp")
+
+    @pytest.fixture()
+    def states(self):
+        rng = np.random.default_rng(11)
+        theta = np.concatenate([rng.uniform(-12.0, -0.01, 40),
+                                rng.uniform(0.0, 25.0, 40),
+                                [-40.0, -1e-3, 0.0, 1e-3, 60.0]])
+        phi = np.concatenate([rng.uniform(0.0, 1.0, 80),
+                              [0.0, 0.3, 1.0, 0.9, 0.5]])
+        # step-start temperatures within and beyond the 1e-3 K chord cut
+        theta_ref = theta + np.where(np.arange(len(theta)) % 3 == 0, 0.0,
+                                     rng.normal(0.0, 0.8, len(theta)))
+        return theta, phi, np.clip(theta_ref, -40.0, 60.0)
+
+    def checked(self, theta, phi, params, ice_model, theta_ref=None):
+        """The same coefficients from the public, checked functions."""
+        p_sat = con.saturation_pressure(theta)
+        dp_sat = con.saturation_pressure_derivative(theta)
+        delta_v = con.vapor_permeability(theta, params)
+        h_v = con.latent_heat_vapor(theta)
+        w = con.water_content(phi, params)
+        return {
+            "k_tt": con.thermal_conductivity(w, params)
+                    + h_v * delta_v * phi * dp_sat,
+            "k_tp": h_v * delta_v * p_sat,
+            "k_pt": delta_v * phi * dp_sat,
+            "k_pp": con.moisture_diffusivity(phi, params) + delta_v * p_sat,
+            "c_tt": con.effective_heat_capacity(theta, phi, params, ice_model,
+                                                theta_ref),
+            "c_pp": con.moisture_capacity(phi, params),
+        }
+
+    @pytest.mark.parametrize("with_ice", [False, True])
+    @pytest.mark.parametrize("chord", [False, True])
+    def test_bitwise_equal_to_checked_functions(self, states, mortar,
+                                                spec01_model, with_ice,
+                                                chord):
+        theta, phi, theta_ref = states
+        model = spec01_model if with_ice else None
+        coef = ts.KunzelCoefficients(mortar, ice_model=model)
+        if chord:
+            got = coef.evaluate_step(theta, phi,
+                                     coef.step_reference(theta_ref))
+        else:
+            got = coef.evaluate(theta, phi)
+        want = self.checked(theta, phi, mortar, model,
+                            theta_ref if chord else None)
+        for name in self.FIELDS:
+            assert getattr(got, name).tobytes() == want[name].tobytes(), name
+
+    def test_no_input_checks_per_evaluation(self, states, mortar,
+                                            spec01_model, monkeypatch):
+        from frostsim import ice
+        calls = {"_check_theta": 0, "_check_phi": 0, "_check_freezing": 0}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def check(value):
+                calls[name] += 1
+                return original(value)
+            monkeypatch.setattr(module, name, check)
+
+        counting(con, "_check_theta")
+        counting(con, "_check_phi")
+        counting(ice, "_check_freezing")
+        theta, phi, theta_ref = states
+        for model in (None, spec01_model):
+            coef = ts.KunzelCoefficients(mortar, ice_model=model)
+            reference = coef.step_reference(theta_ref)
+            for evaluate in (lambda: coef.evaluate(theta, phi),
+                             lambda: coef.evaluate_step(theta, phi, reference)):
+                before = dict(calls)
+                evaluate()
+                assert calls["_check_theta"] == before["_check_theta"]
+                assert calls["_check_freezing"] == before["_check_freezing"]
+                # the ice model's water content is its one check
+                assert calls["_check_phi"] - before["_check_phi"] \
+                    == (model is not None)
+        # the counters see the public functions' checks
+        con.effective_heat_capacity(theta, phi, mortar, spec01_model)
+        ice.adsorbed_layer(-1.0)
+        assert min(calls.values()) > 0
+
+
 class TestStepOperator:
     """The Picard operator filled into the fixed CSR pattern against the
     independently assembled K, C and F."""
@@ -356,6 +446,8 @@ class TestPicardIteration:
                                  max_iter=3, relax=1.0)
         assert info.value.iterations == 3
         assert info.value.residual_norm > 0.0
+        assert len(info.value.residuals) == 4
+        assert info.value.residuals[-1] == info.value.residual_norm
 
     def test_divergence_detected(self):
         calls = {"n": 0}
@@ -365,8 +457,21 @@ class TestPicardIteration:
             calls["n"] += 1
             return self.eye(), b
 
-        with pytest.raises(StepFailureError, match="diverging"):
+        with pytest.raises(StepFailureError, match="diverging") as info:
             ts.nonlinear_iterate(builder, np.zeros(1), relax=1.0)
+        history = info.value.residuals
+        assert len(history) == info.value.iterations + 1
+        assert history[-1] == info.value.residual_norm > 10.0 * history[-6]
+
+    def test_stalled_iteration_carries_residual_history(self):
+        # the clamp holds every iterate at 1 while A r = b needs 2, so the
+        # residual stalls at 1/2 and no iteration count meets the tolerance
+        with pytest.raises(StepFailureError, match="no convergence") as info:
+            ts.nonlinear_iterate(lambda r: (self.eye(), np.array([2.0])),
+                                 np.zeros(1), max_iter=6, relax=1.0,
+                                 project=lambda r: np.minimum(r, 1.0))
+        assert info.value.residuals == [1.0] + [0.5] * 6
+        assert info.value.iterations == 6
 
     def test_under_relaxation_converges_geometrically(self):
         b = np.array([4.0])
