@@ -1,0 +1,83 @@
+"""Counts and wall time of the full 744 h reference month.
+
+Runs ``frostsim.driver.run({})``, the bundled winter with the default
+config, in this process with the BLAS and OpenMP thread counts pinned to
+1, and prints one JSON object:
+
+- ``picard`` and ``picard_max``: the sum and the largest entry of
+  ``RunSummary.picard_iterations``;
+- ``steps_ge30``: the number of steps with 30 or more Picard iterations;
+- ``halvings`` and ``factorisations``: the sums of ``RunSummary.halvings``
+  and of ``RunSummary.factorisations``, the transport LU factorisations
+  of the substeps that succeeded;
+- ``wall_s``: wall seconds of the ``driver.run`` call;
+- ``sha256``: the SHA-256 of the probe CSV of the run's records;
+- ``failed_substeps``: for each substep that failed and was halved, its
+  step, start hour, length, message and residual history.
+
+Run from the repository root:
+
+    python3 scripts/month_counts.py
+"""
+
+from __future__ import annotations
+
+import os
+
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_name] = "1"
+
+import hashlib
+import json
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from frostsim import driver
+from frostsim.errors import StepFailureError
+from frostsim.transport_solver import TransportProblem
+
+
+def main() -> None:
+    failed = []
+    step = TransportProblem.step
+
+    def recording_step(self, state, dt, **options):
+        try:
+            return step(self, state, dt, **options)
+        except StepFailureError as err:
+            failed.append((state.t, dt, str(err), err.residuals))
+            raise
+
+    TransportProblem.step = recording_step
+    start = time.perf_counter()
+    summary = driver.run({})
+    wall = time.perf_counter() - start
+
+    with tempfile.TemporaryDirectory() as tmp:
+        probe = Path(tmp) / "probes.csv"
+        driver.write_probe_csv(summary.records, probe)
+        sha = hashlib.sha256(probe.read_bytes()).hexdigest()
+    picard = summary.picard_iterations
+    dt_step = summary.config["time"]["dt_s"]
+    print(json.dumps({
+        "picard": int(picard.sum()),
+        "picard_max": int(picard.max()),
+        "steps_ge30": int((picard >= 30).sum()),
+        "halvings": int(summary.halvings.sum()),
+        "factorisations": int(summary.factorisations.sum()),
+        "wall_s": round(wall, 2),
+        "sha256": sha,
+        "failed_substeps": [
+            {"step": int(t // dt_step) + 1, "t_h": t / 3600.0, "dt_s": dt,
+             "message": message, "residuals": residuals}
+            for t, dt, message, residuals in failed],
+    }))
+
+
+if __name__ == "__main__":
+    main()

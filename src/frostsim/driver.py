@@ -295,6 +295,7 @@ class RunSummary:
     pore_pressure_history: np.ndarray   # (steps + 1, E), Pa
     picard_iterations: np.ndarray   # (steps,)
     factorisations: np.ndarray      # (steps,) transport LU factorisations
+    halvings: np.ndarray            # (steps,) failed substeps halved
     outputs: list[Path] = field(default_factory=list)
 
 
@@ -377,6 +378,7 @@ def run(config: dict | str | Path | None = None,
     pressure_history = np.zeros((steps + 1, e))
     picard = np.zeros(steps, dtype=np.int64)
     factorisations = np.zeros(steps, dtype=np.int64)
+    halvings = np.zeros(steps, dtype=np.int64)
     averager = _node_averager(mesh)
     probe_rows = averager[probe_nodes]
     records: list[ProbeRecord] = []
@@ -411,6 +413,7 @@ def run(config: dict | str | Path | None = None,
         pressure_history[k] = p_p
         picard[k - 1] = state.picard_iterations
         factorisations[k - 1] = state.factorisations
+        halvings[k - 1] = state.halvings
 
         if k % outcfg["probe_every"] == 0 or k == steps:
             ux = mstate.u[2 * probe_nodes]
@@ -438,7 +441,7 @@ def run(config: dict | str | Path | None = None,
         outputs.append(probe_path)
     return RunSummary(cfg, mesh, state, mstate, probe_nodes, records,
                       damage_history, kappa_history, pressure_history,
-                      picard, factorisations, outputs)
+                      picard, factorisations, halvings, outputs)
 
 
 def write_probe_csv(records: list[ProbeRecord], path: str | Path) -> None:

@@ -278,7 +278,7 @@ def frozen_fraction(theta, psd: PoreSizeDistribution,
 
 
 def ice_content(theta, phi, psd: PoreSizeDistribution, params: IceParams,
-                transport: constitutive.TransportParams):
+                transport: constitutive.TransportParams, w=None):
     """Frozen water content w_i and its slope dw_i/dtheta.
 
     The water held at humidity phi is assumed distributed over the pore
@@ -286,9 +286,12 @@ def ice_content(theta, phi, psd: PoreSizeDistribution, params: IceParams,
     centered finite difference with a step of _FD_STEP kelvin, clamped to
     be non-positive; the three temperatures it needs go through one
     frozen-fraction lookup. Both outputs are zero at or above 0 degC.
+    ``w`` is the water content at phi where the caller has it already;
+    it is then neither recomputed nor checked.
     """
     theta_arr = np.asarray(theta, dtype=float)
-    w = constitutive.water_content(phi, transport)
+    if w is None:
+        w = constitutive.water_content(phi, transport)
     shape = np.broadcast_shapes(theta_arr.shape, np.shape(w))
     t = np.broadcast_to(theta_arr, shape).ravel()
     frac = frozen_fraction(np.concatenate([t, t + _FD_STEP, t - _FD_STEP]),
@@ -306,7 +309,7 @@ class IceModel:
     """Bundle of a pore size distribution and ice parameters.
 
     Provides the interface the heat capacity and the transport assembly
-    expect: ``ice_content(theta, phi, transport)``,
+    expect: ``ice_content(theta, phi, transport, w=None)``,
     ``frozen_fraction(theta)`` and ``pore_pressure(theta)``, the last one
     the exact integral.
     """
@@ -320,8 +323,9 @@ class IceModel:
                 f"PSD total porosity {self.psd.total_porosity:g} does not "
                 f"match configured porosity {self.params.n:g}")
 
-    def ice_content(self, theta, phi, transport: constitutive.TransportParams):
-        return ice_content(theta, phi, self.psd, self.params, transport)
+    def ice_content(self, theta, phi, transport: constitutive.TransportParams,
+                    w=None):
+        return ice_content(theta, phi, self.psd, self.params, transport, w)
 
     def frozen_fraction(self, theta):
         return frozen_fraction(theta, self.psd, self.params)

@@ -14,7 +14,9 @@ is advanced with the one-parameter theta scheme
 
 (gamma = 0.5 is the trapezoidal rule) and the nonlinearity is resolved by
 Picard iteration on the frozen-coefficient linear system, with the mixing
-factor backed off automatically when the residual grows. The operator is
+factor backed off automatically when the residual grows. Where the Picard
+map stagnates, converging no faster than under-relaxation alone would,
+Anderson mixing of its last few updates finishes the step. The operator is
 filled into a sparsity pattern fixed at construction. One LU factor serves
 the iterates of a step and the steps after it that share gamma dt: each
 linear solve uses the factor, with a few GMRES iterations on it where its
@@ -61,6 +63,16 @@ _SATURATED = 1.0 - 1e-9
 _ETA = 1e-2
 _KRYLOV_MAX = 4
 
+# Anderson mixing takes over a step's updates from iterate _AA_START on,
+# once the residual is below _AA_RESIDUAL and its last two ratios
+# res_k / res_{k-1} both exceed (1 - omega) + _AA_MARGIN, _AA_MARGIN above
+# the rate of a linear map under-relaxed by omega; it mixes _AA_DEPTH
+# differences, so it keeps the last _AA_DEPTH + 1 (iterate, update) pairs
+_AA_START = 2
+_AA_RESIDUAL = 0.1
+_AA_MARGIN = 0.1
+_AA_DEPTH = 3
+
 # (row field, column field) of the element blocks of K and of C, in the
 # order their values are listed; 0 is theta, 1 is phi
 _K_BLOCKS = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -83,6 +95,7 @@ class TransportState:
     rdot: np.ndarray
     picard_iterations: int = 0
     factorisations: int = 0
+    halvings: int = 0
 
     @classmethod
     def uniform(cls, mesh: Mesh, theta: float, phi: float,
@@ -165,7 +178,7 @@ class KunzelCoefficients:
         w = constitutive._water_content(phi, params)
         c_pp = constitutive._moisture_capacity(phi, params)
         ice = (None if self.ice_model is None
-               else self.ice_model.ice_content(theta, phi, params))
+               else self.ice_model.ice_content(theta, phi, params, w=w))
         return CoefficientFields(
             k_tt=constitutive._thermal_conductivity(w, params)
                  + h_v * delta_v * phi * dp_sat,
@@ -289,6 +302,20 @@ def _gmres(A, lu: SparseLU, rhs: np.ndarray,
     return x + np.stack(directions, axis=1) @ y if res <= tol else None
 
 
+def _anderson(pairs, omega: float, weights: np.ndarray) -> np.ndarray:
+    """Type-II Anderson update from the kept (r_j, f_j), latest last.
+
+    With dX and dF the differences of successive r_j and f_j, it is
+    r_k + omega f_k - (dX + omega dF) g, where g minimises
+    ||weights * (f_k - dF g)||.
+    """
+    r, f = pairs[-1]
+    d_x = np.diff(np.stack([x for x, _ in pairs], axis=1), axis=1)
+    d_f = np.diff(np.stack([u for _, u in pairs], axis=1), axis=1)
+    g = np.linalg.lstsq(weights[:, None] * d_f, weights * f, rcond=None)[0]
+    return r + omega * f - (d_x + omega * d_f) @ g
+
+
 def nonlinear_iterate(system_builder, r_guess: np.ndarray, *,
                       tol: float = 1e-6, max_iter: int = 50,
                       relax: float = 0.7, blocks=None,
@@ -315,6 +342,17 @@ def nonlinear_iterate(system_builder, r_guess: np.ndarray, *,
     when that still misses _ETA is A factorised afresh and solved
     exactly. The result carries the last factor and the count of
     factorisations made.
+
+    A stagnating step switches, for its remaining updates, to type-II
+    Anderson mixing (Walker & Ni 2011). The switch comes at iterate
+    k >= _AA_START once the residual is below _AA_RESIDUAL and the last
+    two ratios res_k / res_{k-1} both exceed (1 - omega) + _AA_MARGIN; a
+    linear map under-relaxed by omega contracts at exactly 1 - omega, so
+    it keeps the plain update. With f_j = -delta_j and dX, dF the
+    differences of the last _AA_DEPTH + 1 iterates r_j and of their f_j,
+    the update is r + omega f_k - (dX + omega dF) g, where g minimises
+    the block-scaled ||weights * (f_k - dF g)|| of the convergence test;
+    ``project`` applies to it as to a plain update.
     """
     if not 0.0 < relax <= 1.0:
         raise InvalidParametersError("relaxation factor must lie in (0, 1]")
@@ -329,6 +367,8 @@ def nonlinear_iterate(system_builder, r_guess: np.ndarray, *,
     weights = np.empty(len(r))
     omega = relax
     made = 0
+    pairs: list[tuple[np.ndarray, np.ndarray]] = []   # (r_j, -delta_j)
+    mixing = False
     for k in range(max_iter + 1):
         A, b = system_builder(r)
         mismatch = A @ r - b
@@ -359,7 +399,12 @@ def nonlinear_iterate(system_builder, r_guess: np.ndarray, *,
             lu = SparseLU(A)
             made += 1
             delta = solve_sparse(lu, mismatch)
-        r = r - omega * delta
+        pairs = pairs[-_AA_DEPTH:] + [(r, -delta)]
+        stalled = 1.0 - omega + _AA_MARGIN
+        mixing = mixing or (k >= _AA_START and res < _AA_RESIDUAL
+                            and res > stalled * residuals[k - 1]
+                            and residuals[k - 1] > stalled * residuals[k - 2])
+        r = _anderson(pairs, omega, weights) if mixing else r - omega * delta
         if project is not None:
             r = project(r)
     raise AssertionError("unreachable")
@@ -706,7 +751,8 @@ class TransportProblem:
         """Advance by dt, halving the step on failure up to max_halvings times.
 
         The result's ``picard_iterations`` and ``factorisations`` sum those
-        of the substeps that succeeded."""
+        of the substeps that succeeded; its ``halvings`` counts the failed
+        steps that were halved, at every depth."""
         try:
             return self.step(state, dt, **options)
         except StepFailureError:
@@ -718,4 +764,5 @@ class TransportProblem:
                            **options)
         end.picard_iterations += mid.picard_iterations
         end.factorisations += mid.factorisations
+        end.halvings += mid.halvings + 1
         return end

@@ -379,6 +379,25 @@ class TestRun:
         assert per_step[1:].sum() < summary.picard_iterations[1:].sum()
         assert np.all(per_step <= summary.picard_iterations)
 
+    def test_halvings_per_step(self, tmp_path, monkeypatch):
+        step = transport_solver.TransportProblem.step
+        calls = []
+
+        def refuse_second(self, state, dt, **options):
+            calls.append(dt)
+            if len(calls) == 2:
+                raise StepFailureError("synthetic refusal", residual_norm=1.0,
+                                       iterations=0)
+            return step(self, state, dt, **options)
+
+        monkeypatch.setattr(transport_solver.TransportProblem, "step",
+                            refuse_second)
+        summary = driver.run(small_run_config(tmp_path, steps=4))
+        # the second step is refused once and done as two halves
+        assert calls == [calls[0]] * 2 + [0.5 * calls[0]] * 2 + [calls[0]] * 2
+        assert summary.halvings.dtype == summary.picard_iterations.dtype
+        np.testing.assert_array_equal(summary.halvings, [0, 1, 0, 0])
+
     def test_explicit_probes(self, tmp_path):
         cfg = small_run_config(tmp_path, steps=1, probes=[0, 5])
         summary = driver.run(cfg)

@@ -246,9 +246,8 @@ class TestUncheckedEvaluation:
                 evaluate()
                 assert calls["_check_theta"] == before["_check_theta"]
                 assert calls["_check_freezing"] == before["_check_freezing"]
-                # the ice model's water content is its one check
-                assert calls["_check_phi"] - before["_check_phi"] \
-                    == (model is not None)
+                # the ice model is handed the water content, not phi
+                assert calls["_check_phi"] == before["_check_phi"]
         # the counters see the public functions' checks
         con.effective_heat_capacity(theta, phi, mortar, spec01_model)
         ice.adsorbed_layer(-1.0)
@@ -480,6 +479,102 @@ class TestPicardIteration:
         # r_k = (1 - 0.5^k) b, so the relative residual halves per solve
         assert result.r[0] == pytest.approx(4.0, rel=1e-9)
         assert result.iterations >= 10
+
+    # y -> c + diag(LAMBDA) y + 0.02 y^2 in the scaled unknowns y = r / SCALE,
+    # with its fixed point at Y_STAR: one unit-scale unknown in the first
+    # block, four of scale 1e3 in the second. Plain Picard contracts at
+    # 0.94 near the fixed point and needs 322 solves to reach 1e-10.
+    LAMBDA = np.array([0.9, 0.9, 0.8, 0.7, 0.6])
+    SCALE = np.array([1.0, 1e3, 1e3, 1e3, 1e3])
+    Y_STAR = np.array([1.0, 0.3, 0.5, 0.8, 1.0])
+    BLOCKS = [(0, 1), (1, 5)]
+
+    def stagnating(self, seen=None):
+        c = self.Y_STAR - self.LAMBDA * self.Y_STAR - 0.02 * self.Y_STAR ** 2
+
+        def builder(r):
+            if seen is not None:
+                seen.append(r.copy())
+            y = r / self.SCALE
+            return self.eye(5), self.SCALE * (c + self.LAMBDA * y
+                                              + 0.02 * y ** 2)
+        return builder
+
+    def iterate_stagnating(self, builder=None, max_iter=400, **options):
+        return ts.nonlinear_iterate(builder or self.stagnating(), np.zeros(5),
+                                    tol=1e-10, relax=1.0, max_iter=max_iter,
+                                    blocks=self.BLOCKS, **options)
+
+    def test_stagnating_iteration_is_accelerated(self, monkeypatch):
+        result = self.iterate_stagnating()
+        np.testing.assert_allclose(result.r / self.SCALE, self.Y_STAR,
+                                   rtol=1e-8)
+        # 47 here; the block weights keep the unit-scale unknown in the
+        # least-squares fit, without them the iteration diverges
+        assert result.iterations <= 50
+        monkeypatch.setattr(ts, "_AA_RESIDUAL", 0.0)     # never mix
+        assert self.iterate_stagnating().iterations == 322
+
+    def test_fast_iteration_keeps_plain_updates(self):
+        # contraction 0.05 under omega = 0.7: the residual ratio stays near
+        # 0.32, below the gate's 0.4, so every update is r - omega delta
+        c = np.array([1.0, -2.0, 0.5])
+        seen = []
+
+        def builder(r):
+            seen.append(r.copy())
+            return self.eye(3), c + 0.05 * np.sin(r)
+
+        result = ts.nonlinear_iterate(builder, np.zeros(3), tol=1e-13,
+                                      relax=0.7)
+        assert result.iterations == len(seen) - 1 > 20
+        r = np.zeros(3)
+        for got in seen:
+            assert got.tobytes() == r.tobytes()
+            r = r - 0.7 * (r - (c + 0.05 * np.sin(r)))
+
+    def test_mixed_iterates_are_projected(self):
+        # the clamp sits at the first unknown's fixed point; unclamped,
+        # the mixed iterates overshoot it
+        seen = []
+        builder = self.stagnating(seen)
+        self.iterate_stagnating(builder)
+        assert max(r[0] for r in seen) > 1.0
+        seen.clear()
+
+        def clamp(r):
+            np.clip(r[:1], 0.0, 1.0, out=r[:1])
+            return r
+
+        result = self.iterate_stagnating(builder, project=clamp)
+        assert max(r[0] for r in seen) == 1.0
+        assert result.iterations < 50
+
+    def test_mixed_failures_carry_residual_history(self):
+        converged = self.iterate_stagnating().residuals
+        with pytest.raises(StepFailureError, match="no convergence") as info:
+            self.iterate_stagnating(max_iter=20)
+        assert info.value.residuals == converged[:21]
+        assert info.value.residual_norm == converged[20]
+
+        # from the 15th build on, well after the mixing has started, b is
+        # pushed away tenfold per build
+        calls = []
+        builder = self.stagnating()
+
+        def pushed(r):
+            calls.append(1)
+            A, b = builder(r)
+            if len(calls) >= 15:
+                b = b + self.SCALE * 1e-6 * 10.0 ** (len(calls) - 15)
+            return A, b
+
+        with pytest.raises(StepFailureError, match="diverging") as info:
+            self.iterate_stagnating(pushed)
+        history = info.value.residuals
+        assert history[:14] == converged[:14]
+        assert len(history) == info.value.iterations + 1
+        assert history[-1] == info.value.residual_norm > 10.0 * history[-6]
 
 
 class TestFactorReuse:
@@ -770,6 +865,7 @@ class TestAdaptiveAdvance:
         # factor that all four share
         assert out.picard_iterations == 4
         assert out.factorisations == 1
+        assert out.halvings == 3
 
         # the salvaged result equals four plain quarter steps
         plain = ts.TransportProblem(unit_triangle, ts.ConstantCoefficients(),
