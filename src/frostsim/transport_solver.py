@@ -63,11 +63,8 @@ _SATURATED = 1.0 - 1e-9
 _ETA = 1e-2
 _KRYLOV_MAX = 4
 
-# Anderson mixing takes over a step's updates from iterate _AA_START on,
-# once the residual is below _AA_RESIDUAL and its last two ratios
-# res_k / res_{k-1} both exceed (1 - omega) + _AA_MARGIN, _AA_MARGIN above
-# the rate of a linear map under-relaxed by omega; it mixes _AA_DEPTH
-# differences, so it keeps the last _AA_DEPTH + 1 (iterate, update) pairs
+# the gate of nonlinear_iterate's Anderson mixing (first iterate, residual
+# below which, margin over the rate 1 - omega) and its number of differences
 _AA_START = 2
 _AA_RESIDUAL = 0.1
 _AA_MARGIN = 0.1
