@@ -5,8 +5,10 @@ config, in this process with the BLAS and OpenMP thread counts pinned to
 1, and prints one JSON object:
 
 - ``picard`` and ``picard_max``: the sum and the largest entry of
-  ``RunSummary.picard_iterations``;
-- ``steps_ge30``: the number of steps with 30 or more Picard iterations;
+  ``RunSummary.picard_iterations``, and ``worst_step``: the 1-based
+  number of the first step with that largest entry;
+- ``steps_ge20`` and ``steps_ge30``: the numbers of steps with 20 or more
+  and with 30 or more Picard iterations;
 - ``halvings`` and ``factorisations``: the sums of ``RunSummary.halvings``
   and of ``RunSummary.factorisations``, the transport LU factorisations
   of the substeps that succeeded;
@@ -67,6 +69,8 @@ def main() -> None:
     print(json.dumps({
         "picard": int(picard.sum()),
         "picard_max": int(picard.max()),
+        "worst_step": int(picard.argmax()) + 1,
+        "steps_ge20": int((picard >= 20).sum()),
         "steps_ge30": int((picard >= 30).sum()),
         "halvings": int(summary.halvings.sum()),
         "factorisations": int(summary.factorisations.sum()),

@@ -73,10 +73,8 @@ def _cmd_run(args) -> int:
     out = args.out if args.out is not None else \
         cfg["output"]["dir"] or "frostsim_out"
     summary = run(cfg, out_dir=out)
-    d_max = float(summary.mechanics.d_w.max()) if summary.mesh.num_elements \
-        else 0.0
     print(f"completed {summary.config['time']['steps']} steps, "
-          f"max damage {d_max:.4f}")
+          f"max damage {summary.mechanics.d_w.max():.4f}")
     for path in summary.outputs:
         print(f"wrote {path}")
     return 0
@@ -120,7 +118,8 @@ def _cmd_material_curves(args) -> int:
                   constitutive.latent_heat_vapor(theta)))
 
     theta_f = np.linspace(-30.0, -0.1, 200)
-    w_i, _ = model.ice_content(theta_f, np.ones_like(theta_f), params)
+    w_i, _ = model.ice_content(theta_f, constitutive.water_content(
+        np.ones_like(theta_f), params))
     _write_table(out / "ice.csv", "theta_C,r_cr_m,p_p_Pa,w_i_sat_kg_m3",
                  (theta_f, ice.critical_radius(theta_f, model.params),
                   model.pore_pressure(theta_f), w_i))

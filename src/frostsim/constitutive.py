@@ -26,17 +26,8 @@ THETA_MAX = 60.0
 
 _B_PHI_CAP = 1e6
 
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    p_atm: float = 101325.0     # Pa
-    R: float = 8314.41          # J kmol^-1 K^-1
-    R_v: float = 461.5          # J kg^-1 K^-1, water vapor
-    M_w: float = 18.01528      # kg kmol^-1
-    T0: float = 273.15          # K
-
-
-CONSTANTS = PhysicalConstants()
+T0 = 273.15                     # K, the melting point of ice
+R_V = 461.5                     # J kg^-1 K^-1, gas constant of water vapor
 
 
 @dataclass(frozen=True)
@@ -158,20 +149,19 @@ def _saturation(theta):
     return p_sat, p_sat * a * theta_0 / (theta_0 + theta) ** 2
 
 
-def vapor_permeability(theta, params: TransportParams,
-                       constants: PhysicalConstants = CONSTANTS):
+def vapor_permeability(theta, params: TransportParams):
     """Vapor permeability delta_v of the porous material, kg m^-1 s^-1 Pa^-1.
 
     Air permeability delta = 2.306e-5 p_atm / (R_v T p) (T / 273.15)^1.81
     evaluated at ambient pressure p = p_atm, divided by the resistance
     factor mu.
     """
-    return _vapor_permeability(_check_theta(theta), params, constants)
+    return _vapor_permeability(_check_theta(theta), params)
 
 
-def _vapor_permeability(theta, params, constants):
-    T = theta + constants.T0  # K
-    delta = 2.306e-5 / (constants.R_v * T) * (T / constants.T0) ** 1.81
+def _vapor_permeability(theta, params):
+    T = theta + T0
+    delta = 2.306e-5 / (R_V * T) * (T / T0) ** 1.81
     return delta / params.mu
 
 
@@ -210,18 +200,18 @@ def _thermal_conductivity(w, params):
     return params.lambda_0 * (1.0 + params.b_tcs * w / params.rho_s)
 
 
-def latent_heat_vapor(theta, constants: PhysicalConstants = CONSTANTS):
+def latent_heat_vapor(theta):
     """Evaporation enthalpy h_v(T), J kg^-1, with T in kelvin throughout.
 
     h_v = 2.5008e6 (273.15 / T)^(0.167 + 3.67e-4 T); equals 2.5008e6
     exactly at 0 degC and decreases with temperature.
     """
-    return _latent_heat_vapor(_check_theta(theta), constants)
+    return _latent_heat_vapor(_check_theta(theta))
 
 
-def _latent_heat_vapor(theta, constants):
-    T = theta + constants.T0  # K
-    return 2.5008e6 * (constants.T0 / T) ** (0.167 + 3.67e-4 * T)
+def _latent_heat_vapor(theta):
+    T = theta + T0
+    return 2.5008e6 * (T0 / T) ** (0.167 + 3.67e-4 * T)
 
 
 def effective_heat_capacity(theta, phi, params: TransportParams,
@@ -229,7 +219,7 @@ def effective_heat_capacity(theta, phi, params: TransportParams,
     """Volumetric heat capacity dH/dtheta, J m^-3 K^-1.
 
     rho_s c_s + (w - w_i) c_l + w_i c_i - h_i dw_i/dtheta. The ice terms
-    come from ``ice_model.ice_content(theta, phi, params)``; passing None
+    come from ``ice_model.ice_content(theta, w)``; passing None
     disables them (no frozen water).
 
     With ``theta_ref`` the latent slope is the enthalpy chord between
@@ -245,7 +235,7 @@ def effective_heat_capacity(theta, phi, params: TransportParams,
     w = water_content(phi, params)
     ice = None
     if ice_model is not None:
-        ice = ice_model.ice_content(theta, phi, params)
+        ice = ice_model.ice_content(theta, w)
         if theta_ref is not None and frozen_ref is None:
             frozen_ref = ice_model.frozen_fraction(theta_ref)
     return _effective_heat_capacity(theta, w, params, ice, theta_ref,

@@ -208,10 +208,10 @@ def build_models(cfg: dict) -> tuple[TransportParams, IceModel, MechParams]:
     return transport_params, ice, mech_params
 
 
-def default_probes(mesh: Mesh, count: int = 5) -> np.ndarray:
+def default_probes(mesh: Mesh) -> np.ndarray:
     """Probe line through the coldest part of the wall.
 
-    Targets run along the bisector from the exterior corner (the node
+    Five targets run along the bisector from the exterior corner (the node
     closest to the domain's minimum coordinates, where two exposed
     faces meet and frost bites deepest) to the re-entrant interior
     corner (the closest node tagged INT when the mesh has one, the
@@ -228,7 +228,7 @@ def default_probes(mesh: Mesh, count: int = 5) -> np.ndarray:
     else:
         stop = 0.5 * (lo + hi)
     picked: list[int] = []
-    for s in np.linspace(0.0, 1.0, count):
+    for s in np.linspace(0.0, 1.0, 5):
         target = lo + s * (stop - lo)
         node = int(np.argmin(np.sum((nodes - target) ** 2, axis=1)))
         if node not in picked:
@@ -259,13 +259,6 @@ class ProbeRecord:
     p_p: np.ndarray             # Pa, element average around the node
     d_w: np.ndarray             # -, element average around the node
     u_mag: np.ndarray           # m
-
-    def __eq__(self, other):
-        if not isinstance(other, ProbeRecord):
-            return NotImplemented
-        return self.time_h == other.time_h and all(
-            np.array_equal(getattr(self, name), getattr(other, name))
-            for name in ("nodes", "theta", "phi", "p_p", "d_w", "u_mag"))
 
 
 @dataclass(frozen=True)
@@ -347,8 +340,7 @@ def run(config: dict | str | Path | None = None,
     flux = {
         BoundaryTag.EXT: BoundaryFlux(
             q_heat=lambda t: alpha_swr * climate.sample(t).swr,
-            q_moist=lambda t: climate.sample(t).rain,
-            suppress_moist_at_saturation=True),
+            q_moist=lambda t: climate.sample(t).rain),
     }
     numerics = cfg["numerics"]
     problem = TransportProblem(

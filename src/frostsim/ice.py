@@ -23,7 +23,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import constitutive
 from .errors import DomainError, InvalidParametersError, InvalidPsdError
 
 # adsorbed film thickness prefactor, m K^(1/3)
@@ -277,21 +276,16 @@ def frozen_fraction(theta, psd: PoreSizeDistribution,
     return frac
 
 
-def ice_content(theta, phi, psd: PoreSizeDistribution, params: IceParams,
-                transport: constitutive.TransportParams, w=None):
+def ice_content(theta, w, psd: PoreSizeDistribution, params: IceParams):
     """Frozen water content w_i and its slope dw_i/dtheta.
 
-    The water held at humidity phi is assumed distributed over the pore
-    volume, so the frozen fraction is psi(r_cr) / n. The slope is a
+    The pore water content w, kg m^-3, is assumed distributed over the
+    pore volume, so the frozen fraction is psi(r_cr) / n. The slope is a
     centered finite difference with a step of _FD_STEP kelvin, clamped to
     be non-positive; the three temperatures it needs go through one
     frozen-fraction lookup. Both outputs are zero at or above 0 degC.
-    ``w`` is the water content at phi where the caller has it already;
-    it is then neither recomputed nor checked.
     """
     theta_arr = np.asarray(theta, dtype=float)
-    if w is None:
-        w = constitutive.water_content(phi, transport)
     shape = np.broadcast_shapes(theta_arr.shape, np.shape(w))
     t = np.broadcast_to(theta_arr, shape).ravel()
     frac = frozen_fraction(np.concatenate([t, t + _FD_STEP, t - _FD_STEP]),
@@ -299,8 +293,8 @@ def ice_content(theta, phi, psd: PoreSizeDistribution, params: IceParams,
     w = np.broadcast_to(w, shape)
     w_i = w * frac[0]
     slope = np.minimum(w * (frac[1] - frac[2]) / (2.0 * _FD_STEP), 0.0)
-    if np.ndim(theta) == 0 and np.ndim(phi) == 0:
-        return float(w_i.reshape(())), float(slope.reshape(()))
+    if shape == ():
+        return float(w_i), float(slope)
     return w_i, slope
 
 
@@ -309,9 +303,8 @@ class IceModel:
     """Bundle of a pore size distribution and ice parameters.
 
     Provides the interface the heat capacity and the transport assembly
-    expect: ``ice_content(theta, phi, transport, w=None)``,
-    ``frozen_fraction(theta)`` and ``pore_pressure(theta)``, the last one
-    the exact integral.
+    expect: ``ice_content(theta, w)``, ``frozen_fraction(theta)`` and
+    ``pore_pressure(theta)``, the last one the exact integral.
     """
 
     psd: PoreSizeDistribution
@@ -323,9 +316,8 @@ class IceModel:
                 f"PSD total porosity {self.psd.total_porosity:g} does not "
                 f"match configured porosity {self.params.n:g}")
 
-    def ice_content(self, theta, phi, transport: constitutive.TransportParams,
-                    w=None):
-        return ice_content(theta, phi, self.psd, self.params, transport, w)
+    def ice_content(self, theta, w):
+        return ice_content(theta, w, self.psd, self.params)
 
     def frozen_fraction(self, theta):
         return frozen_fraction(theta, self.psd, self.params)

@@ -353,7 +353,7 @@ class MechanicsProblem:
                 d_new = damage_function(kappa, eps0, self.params.eps_f)
             else:
                 d_new = np.zeros(e)
-            delta = float(np.max(np.abs(d_new - d))) if e else 0.0
+            delta = float(np.max(np.abs(d_new - d)))
             d = d_new
             if delta < tol:
                 converged = True

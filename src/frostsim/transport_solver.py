@@ -15,13 +15,13 @@ is advanced with the one-parameter theta scheme
 (gamma = 0.5 is the trapezoidal rule) and the nonlinearity is resolved by
 Picard iteration on the frozen-coefficient linear system, with the mixing
 factor backed off automatically when the residual grows. Where the Picard
-map stagnates, converging no faster than under-relaxation alone would,
-Anderson mixing of its last few updates finishes the step. The operator is
-filled into a sparsity pattern fixed at construction. One LU factor serves
-the iterates of a step and the steps after it that share gamma dt: each
-linear solve uses the factor, with a few GMRES iterations on it where its
-answer alone is not accurate enough, and A is factorised afresh only when
-those fail too.
+map stagnates, converging no faster than under-relaxation by the starting
+mixing factor alone would, Anderson mixing of its last few updates
+finishes the step. The operator is filled into a sparsity pattern fixed
+at construction. One LU factor serves the iterates of a step and the
+steps after it that share gamma dt: each linear solve uses the factor,
+with a few GMRES iterations on it where its answer alone is not accurate
+enough, and A is factorised afresh only when those fail too.
 
 Boundary terms: Robin exchange adds alpha L/2 to the diagonal of the
 matching block and alpha ambient L/2 to the load (edge-lumped); prescribed
@@ -63,9 +63,8 @@ _SATURATED = 1.0 - 1e-9
 _ETA = 1e-2
 _KRYLOV_MAX = 4
 
-# the gate of nonlinear_iterate's Anderson mixing (first iterate, residual
-# below which, margin over the rate 1 - omega) and its number of differences
-_AA_START = 2
+# the gate of nonlinear_iterate's Anderson mixing (residual below which,
+# margin over the rate 1 - relax) and its number of differences
 _AA_RESIDUAL = 0.1
 _AA_MARGIN = 0.1
 _AA_DEPTH = 3
@@ -136,12 +135,9 @@ class KunzelCoefficients:
     theta_range = (constitutive.THETA_MIN, constitutive.THETA_MAX)
     phi_range = (0.0, 1.0)
 
-    def __init__(self, params: constitutive.TransportParams,
-                 ice_model=None,
-                 constants: constitutive.PhysicalConstants = constitutive.CONSTANTS):
+    def __init__(self, params: constitutive.TransportParams, ice_model=None):
         self.params = params
         self.ice_model = ice_model
-        self.constants = constants
 
     def evaluate(self, theta: np.ndarray, phi: np.ndarray) -> CoefficientFields:
         return self._evaluate(theta, phi)
@@ -169,13 +165,12 @@ class KunzelCoefficients:
         theta = np.asarray(theta, dtype=float)
         phi = np.asarray(phi, dtype=float)
         p_sat, dp_sat = constitutive._saturation(theta)
-        delta_v = constitutive._vapor_permeability(theta, params,
-                                                   self.constants)
-        h_v = constitutive._latent_heat_vapor(theta, self.constants)
+        delta_v = constitutive._vapor_permeability(theta, params)
+        h_v = constitutive._latent_heat_vapor(theta)
         w = constitutive._water_content(phi, params)
         c_pp = constitutive._moisture_capacity(phi, params)
         ice = (None if self.ice_model is None
-               else self.ice_model.ice_content(theta, phi, params, w=w))
+               else self.ice_model.ice_content(theta, w))
         return CoefficientFields(
             k_tt=constitutive._thermal_conductivity(w, params)
                  + h_v * delta_v * phi * dp_sat,
@@ -226,14 +221,13 @@ class RobinBC:
 class BoundaryFlux:
     """Prescribed fluxes into the domain on one tag group.
 
-    ``suppress_moist_at_saturation`` turns the moisture flux off at nodes
-    whose humidity has reached 1, the flux-limiter treatment of rain on a
-    saturated surface.
+    The moisture flux is switched off at nodes whose humidity has reached
+    1 within the step, the flux-limiter treatment of rain on a saturated
+    surface.
     """
 
     q_heat: Value = 0.0             # W m^-2, positive inward
     q_moist: Value = 0.0            # kg m^-2 s^-1, positive inward
-    suppress_moist_at_saturation: bool = False
 
 
 @dataclass
@@ -342,14 +336,17 @@ def nonlinear_iterate(system_builder, r_guess: np.ndarray, *,
 
     A stagnating step switches, for its remaining updates, to type-II
     Anderson mixing (Walker & Ni 2011). The switch comes at iterate
-    k >= _AA_START once the residual is below _AA_RESIDUAL and the last
-    two ratios res_k / res_{k-1} both exceed (1 - omega) + _AA_MARGIN; a
-    linear map under-relaxed by omega contracts at exactly 1 - omega, so
-    it keeps the plain update. With f_j = -delta_j and dX, dF the
-    differences of the last _AA_DEPTH + 1 iterates r_j and of their f_j,
-    the update is r + omega f_k - (dX + omega dF) g, where g minimises
-    the block-scaled ||weights * (f_k - dF g)|| of the convergence test;
-    ``project`` applies to it as to a plain update.
+    k >= 2, the first with two ratios, once the residual is below
+    _AA_RESIDUAL and the last two ratios res_k / res_{k-1} both exceed
+    (1 - relax) + _AA_MARGIN; a linear map under-relaxed by relax
+    contracts at exactly 1 - relax, so it keeps the plain update. The
+    gate is keyed on relax, not on the backed-off omega, so that a step
+    whose omega has fallen to its floor still mixes once it crawls. With
+    f_j = -delta_j and dX, dF the differences of the last _AA_DEPTH + 1
+    iterates r_j and of their f_j, the update is
+    r + omega f_k - (dX + omega dF) g, where g minimises the block-scaled
+    ||weights * (f_k - dF g)|| of the convergence test; ``project``
+    applies to it as to a plain update.
     """
     if not 0.0 < relax <= 1.0:
         raise InvalidParametersError("relaxation factor must lie in (0, 1]")
@@ -366,6 +363,7 @@ def nonlinear_iterate(system_builder, r_guess: np.ndarray, *,
     made = 0
     pairs: list[tuple[np.ndarray, np.ndarray]] = []   # (r_j, -delta_j)
     mixing = False
+    stalled = 1.0 - relax + _AA_MARGIN
     for k in range(max_iter + 1):
         A, b = system_builder(r)
         mismatch = A @ r - b
@@ -397,8 +395,7 @@ def nonlinear_iterate(system_builder, r_guess: np.ndarray, *,
             made += 1
             delta = solve_sparse(lu, mismatch)
         pairs = pairs[-_AA_DEPTH:] + [(r, -delta)]
-        stalled = 1.0 - omega + _AA_MARGIN
-        mixing = mixing or (k >= _AA_START and res < _AA_RESIDUAL
+        mixing = mixing or (k >= 2 and res < _AA_RESIDUAL
                             and res > stalled * residuals[k - 1]
                             and residuals[k - 1] > stalled * residuals[k - 2])
         r = _anderson(pairs, omega, weights) if mixing else r - omega * delta
@@ -415,7 +412,9 @@ class TransportProblem:
     mesh : Mesh
     coefficients : object
         Provides ``evaluate(theta, phi) -> CoefficientFields`` per element,
-        e.g. KunzelCoefficients or ConstantCoefficients.
+        e.g. KunzelCoefficients or ConstantCoefficients, and the admissible
+        centroid ranges ``theta_range`` and ``phi_range`` (None for no
+        bound). ``step`` clips its phi iterates to ``phi_range``.
     robin : mapping BoundaryTag -> RobinBC, optional
     flux : mapping BoundaryTag -> BoundaryFlux, optional
     dirichlet_theta, dirichlet_phi : sequence of (node_ids, value), optional
@@ -424,9 +423,6 @@ class TransportProblem:
     source_heat, source_moist : callable(x, y, t), optional
         Volumetric sources for verification problems; evaluated at element
         centroids.
-    phi_bounds : (float, float) or None
-        Humidity clamp applied to iterates and results. None disables it
-        (linear verification problems).
     lumped_capacity : bool
         Replace the consistent storage matrix by its row-sum diagonal.
     """
@@ -437,7 +433,6 @@ class TransportProblem:
                  dirichlet_theta: Sequence[tuple[np.ndarray, Value]] = (),
                  dirichlet_phi: Sequence[tuple[np.ndarray, Value]] = (),
                  source_heat=None, source_moist=None,
-                 phi_bounds: tuple[float, float] | None = (0.0, 1.0),
                  lumped_capacity: bool = False):
         self.mesh = mesh
         self.coefficients = coefficients
@@ -449,7 +444,6 @@ class TransportProblem:
                               for nodes, val in dirichlet_phi]
         self.source_heat = source_heat
         self.source_moist = source_moist
-        self.phi_bounds = phi_bounds
         self.lumped_capacity = lumped_capacity
         # (gamma dt, LU) of the last step's operator, passed on to the next
         self._kept: tuple[float, SparseLU | None] | None = None
@@ -564,11 +558,7 @@ class TransportProblem:
         for tag, fl in self.flux.items():
             nodes, weights = self._edge_scatter[tag]
             np.add.at(base, nodes, _at(fl.q_heat, t) * weights)
-            q_m = _at(fl.q_moist, t) * weights
-            if fl.suppress_moist_at_saturation:
-                rain.append((nodes, q_m))
-            else:
-                np.add.at(base, nodes + n, q_m)
+            rain.append((nodes, _at(fl.q_moist, t) * weights))
         for src, offset in ((self.source_heat, 0), (self.source_moist, n)):
             if src is None:
                 continue
@@ -685,7 +675,7 @@ class TransportProblem:
             raise InvalidParametersError("gamma must lie in [0, 1]")
         n = self.mesh.num_nodes
         r_old = state.r
-        rdot_old = state.rdot if state.rdot is not None else np.zeros(2 * n)
+        rdot_old = state.rdot
         t_new = state.t + dt
         history = r_old + dt * (1.0 - gamma) * rdot_old
         suppressed = np.zeros(n, dtype=bool)
@@ -717,9 +707,11 @@ class TransportProblem:
                 A, b = apply_dirichlet(A, b, free, fixed, vals)
             return A, b
 
+        phi_range = self.coefficients.phi_range
+
         def project(x):
-            if self.phi_bounds is not None:
-                np.clip(x[n_t:], *self.phi_bounds, out=x[n_t:])
+            if phi_range is not None:
+                np.clip(x[n_t:], *phi_range, out=x[n_t:])
             return x
 
         # the kept factor is handed over, not referenced from here, so a

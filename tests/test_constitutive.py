@@ -239,8 +239,9 @@ class TestEffectiveHeatCapacity:
             self, mortar, spec01_model):
         # deep below freezing nearly all pore water is ice: the latent
         # term fades and the lower ice heat capacity wins
-        _, slope_deep = spec01_model.ice_content(-25.0, 0.8, mortar)
-        _, slope_front = spec01_model.ice_content(-0.5, 0.8, mortar)
+        w = con.water_content(0.8, mortar)
+        _, slope_deep = spec01_model.ice_content(-25.0, w)
+        _, slope_front = spec01_model.ice_content(-0.5, w)
         assert slope_deep <= 0.0
         assert abs(slope_deep) < abs(slope_front)
 

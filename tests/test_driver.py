@@ -22,6 +22,15 @@ def write_config(tmp_path, cfg, name="config.json"):
     return path
 
 
+def assert_records_equal(got, want):
+    """Probe records equal field by field, bitwise."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for f in fields(driver.ProbeRecord):
+            np.testing.assert_array_equal(getattr(a, f.name),
+                                          getattr(b, f.name), f.name)
+
+
 def constant_climate(tmp_path, theta=14.0, phi=0.5, hours=10):
     path = tmp_path / "climate.csv"
     lines = [CLIMATE_HEADER]
@@ -208,7 +217,7 @@ class TestProbeCsv:
         path = tmp_path / "probes.csv"
         recs = self.records()
         driver.write_probe_csv(recs, path)
-        assert driver.read_probe_csv(path) == recs
+        assert_records_equal(driver.read_probe_csv(path), recs)
 
     def test_layout(self, tmp_path):
         path = tmp_path / "probes.csv"
@@ -316,7 +325,7 @@ class TestRun:
         np.testing.assert_array_equal(a.transport.theta, b.transport.theta)
         np.testing.assert_array_equal(a.transport.phi, b.transport.phi)
         np.testing.assert_array_equal(a.damage_history, b.damage_history)
-        assert a.records == b.records
+        assert_records_equal(a.records, b.records)
 
     def test_probe_csv_bytes_reproducible(self, tmp_path):
         cfg = small_run_config(tmp_path, steps=2)
@@ -341,7 +350,8 @@ class TestRun:
         assert [r.time_h for r in summary.records] == [2.0, 3.0]
         text = (out / "snapshot_00002.vtk").read_text()
         assert text.startswith("# vtk DataFile Version 3.0")
-        assert driver.read_probe_csv(out / "probes.csv") == summary.records
+        assert_records_equal(driver.read_probe_csv(out / "probes.csv"),
+                             summary.records)
 
     def test_snapshots_can_be_disabled(self, tmp_path):
         cfg = small_run_config(tmp_path, steps=2,

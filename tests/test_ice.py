@@ -246,15 +246,16 @@ class TestExactPorePressure:
 
 class TestIceContent:
     def test_thaw(self, three_knot_psd, ice_params, mortar):
-        w_i, slope = ice.ice_content(2.0, 0.8, three_knot_psd, ice_params,
-                                     mortar)
+        w_i, slope = ice.ice_content(2.0, con.water_content(0.8, mortar),
+                                     three_knot_psd, ice_params)
         assert w_i == 0.0
         assert slope == 0.0
 
     def test_fully_freezable(self, ice_params, mortar):
         # every tabulated pore is above the critical radius at -20 degC
         psd = ice.PoreSizeDistribution([1e-8, 1e-6], [0.35, 0.0])
-        w_i, _ = ice.ice_content(-20.0, 0.8, psd, ice_params, mortar)
+        w_i, _ = ice.ice_content(-20.0, con.water_content(0.8, mortar),
+                                 psd, ice_params)
         assert w_i == pytest.approx(con.water_content(0.8, mortar),
                                     rel=1e-12)
 
@@ -265,14 +266,14 @@ class TestIceContent:
         frac = math.log(r_cr / 1e-8) / math.log(1e-7 / 1e-8)
         psi = 0.35 + (0.1 - 0.35) * frac
         expect = con.water_content(0.7, mortar) * psi / 0.35
-        w_i, _ = ice.ice_content(theta, 0.7, three_knot_psd, ice_params,
-                                 mortar)
+        w_i, _ = ice.ice_content(theta, con.water_content(0.7, mortar),
+                                 three_knot_psd, ice_params)
         assert w_i == pytest.approx(expect, rel=1e-12)
 
     def test_bounded_and_monotone(self, spec01_model, mortar):
         theta = np.linspace(-30.0, -0.01, 80)
-        w_i, slope = spec01_model.ice_content(theta, 0.9, mortar)
         w = con.water_content(0.9, mortar)
+        w_i, slope = spec01_model.ice_content(theta, w)
         assert np.all(w_i >= 0.0)
         assert np.all(w_i <= w + 1e-12)
         assert np.all(np.diff(w_i) <= 1e-12)   # colder holds more ice
@@ -280,9 +281,10 @@ class TestIceContent:
 
     def test_slope_matches_finite_difference(self, spec01_model, mortar):
         theta, h = -1.7, 0.01
-        w_hi, _ = spec01_model.ice_content(theta + h, 0.8, mortar)
-        w_lo, _ = spec01_model.ice_content(theta - h, 0.8, mortar)
-        _, slope = spec01_model.ice_content(theta, 0.8, mortar)
+        w = con.water_content(0.8, mortar)
+        w_hi, _ = spec01_model.ice_content(theta + h, w)
+        w_lo, _ = spec01_model.ice_content(theta - h, w)
+        _, slope = spec01_model.ice_content(theta, w)
         assert slope == pytest.approx((w_hi - w_lo) / (2.0 * h), rel=1e-10)
 
 

@@ -131,8 +131,7 @@ class TestAssembly:
 
     def test_volumetric_source_load(self, unit_triangle):
         prob = ts.TransportProblem(unit_triangle, ts.ConstantCoefficients(),
-                                   source_heat=lambda x, y, t: 6.0 * t,
-                                   phi_bounds=None)
+                                   source_heat=lambda x, y, t: 6.0 * t)
         sys = prob.assemble(np.zeros(3), np.zeros(3), 2.0)
         # area / 3 of the centroid value to each vertex
         np.testing.assert_allclose(sys.F[:3], 2.0, rtol=1e-14)
@@ -143,7 +142,7 @@ class TestAssembly:
         prob = ts.TransportProblem(
             unit_triangle, ts.ConstantCoefficients(),
             flux={BoundaryTag.EXT: ts.BoundaryFlux(
-                q_moist=q, suppress_moist_at_saturation=True)})
+                q_moist=q)})
         s = 0.5 * math.sqrt(2.0)
         weights = np.array([1.0, 0.5 + s, 0.5 + s])
 
@@ -264,7 +263,7 @@ class TestStepOperator:
             BoundaryTag.INT: ts.RobinBC(7.7, 2.5e-8, 20.0, 0.55),
         }
         flux = {BoundaryTag.EXT: ts.BoundaryFlux(
-            q_heat=35.0, q_moist=2e-4, suppress_moist_at_saturation=True)}
+            q_heat=35.0, q_moist=2e-4)}
         return ts.TransportProblem(mesh, ts.KunzelCoefficients(mortar),
                                    robin=robin, flux=flux)
 
@@ -341,8 +340,7 @@ class TestDirichlet:
         prob = ts.TransportProblem(
             mesh, ts.ConstantCoefficients(),
             dirichlet_theta=[(bnd, lambda t: 5.0 + t)],
-            dirichlet_phi=[(bnd, 0.25)],
-            phi_bounds=None)
+            dirichlet_phi=[(bnd, 0.25)])
         state = ts.TransportState.uniform(mesh, 0.0, 0.25)
         state.rdot = prob.consistent_rates(state)
         out = prob.step(state, 0.5, tol=1e-10, relax=1.0)
@@ -357,8 +355,7 @@ class TestDirichlet:
         prob = ts.TransportProblem(
             mesh, ts.ConstantCoefficients(),
             dirichlet_theta=[(bnd, lambda t: 5.0 + t * t)],
-            dirichlet_phi=[(bnd, 0.25)],
-            phi_bounds=None)
+            dirichlet_phi=[(bnd, 0.25)])
         state = ts.TransportState.uniform(mesh, 5.0, 0.25)
         state.rdot = prob.consistent_rates(state)
         out = prob.step(state, 0.5, relax=0.7)
@@ -373,7 +370,7 @@ class TestDirichlet:
         for groups in ([(bnd, 2.0)], [(bnd, 2.0), (bnd[:3], 2.0)]):
             prob = ts.TransportProblem(
                 mesh, ts.ConstantCoefficients(), dirichlet_theta=groups,
-                source_heat=lambda x, y, t: 1.0, phi_bounds=None)
+                source_heat=lambda x, y, t: 1.0)
             state = ts.TransportState.uniform(mesh, 2.0, 0.5)
             state.rdot = prob.consistent_rates(state)
             out.append(prob.step(state, 0.5, tol=1e-12, relax=1.0).theta)
@@ -384,8 +381,7 @@ class TestDirichlet:
         bnd = boundary_nodes(mesh)
         prob = ts.TransportProblem(
             mesh, ts.ConstantCoefficients(),
-            dirichlet_theta=[(bnd, lambda t: 5.0 + t)],
-            phi_bounds=None)
+            dirichlet_theta=[(bnd, lambda t: 5.0 + t)])
         state = ts.TransportState.uniform(mesh, 5.0, 0.5)
         state.rdot = prob.consistent_rates(state)
         out = prob.step(state, 0.5, gamma=0.0, relax=1.0, tol=1e-12)
@@ -397,8 +393,7 @@ class TestDirichlet:
         prob = ts.TransportProblem(
             mesh, ts.ConstantCoefficients(),
             dirichlet_theta=[(bnd, lambda t: 2.0 + 3.0 * t)],
-            source_heat=lambda x, y, t: 1.0,
-            phi_bounds=None)
+            source_heat=lambda x, y, t: 1.0)
         state = ts.TransportState.uniform(mesh, 2.0, 0.5)
         rdot = prob.consistent_rates(state)
         np.testing.assert_allclose(rdot[bnd], 3.0, rtol=1e-5)
@@ -515,6 +510,31 @@ class TestPicardIteration:
         monkeypatch.setattr(ts, "_AA_RESIDUAL", 0.0)     # never mix
         assert self.iterate_stagnating().iterations == 322
 
+    def test_backed_off_omega_keeps_the_gate(self, monkeypatch):
+        # b jumps from 1 to -1 at the second build, so the residual grows
+        # and omega backs off once, from 0.7 to 0.35. b then stays put and
+        # plain updates shrink the residual by exactly 0.65 per solve:
+        # above the gate's (1 - 0.7) + 0.1 = 0.4, below the 0.75 that the
+        # backed-off omega would set
+        builds = []
+
+        def builder(r):
+            builds.append(r.copy())
+            return self.eye(), np.array([1.0 if len(builds) == 1 else -1.0])
+
+        result = ts.nonlinear_iterate(builder, np.zeros(1), tol=1e-10,
+                                      relax=0.7)
+        res = result.residuals
+        assert res[1] > res[0]
+        np.testing.assert_allclose(np.divide(res[2:9], res[1:8]), 0.65,
+                                   rtol=1e-12)
+        assert result.iterations <= 10
+        assert result.r[0] == pytest.approx(-1.0, abs=1e-9)
+        monkeypatch.setattr(ts, "_AA_RESIDUAL", 0.0)     # never mix
+        builds.clear()
+        assert ts.nonlinear_iterate(builder, np.zeros(1), tol=1e-10,
+                                    relax=0.7, max_iter=100).iterations == 56
+
     def test_fast_iteration_keeps_plain_updates(self):
         # contraction 0.05 under omega = 0.7: the residual ratio stays near
         # 0.32, below the gate's 0.4, so every update is r - omega delta
@@ -599,8 +619,7 @@ class TestFactorReuse:
         robin = {BoundaryTag.EXT: ts.RobinBC(2.0, 0.5, -3.0, 0.2)}
         coefficients = ts.ConstantCoefficients(k_tt=1.5, k_tp=0.2, k_pt=0.1,
                                                k_pp=0.8, c_pp=2.0)
-        return ts.TransportProblem(mesh, coefficients, robin=robin,
-                                   phi_bounds=None)
+        return ts.TransportProblem(mesh, coefficients, robin=robin)
 
     @staticmethod
     def initial(mesh):
@@ -681,8 +700,7 @@ def mms_run(mesh, dt, t_end, gamma):
         mesh, ts.ConstantCoefficients(),
         dirichlet_theta=[(bnd, 0.0)],
         dirichlet_phi=[(bnd, 0.0)],
-        source_heat=mms_source,
-        phi_bounds=None)
+        source_heat=mms_source)
     n = mesh.num_nodes
     state = ts.TransportState(0.0, mms_exact(mesh, 0.0), np.zeros(n),
                               np.zeros(2 * n))
@@ -770,7 +788,7 @@ class TestMaximumPrinciple:
         rng = np.random.default_rng(42)
         theta0 = rng.uniform(0.0, 1.0, mesh.num_nodes)
         prob = ts.TransportProblem(mesh, ts.ConstantCoefficients(),
-                                   lumped_capacity=True, phi_bounds=None)
+                                   lumped_capacity=True)
         state = ts.TransportState(0.0, theta0.copy(),
                                   np.full(mesh.num_nodes, 0.5),
                                   np.zeros(2 * mesh.num_nodes))
@@ -821,6 +839,23 @@ class TestStepping:
         with pytest.raises(InvalidParametersError):
             prob.step(state, 3600.0, gamma=1.5)
 
+    def test_step_clips_phi_to_the_coefficient_range(self, unit_triangle):
+        class Ranged(ts.ConstantCoefficients):
+            phi_range = (0.0, 0.3)
+
+        # the source raises phi from 0.3 by 1e-4 in the one-second step;
+        # clamped at 0.3, the residual is 3e-4 of the moisture load
+        phi = {}
+        for coefficients in (ts.ConstantCoefficients(), Ranged()):
+            prob = ts.TransportProblem(unit_triangle, coefficients,
+                                       source_moist=lambda x, y, t: 1e-4)
+            state = ts.TransportState.uniform(unit_triangle, 1.0, 0.3)
+            state.rdot = prob.consistent_rates(state)
+            phi[type(coefficients)] = prob.step(state, 1.0, tol=1e-3).phi
+        np.testing.assert_allclose(phi[ts.ConstantCoefficients], 0.3001,
+                                   rtol=1e-12)
+        np.testing.assert_array_equal(phi[Ranged], 0.3)
+
     def test_failed_step_reports_residual(self, lshape_coarse, mortar):
         prob = self.make_problem(lshape_coarse, mortar)
         state = ts.TransportState.uniform(lshape_coarse, 14.0, 0.5)
@@ -849,7 +884,7 @@ class FussyProblem(ts.TransportProblem):
 class TestAdaptiveAdvance:
     def make(self, mesh, dt_limit):
         return FussyProblem(mesh, ts.ConstantCoefficients(),
-                            phi_bounds=None, dt_limit=dt_limit)
+                            dt_limit=dt_limit)
 
     def initial(self, mesh):
         n = mesh.num_nodes
@@ -868,8 +903,7 @@ class TestAdaptiveAdvance:
         assert out.halvings == 3
 
         # the salvaged result equals four plain quarter steps
-        plain = ts.TransportProblem(unit_triangle, ts.ConstantCoefficients(),
-                                    phi_bounds=None)
+        plain = ts.TransportProblem(unit_triangle, ts.ConstantCoefficients())
         state = self.initial(unit_triangle)
         for _ in range(4):
             state = plain.step(state, 0.25, relax=1.0)
