@@ -844,7 +844,8 @@ class TestStepping:
             phi_range = (0.0, 0.3)
 
         # the source raises phi from 0.3 by 1e-4 in the one-second step;
-        # clamped at 0.3, the residual is 3e-4 of the moisture load
+        # clamped at 0.3, the residual is 3e-4 of the moisture load, within
+        # the tolerance of 1e-3
         phi = {}
         for coefficients in (ts.ConstantCoefficients(), Ranged()):
             prob = ts.TransportProblem(unit_triangle, coefficients,
