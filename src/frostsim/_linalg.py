@@ -11,24 +11,48 @@ from .errors import SingularSystemError
 
 
 class SparsePattern:
-    """Fixed CSR sparsity of a square matrix assembled from entry lists.
+    """Fixed linear map from a coefficient vector to a square CSR matrix.
 
-    ``rows`` and ``cols`` list the position of every entry, duplicates
-    included; ``matrix(vals)`` sums the values given in that order into
-    their slots, which costs one bincount per assembly.
+    Entry k of the lists lies at ``(rows[k], cols[k])`` and adds
+    ``weights[k]`` times its coefficient there; entries at one position
+    sum. The entries are listed by coefficient: the first ``counts[0]``
+    scale ``coefs[0]``, the next ``counts[1]`` scale ``coefs[1]``, and so
+    on. The map is a CSC matrix with a row per CSR slot and a column per
+    coefficient; its columns hold the entries in the listed order and its
+    column pointers are the running counts, so only the pattern itself
+    needs a sort. ``weights`` is held as the map's data, not copied.
+    ``matrix(coefs)`` is one sparse mat-vec, and each slot sums its
+    entries in the listed order.
     """
 
-    def __init__(self, rows: np.ndarray, cols: np.ndarray, n: int):
-        pattern, self._slots = np.unique(rows * n + cols, return_inverse=True)
+    def __init__(self, rows: np.ndarray, cols: np.ndarray,
+                 counts: np.ndarray, weights: np.ndarray, n: int):
+        # what np.unique(keys, return_inverse=True) gives, with fewer int64
+        # copies of the entry list alive at once and int32 slots
+        keys = rows * n + cols
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        first = np.empty(len(keys), dtype=bool)
+        first[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        pattern = keys[first]
+        del keys
+        slots = np.empty(len(order), dtype=np.int32)
+        slots[order] = np.cumsum(first, dtype=np.int32)
+        slots -= 1
+        del order, first
         self._indices = (pattern % n).astype(np.int32)
         self._indptr = np.searchsorted(pattern,
                                        np.arange(n + 1) * n).astype(np.int32)
+        self._scatter = sp.csc_matrix(
+            (weights, slots,
+             np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)),
+            shape=(len(pattern), len(counts)))
         self._n = n
 
-    def matrix(self, vals: np.ndarray) -> sp.csr_matrix:
-        data = np.bincount(self._slots, vals, minlength=len(self._indices))
-        return sp.csr_matrix((data, self._indices, self._indptr),
-                             shape=(self._n, self._n))
+    def matrix(self, coefs: np.ndarray) -> sp.csr_matrix:
+        return sp.csr_matrix((self._scatter @ coefs, self._indices,
+                              self._indptr), shape=(self._n, self._n))
 
 
 def apply_dirichlet(A: sp.csr_matrix, b: np.ndarray, free: np.ndarray,

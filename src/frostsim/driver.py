@@ -289,6 +289,7 @@ class RunSummary:
     picard_iterations: np.ndarray   # (steps,)
     factorisations: np.ndarray      # (steps,) transport LU factorisations
     halvings: np.ndarray            # (steps,) failed substeps halved
+    nonlocal_pairs: int             # centroid pairs within 3 l_intl
     outputs: list[Path] = field(default_factory=list)
 
 
@@ -433,7 +434,8 @@ def run(config: dict | str | Path | None = None,
         outputs.append(probe_path)
     return RunSummary(cfg, mesh, state, mstate, probe_nodes, records,
                       damage_history, kappa_history, pressure_history,
-                      picard, factorisations, halvings, outputs)
+                      picard, factorisations, halvings,
+                      mechanics.averager.num_pairs, outputs)
 
 
 def write_probe_csv(records: list[ProbeRecord], path: str | Path) -> None:

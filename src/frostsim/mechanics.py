@@ -123,8 +123,8 @@ class NonlocalAverager:
 
     Weight of source element j at target i is exp(-d^2 / (2 l^2)) A_j,
     truncated at 3 l, normalized per target so rows sum to one. The
-    element itself always contributes, so as l -> 0 the operator becomes
-    the identity.
+    element itself always contributes, so when no two centroids lie
+    within 3 l (``num_pairs`` is 0) the operator is exactly the identity.
     """
 
     def __init__(self, mesh: Mesh, length: float):
@@ -147,8 +147,12 @@ class NonlocalAverager:
             rows = cols = np.arange(e)
             vals = areas.copy()
         W = sp.coo_matrix((vals, (rows, cols)), shape=(e, e)).tocsr()
-        norm = np.asarray(W.sum(axis=1)).ravel()
-        self.weights = sp.diags(1.0 / norm) @ W
+        # dividing by the row sum, not multiplying by its inverse, makes a
+        # row without neighbours exactly the identity row
+        W.data /= np.repeat(np.asarray(W.sum(axis=1)).ravel(),
+                            np.diff(W.indptr))
+        self.weights = W
+        self.num_pairs = len(pairs)
 
     def __call__(self, element_values: np.ndarray) -> np.ndarray:
         return self.weights @ np.asarray(element_values, dtype=float)
@@ -245,9 +249,12 @@ class MechanicsProblem:
         dofs[:, 0::2] = 2 * conn
         dofs[:, 1::2] = 2 * conn + 1
         self.dofs = dofs
+        # the stiffness as a fixed map from the per-element damage factor,
+        # weighted by KE, whose memory it shares
         self._pattern = SparsePattern(np.repeat(dofs, 6, axis=1).ravel(),
                                       np.tile(dofs, (1, 6)).ravel(),
-                                      2 * mesh.num_nodes)
+                                      np.full(e, 36),
+                                      self.KE.ravel(), 2 * mesh.num_nodes)
 
         if constraints is None:
             fixed = np.concatenate([
@@ -272,7 +279,8 @@ class MechanicsProblem:
     # -- pieces -------------------------------------------------------------
 
     def _stiffness(self, factor: np.ndarray) -> sp.csr_matrix:
-        return self._pattern.matrix((self.KE * factor[:, None, None]).ravel())
+        """sum_e factor_e KE_e scattered into the global stiffness."""
+        return self._pattern.matrix(factor)
 
     def _loads(self, factor: np.ndarray, p_p: np.ndarray,
                eps_th: np.ndarray) -> np.ndarray:

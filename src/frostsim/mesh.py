@@ -119,9 +119,10 @@ class Mesh:
         self._validate_boundary()
         self.grads, self.areas = _all_geometry(nodes, elements)
         self.centroids = nodes[elements].mean(axis=1)
+        self._corners = np.ascontiguousarray(elements.T)
         for arr in (self.nodes, self.elements, self.bedge_elem,
                     self.bedge_local, self.bedge_tag, self.grads,
-                    self.areas, self.centroids):
+                    self.areas, self.centroids, self._corners):
             arr.setflags(write=False)
 
     # -- basic queries ----------------------------------------------------
@@ -157,8 +158,13 @@ class Mesh:
         return np.unique(pairs)
 
     def element_mean(self, nodal_field: np.ndarray) -> np.ndarray:
-        """Average a nodal field over the three nodes of every element."""
-        return np.asarray(nodal_field)[self.elements].mean(axis=1)
+        """Average a nodal field over the three nodes of every element.
+
+        Three gathers and a sum give bitwise what
+        ``field[elements].mean(axis=1)`` does, without the (E, 3) copy."""
+        f = np.asarray(nodal_field)
+        c0, c1, c2 = self._corners
+        return (f[c0] + f[c1] + f[c2]) / 3.0
 
     # -- validation -------------------------------------------------------
 

@@ -17,8 +17,9 @@ Picard iteration on the frozen-coefficient linear system, with the mixing
 factor backed off automatically when the residual grows. Where the Picard
 map stagnates, converging no faster than under-relaxation by the starting
 mixing factor alone would, Anderson mixing of its last few updates
-finishes the step. The operator is filled into a sparsity pattern fixed
-at construction. One LU factor serves the iterates of a step and the
+finishes the step. The operator is one sparse mat-vec of its coefficient
+fields, through a map from coefficients to matrix values fixed at
+construction. One LU factor serves the iterates of a step and the
 steps after it that share gamma dt: each linear solve uses the factor,
 with a few GMRES iterations on it where its answer alone is not accurate
 enough, and A is factorised afresh only when those fail too.
@@ -32,11 +33,13 @@ callables for verification problems only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import solve_triangular
 
 from . import constitutive
 from ._linalg import SparseLU, SparsePattern, apply_dirichlet, solve_sparse
@@ -264,7 +267,10 @@ def _gmres(A, lu: SparseLU, rhs: np.ndarray,
     x = LU^-1 rhs stands if ||weights * (rhs - A x)|| is at most _ETA
     ||weights * rhs||; else GMRES, right-preconditioned with LU^-1
     diag(weights)^-1 so that it minimises that norm, corrects x for up to
-    _KRYLOV_MAX iterations. Returns None if x still misses _ETA.
+    _KRYLOV_MAX iterations. Givens rotations keep the Hessenberg matrix
+    triangular, so each iteration's residual is |g_{j+1}| and the
+    correction is back-substituted once. Returns None if x still misses
+    _ETA.
     """
     tol = _ETA * float(np.linalg.norm(weights * rhs))
     x = solve_sparse(lu, rhs)
@@ -274,23 +280,32 @@ def _gmres(A, lu: SparseLU, rhs: np.ndarray,
         return x
     basis = [r0 / beta]
     directions = []
-    hess = np.zeros((_KRYLOV_MAX + 1, _KRYLOV_MAX))
-    target = np.zeros(_KRYLOV_MAX + 1)
-    target[0] = beta
+    hess = np.zeros((_KRYLOV_MAX, _KRYLOV_MAX))    # rotated: triangular
+    rotations = []                                  # (cos, sin) per column
+    g = np.zeros(_KRYLOV_MAX + 1)
+    g[0] = beta
     for j in range(_KRYLOV_MAX):
         directions.append(solve_sparse(lu, basis[j] / weights))
         v = weights * (A @ directions[j])
+        h = hess[:, j]
         for i, q in enumerate(basis):       # modified Gram-Schmidt
-            hess[i, j] = q @ v
-            v -= hess[i, j] * q
-        hess[j + 1, j] = np.linalg.norm(v)
-        h, g = hess[:j + 2, :j + 1], target[:j + 2]
-        y = np.linalg.lstsq(h, g, rcond=None)[0]
-        res = float(np.linalg.norm(g - h @ y))
-        if res <= tol or hess[j + 1, j] == 0.0:
-            break
-        basis.append(v / hess[j + 1, j])
-    return x + np.stack(directions, axis=1) @ y if res <= tol else None
+            h[i] = q @ v
+            v -= h[i] * q
+        norm_v = float(np.linalg.norm(v))
+        for i, (c, s) in enumerate(rotations):
+            h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
+        rho = math.hypot(h[j], norm_v)
+        if rho == 0.0:
+            return None
+        c, s = h[j] / rho, norm_v / rho
+        rotations.append((c, s))
+        h[j] = rho
+        g[j], g[j + 1] = c * g[j], -s * g[j]
+        if abs(g[j + 1]) <= tol:
+            y = solve_triangular(hess[:j + 1, :j + 1], g[:j + 1])
+            return x + np.stack(directions, axis=1) @ y
+        basis.append(v / norm_v)
+    return None
 
 
 def _anderson(pairs, omega: float, weights: np.ndarray) -> np.ndarray:
@@ -460,25 +475,26 @@ class TransportProblem:
         self._free = (np.setdiff1d(np.arange(2 * n), self._fixed)
                       if len(self._fixed) else slice(None))
         conn = mesh.elements
-        grads = mesh.grads
-        areas = mesh.areas
-        # exact element integrals for unit coefficients: stiffness from the
-        # constant gradients, storage from the linear shape products
-        self._S9 = (np.einsum("eik,ejk->eij", grads, grads)
-                    * areas[:, None, None]).reshape(len(conn), 9)
-        mass_pattern = (np.ones((3, 3)) + np.eye(3)) / 12.0
-        if lumped_capacity:
-            mass_pattern = np.eye(3) / 3.0
-        self._M9 = (mass_pattern[None, :, :]
-                    * areas[:, None, None]).reshape(len(conn), 9)
-        self._M33 = self._M9.reshape(-1, 3, 3)
+        e = len(conn)
+        # storage matrix of a unit-capacity element over its area
+        self._unit_mass = (np.eye(3) / 3.0 if lumped_capacity
+                           else (np.ones((3, 3)) + np.eye(3)) / 12.0)
         self._conn_flat = conn.ravel()
-        # pattern of the block operator [C + gdt K]: the element entries
-        # of the four blocks, then the diagonal for the exchange terms
-        rows, cols = self._block_entries(_K_BLOCKS)
+        # [C + gdt K] as a fixed map from the coefficient fields listed in
+        # _step_operator: per field a block (row field, column field) and
+        # the unit element matrix it scales, then 1 on the diagonal for
+        # the exchange
+        S9, M9 = self._unit_matrices()
+        blocks = ((0, 0, M9), (0, 0, S9), (0, 1, S9), (1, 0, S9),
+                  (1, 1, M9), (1, 1, S9))
+        rows, cols = self._block_entries(blocks)
         diag = np.arange(2 * n)
-        self._pattern = SparsePattern(np.concatenate([rows, diag]),
-                                      np.concatenate([cols, diag]), 2 * n)
+        block_coefs = len(blocks) * e
+        self._pattern = SparsePattern(
+            np.concatenate([rows, diag]), np.concatenate([cols, diag]),
+            np.concatenate([np.full(block_coefs, 9), np.ones(2 * n, int)]),
+            np.concatenate([unit.ravel() for _, _, unit in blocks]
+                           + [np.ones(2 * n)]), 2 * n)
 
         # edge nodes and lumped weights per tag that carries a condition;
         # the condition values are read live from self.robin / self.flux so
@@ -495,14 +511,25 @@ class TransportProblem:
 
     def _block_entries(self, blocks):
         """Rows and columns of the element entries of the given blocks, in
-        order; a block is (row field, column field), 0 for theta, 1 for phi.
-        Only the set-up and ``assemble`` need them, so they are not kept."""
+        order; a block starts with its row and column field, 0 for theta
+        and 1 for phi. Only the set-up and ``assemble`` need them, so they
+        are not kept."""
         conn = self.mesh.elements
         n = self.mesh.num_nodes
         r_ = np.repeat(conn, 3, axis=1).ravel()     # (E, 9) i i i j j j ...
         c_ = np.tile(conn, (1, 3)).ravel()          # (E, 9) i j k i j k ...
-        return (np.concatenate([r_ + i * n for i, _ in blocks]),
-                np.concatenate([c_ + j * n for _, j in blocks]))
+        return (np.concatenate([r_ + b[0] * n for b in blocks]),
+                np.concatenate([c_ + b[1] * n for b in blocks]))
+
+    def _unit_matrices(self):
+        """Exact element integrals (E, 9) for unit coefficients: the
+        stiffness from the constant gradients and the storage from the
+        linear shape products. Only the set-up and ``assemble`` need them,
+        so they are not kept."""
+        grads, areas = self.mesh.grads, self.mesh.areas
+        S9 = np.einsum("eik,ejk->eij", grads, grads) * areas[:, None, None]
+        M9 = self._unit_mass[None, :, :] * areas[:, None, None]
+        return S9.reshape(-1, 9), M9.reshape(-1, 9)
 
     def _centroid_state(self, theta: np.ndarray, phi: np.ndarray):
         theta_c = self.mesh.element_mean(theta)
@@ -526,15 +553,11 @@ class TransportProblem:
         theta_c, phi_c = self._centroid_state(theta, phi)
         cf = self.coefficients.evaluate(theta_c, phi_c)
 
-        def stiff(coef):
-            return (coef[:, None] * self._S9).ravel()
-
-        def store(coef):
-            return (coef[:, None] * self._M9).ravel()
-
-        k_vals = np.concatenate([stiff(cf.k_tt), stiff(cf.k_tp),
-                                 stiff(cf.k_pt), stiff(cf.k_pp)])
-        c_vals = np.concatenate([store(cf.c_tt), store(cf.c_pp)])
+        S9, M9 = self._unit_matrices()
+        k_vals = np.concatenate([(c[:, None] * S9).ravel()
+                                 for c in (cf.k_tt, cf.k_tp, cf.k_pt, cf.k_pp)])
+        c_vals = np.concatenate([(c[:, None] * M9).ravel()
+                                 for c in (cf.c_tt, cf.c_pp)])
         K = sp.coo_matrix((k_vals, self._block_entries(_K_BLOCKS)),
                           shape=(2 * n, 2 * n)).tocsr() \
             + sp.diags(self._exchange_diagonal(), format="csr")
@@ -596,18 +619,21 @@ class TransportProblem:
         matrices with the theta and phi parts of a history vector."""
         conn = self.mesh.elements
         n = self.mesh.num_nodes
-        return (np.einsum("eij,ej->ei", self._M33, history[:n][conn]),
-                np.einsum("eij,ej->ei", self._M33, history[n:][conn]))
+        areas = self.mesh.areas[:, None]
+        return (areas * (history[:n][conn] @ self._unit_mass),
+                areas * (history[n:][conn] @ self._unit_mass))
 
     def _step_operator(self, theta, phi, gdt, exchange, f_base, rain,
                        mass_hist, suppressed, reference=None):
         """[C + gdt K] and gdt F + C history for one Picard iterate.
 
-        The matrix is filled into the fixed pattern; ``exchange`` is gdt
-        times the exchange diagonal. ``mass_hist`` comes from
-        ``_mass_history``; multiplying it by the storage coefficients and
-        scattering gives C @ history without forming C. ``reference`` comes from the coefficient model's
-        ``step_reference`` for models that use chord capacities.
+        The matrix comes from the fixed map of the coefficient fields
+        [c_tt, gdt k_tt, gdt k_tp, gdt k_pt, c_pp, gdt k_pp] and
+        ``exchange``, gdt times the exchange diagonal. ``mass_hist`` comes
+        from ``_mass_history``; multiplying it by the storage coefficients
+        and scattering gives C @ history without forming C. ``reference``
+        comes from the coefficient model's ``step_reference`` for models
+        that use chord capacities.
         """
         n = self.mesh.num_nodes
         theta_c, phi_c = self._centroid_state(theta, phi)
@@ -615,14 +641,9 @@ class TransportProblem:
             cf = self.coefficients.evaluate_step(theta_c, phi_c, reference)
         else:
             cf = self.coefficients.evaluate(theta_c, phi_c)
-        a_tt = cf.c_tt[:, None] * self._M9 + (gdt * cf.k_tt)[:, None] * self._S9
-        a_pp = cf.c_pp[:, None] * self._M9 + (gdt * cf.k_pp)[:, None] * self._S9
         A = self._pattern.matrix(np.concatenate([
-            a_tt.ravel(),
-            ((gdt * cf.k_tp)[:, None] * self._S9).ravel(),
-            ((gdt * cf.k_pt)[:, None] * self._S9).ravel(),
-            a_pp.ravel(),
-            exchange]))
+            cf.c_tt, gdt * cf.k_tt, gdt * cf.k_tp, gdt * cf.k_pt,
+            cf.c_pp, gdt * cf.k_pp, exchange]))
         mh_t, mh_p = mass_hist
         b = gdt * self._with_rain(f_base, rain, suppressed)
         b[:n] += np.bincount(self._conn_flat,

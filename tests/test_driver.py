@@ -10,7 +10,7 @@ from frostsim import cli, driver, transport_solver
 from frostsim.constitutive import TransportParams
 from frostsim.errors import ConfigError, StepFailureError
 from frostsim.ice import IceParams
-from frostsim.mechanics import MechParams
+from frostsim.mechanics import MechParams, neighbour_pairs
 from frostsim.mesh import generate_lshape, generate_rectangle, load_mesh
 
 CLIMATE_HEADER = "time_h,theta_ext_C,phi_ext,rain_kg_m2_s,swr_W_m2"
@@ -317,6 +317,15 @@ class TestRun:
         assert summary.outputs == []
         assert len(summary.records) == 1
         assert summary.records[0].time_h == 1.0
+
+    @pytest.mark.parametrize("l_intl", [None, 0.06])
+    def test_nonlocal_pairs_recorded(self, tmp_path, l_intl):
+        extra = {} if l_intl is None else {"mechanics": {"l_intl": l_intl}}
+        summary = driver.run(small_run_config(tmp_path, steps=1, **extra))
+        length = l_intl or MechParams().l_intl
+        expect = len(neighbour_pairs(summary.mesh.centroids, 3.0 * length))
+        assert summary.nonlocal_pairs == expect
+        assert (expect > 0) == (l_intl is not None)
 
     def test_two_runs_are_identical(self, tmp_path):
         cfg = small_run_config(tmp_path, steps=4)

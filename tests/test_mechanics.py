@@ -129,8 +129,8 @@ class TestNonlocalAverager:
         avg = mech.NonlocalAverager(lshape_coarse, 1e-9)
         rng = np.random.default_rng(7)
         field = rng.normal(size=lshape_coarse.num_elements)
-        # self-weight normalization a * (1 / a) can be one ulp off
-        np.testing.assert_allclose(avg(field), field, rtol=5e-16)
+        assert avg.num_pairs == 0
+        np.testing.assert_array_equal(avg(field), field)
 
     def test_two_element_closed_form(self):
         mesh = generate_rectangle(1.0, 1.0, 1, 1)
@@ -182,7 +182,8 @@ def kdtree_weights(mesh, length):
                         np.concatenate([pairs[:, 1], pairs[:, 0],
                                         np.arange(e)]))),
                       shape=(e, e)).tocsr()
-    return sp.diags(1.0 / np.asarray(W.sum(axis=1)).ravel()) @ W
+    W.data /= np.repeat(np.asarray(W.sum(axis=1)).ravel(), np.diff(W.indptr))
+    return W
 
 
 class TestNeighbourPairs:
@@ -291,6 +292,21 @@ class TestProblemSetup:
         np.testing.assert_allclose(prob.B[0], B, atol=1e-15)
         D = mech.elastic_stiffness(1e10, 0.2)
         np.testing.assert_allclose(prob.KE[0], 0.5 * B.T @ D @ B, rtol=1e-13)
+
+    def test_stiffness_map_matches_hand_scatter(self, lshape_coarse):
+        prob = mech.MechanicsProblem(lshape_coarse, mech.MechParams())
+        factor = np.random.default_rng(5).uniform(
+            1e-6, 1.0, lshape_coarse.num_elements)
+        size = 2 * lshape_coarse.num_nodes
+        expect = np.zeros((size, size))
+        for e, dofs in enumerate(prob.dofs):
+            expect[np.ix_(dofs, dofs)] += factor[e] * prob.KE[e]
+        K = prob._stiffness(factor)
+        assert K.has_canonical_format
+        np.testing.assert_allclose(K.toarray(), expect, rtol=0.0,
+                                   atol=1e-13 * abs(expect).max())
+        # the map's weights are KE itself, not a copy of it
+        assert np.shares_memory(prob._pattern._scatter.data, prob.KE)
 
     def test_strain_recovery_from_linear_displacement(self, lshape_coarse):
         prob = mech.MechanicsProblem(lshape_coarse, mech.MechParams())

@@ -87,6 +87,13 @@ class TestMeshQueries:
         np.testing.assert_allclose(mesh.element_mean(field), expect,
                                    rtol=1e-13, atol=1e-15)
 
+    @pytest.mark.parametrize("h", [0.1, 0.015])
+    def test_element_mean_is_bitwise_the_row_mean(self, h):
+        mesh = generate_lshape(1.0, 0.4, h)
+        field = np.random.default_rng(3).normal(size=mesh.num_nodes) * 1e3
+        np.testing.assert_array_equal(mesh.element_mean(field),
+                                      field[mesh.elements].mean(axis=1))
+
     def test_boundary_nodes_lie_on_two_edges(self, lshape_coarse):
         pairs = lshape_coarse.boundary_edge_nodes()
         ids, counts = np.unique(pairs, return_counts=True)

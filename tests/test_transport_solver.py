@@ -257,7 +257,7 @@ class TestStepOperator:
     """The Picard operator filled into the fixed CSR pattern against the
     independently assembled K, C and F."""
 
-    def make_problem(self, mesh, mortar):
+    def make_problem(self, mesh, mortar, **options):
         robin = {
             BoundaryTag.EXT: ts.RobinBC(8.0, 5.6e-8, -4.0, 0.9),
             BoundaryTag.INT: ts.RobinBC(7.7, 2.5e-8, 20.0, 0.55),
@@ -265,10 +265,19 @@ class TestStepOperator:
         flux = {BoundaryTag.EXT: ts.BoundaryFlux(
             q_heat=35.0, q_moist=2e-4)}
         return ts.TransportProblem(mesh, ts.KunzelCoefficients(mortar),
-                                   robin=robin, flux=flux)
+                                   robin=robin, flux=flux, **options)
 
     def test_fixed_pattern_matches_assembly(self, lshape_coarse, mortar):
-        mesh = lshape_coarse
+        self.check_operator(lshape_coarse, mortar, lumped=False,
+                            dirichlet=False)
+
+    @pytest.mark.parametrize("lumped, dirichlet", [(True, False),
+                                                   (False, True)])
+    def test_fixed_pattern_matches_lumped_and_dirichlet(
+            self, lshape_coarse, mortar, lumped, dirichlet):
+        self.check_operator(lshape_coarse, mortar, lumped, dirichlet)
+
+    def check_operator(self, mesh, mortar, lumped, dirichlet):
         n = mesh.num_nodes
         x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
         theta = 6.0 + 5.0 * x - 4.0 * y
@@ -276,7 +285,12 @@ class TestStepOperator:
         history = np.concatenate([theta - 0.5 * y, phi + 0.05 * x])
         suppressed = np.zeros(n, dtype=bool)
         suppressed[mesh.nodes_with_tag(BoundaryTag.EXT)[0]] = True
-        prob = self.make_problem(mesh, mortar)
+        options = {"lumped_capacity": lumped}
+        if dirichlet:
+            options.update(
+                dirichlet_theta=[(mesh.nodes_with_tag(BoundaryTag.A), 3.0)],
+                dirichlet_phi=[(mesh.nodes_with_tag(BoundaryTag.B), 0.6)])
+        prob = self.make_problem(mesh, mortar, **options)
         t, gdt = 7200.0, 1800.0
 
         f_base, rain = prob._step_loads(t)
@@ -297,6 +311,20 @@ class TestStepOperator:
         # rain reaches every wetted face node except the suppressed one
         wet = prob.assemble(theta, phi, t, suppressed_nodes=np.zeros(n, bool))
         assert np.count_nonzero(wet.F[n:] != sys.F[n:]) == 1
+        if lumped:
+            assert sys.C.count_nonzero() == 2 * n
+        if dirichlet:
+            # the systems the Picard iterates solve on the free dofs
+            assert 0 < len(prob._fixed) < 2 * n
+            vals = prob._dirichlet_at(t)
+            got = ts.apply_dirichlet(A, b, prob._free, prob._fixed, vals)
+            want = ts.apply_dirichlet(sp.csr_matrix(expect_A), expect_b,
+                                      prob._free, prob._fixed, vals)
+            np.testing.assert_allclose(got[0].toarray(), want[0].toarray(),
+                                       rtol=0.0,
+                                       atol=1e-12 * abs(expect_A).max())
+            np.testing.assert_allclose(got[1], want[1], rtol=1e-12,
+                                       atol=1e-12 * abs(expect_b).max())
 
     def test_step_result_meets_tolerance(self, lshape_coarse, mortar):
         # cold snap: the step needs several Picard iterates, so the
@@ -666,6 +694,42 @@ class TestFactorReuse:
         np.testing.assert_allclose(A @ result.r, b, atol=1e-9)
         assert result.factorisations == len(factorisations) - 1 == replaced
         assert (result.lu is wrong) != replaced
+
+    def test_gmres_on_a_perturbed_factor(self):
+        # the kept factor is of a perturbed matrix, so its answer alone
+        # misses _ETA and GMRES needs more than one iteration
+        n = 60
+        rng = np.random.default_rng(2)
+        A = sp.diags([-np.ones(n - 1), np.linspace(2.5, 4.0, n),
+                      -np.ones(n - 1)], [-1, 0, 1], format="csr")
+        lu = ts.SparseLU(A + sp.diags(rng.uniform(0.0, 4.0, n)))
+        rhs = np.sin(np.arange(n, dtype=float))
+        weights = np.where(np.arange(n) < n // 2, 1.0, 50.0)
+        x = ts._gmres(A, lu, rhs, weights)
+        assert x is not None
+        res = np.linalg.norm(weights * (rhs - A @ x))
+        assert res <= ts._ETA * np.linalg.norm(weights * rhs)
+
+        # reference: the least-squares minimiser over the first Krylov
+        # space that meets _ETA, from an orthonormal basis of
+        # LU^-1 W^-1 K_m(W A LU^-1 W^-1, r0)
+        x0 = lu.solve(rhs)
+        r0 = weights * (rhs - A @ x0)
+        tol = ts._ETA * np.linalg.norm(weights * rhs)
+        assert np.linalg.norm(r0) > tol
+        krylov = [r0]
+        for m in range(1, ts._KRYLOV_MAX + 1):
+            q = np.linalg.qr(np.stack(krylov, axis=1))[0]
+            Z = np.stack([lu.solve(c / weights) for c in q.T], axis=1)
+            y = np.linalg.lstsq(weights[:, None] * (A @ Z), r0,
+                                rcond=None)[0]
+            ref = x0 + Z @ y
+            if np.linalg.norm(weights * (rhs - A @ ref)) <= tol:
+                break
+            krylov.append(weights * (A @ lu.solve(krylov[-1] / weights)))
+        assert m == 3
+        np.testing.assert_allclose(x, ref, rtol=1e-12,
+                                   atol=1e-12 * abs(ref).max())
 
     def test_failed_step_keeps_no_factor(self, lshape_coarse,
                                          factorisations):
