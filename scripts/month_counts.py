@@ -12,6 +12,9 @@ config, in this process with the BLAS and OpenMP thread counts pinned to
 - ``halvings`` and ``factorisations``: the sums of ``RunSummary.halvings``
   and of ``RunSummary.factorisations``, the transport LU factorisations
   of the substeps that succeeded;
+- ``mechanics_factorisations``: the sum of
+  ``RunSummary.mechanics_factorisations``, the LU factorisations of the
+  reduced mechanics stiffness;
 - ``wall_s``: wall seconds of the ``driver.run`` call;
 - ``sha256``: the SHA-256 of the probe CSV of the run's records;
 - ``failed_substeps``: for each substep that failed and was halved, its
@@ -74,6 +77,8 @@ def main() -> None:
         "steps_ge30": int((picard >= 30).sum()),
         "halvings": int(summary.halvings.sum()),
         "factorisations": int(summary.factorisations.sum()),
+        "mechanics_factorisations":
+            int(summary.mechanics_factorisations.sum()),
         "wall_s": round(wall, 2),
         "sha256": sha,
         "failed_substeps": [

@@ -17,7 +17,10 @@ class SparsePattern:
     ``weights[k]`` times its coefficient there; entries at one position
     sum. The entries are listed by coefficient: the first ``counts[0]``
     scale ``coefs[0]``, the next ``counts[1]`` scale ``coefs[1]``, and so
-    on. The map is a CSC matrix with a row per CSR slot and a column per
+    on. With ``take``, the position lists are indexed by it instead:
+    entry k lies at ``(rows[take[k]], cols[take[k]])``, so blocks of
+    entries that repeat one set of positions list and sort it once. The
+    map is a CSC matrix with a row per CSR slot and a column per
     coefficient; its columns hold the entries in the listed order and its
     column pointers are the running counts, so only the pattern itself
     needs a sort. ``weights`` is held as the map's data, not copied.
@@ -26,9 +29,10 @@ class SparsePattern:
     """
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray,
-                 counts: np.ndarray, weights: np.ndarray, n: int):
+                 counts: np.ndarray, weights: np.ndarray, n: int,
+                 take: np.ndarray | None = None):
         # what np.unique(keys, return_inverse=True) gives, with fewer int64
-        # copies of the entry list alive at once and int32 slots
+        # copies of the position list alive at once and int32 slots
         keys = rows * n + cols
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
@@ -41,6 +45,8 @@ class SparsePattern:
         slots[order] = np.cumsum(first, dtype=np.int32)
         slots -= 1
         del order, first
+        if take is not None:
+            slots = slots[take]
         self._indices = (pattern % n).astype(np.int32)
         self._indptr = np.searchsorted(pattern,
                                        np.arange(n + 1) * n).astype(np.int32)
@@ -70,10 +76,12 @@ class SparseLU:
     """Direct solver for one sparse matrix that keeps its LU factor.
 
     The factorisation runs at the first solve and later solves reuse it,
-    so a fresh SparseLU costs what a one-off solve does. The matrices of
-    this package are structurally symmetric, so the fill-reducing order
-    is minimum degree on A + A^T with pivots kept on the diagonal where
-    they are within 1 % of the column's largest entry.
+    so a fresh SparseLU costs what a one-off solve does. ``solve`` takes
+    one right-hand side of shape (n,), or k of them as the columns of an
+    (n, k) array, solved in one call. The matrices of this package are
+    structurally symmetric, so the fill-reducing order is minimum degree
+    on A + A^T with pivots kept on the diagonal where they are within 1 %
+    of the column's largest entry.
     """
 
     def __init__(self, A: sp.spmatrix):
@@ -97,8 +105,10 @@ class SparseLU:
 
 
 def solve_sparse(A: sp.spmatrix | SparseLU, b: np.ndarray) -> np.ndarray:
-    """Direct sparse solve; raises SingularSystemError on a singular matrix.
+    """Direct sparse solve; raises SingularSystemError on a singular matrix
+    or on a solution with a value that is not finite.
 
-    ``A`` is a sparse matrix, or a SparseLU whose factor is reused.
+    ``A`` is a sparse matrix, or a SparseLU whose factor is reused. ``b``
+    has shape (n,), or (n, k) for k right-hand sides at once.
     """
     return (A if isinstance(A, SparseLU) else SparseLU(A)).solve(b)

@@ -288,6 +288,7 @@ class RunSummary:
     pore_pressure_history: np.ndarray   # (steps + 1, E), Pa
     picard_iterations: np.ndarray   # (steps,)
     factorisations: np.ndarray      # (steps,) transport LU factorisations
+    mechanics_factorisations: np.ndarray    # (steps,) mechanics LU factorisations
     halvings: np.ndarray            # (steps,) failed substeps halved
     nonlocal_pairs: int             # centroid pairs within 3 l_intl
     outputs: list[Path] = field(default_factory=list)
@@ -371,6 +372,7 @@ def run(config: dict | str | Path | None = None,
     pressure_history = np.zeros((steps + 1, e))
     picard = np.zeros(steps, dtype=np.int64)
     factorisations = np.zeros(steps, dtype=np.int64)
+    mech_factorisations = np.zeros(steps, dtype=np.int64)
     halvings = np.zeros(steps, dtype=np.int64)
     averager = _node_averager(mesh)
     probe_rows = averager[probe_nodes]
@@ -406,6 +408,7 @@ def run(config: dict | str | Path | None = None,
         pressure_history[k] = p_p
         picard[k - 1] = state.picard_iterations
         factorisations[k - 1] = state.factorisations
+        mech_factorisations[k - 1] = mstate.factorisations
         halvings[k - 1] = state.halvings
 
         if k % outcfg["probe_every"] == 0 or k == steps:
@@ -434,7 +437,7 @@ def run(config: dict | str | Path | None = None,
         outputs.append(probe_path)
     return RunSummary(cfg, mesh, state, mstate, probe_nodes, records,
                       damage_history, kappa_history, pressure_history,
-                      picard, factorisations, halvings,
+                      picard, factorisations, mech_factorisations, halvings,
                       mechanics.averager.num_pairs, outputs)
 
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import lapack, lu_factor, lu_solve
 
 from ._linalg import SparseLU, SparsePattern, apply_dirichlet, solve_sparse
 from .errors import InvalidParametersError
@@ -28,6 +29,15 @@ from .mesh import BoundaryTag, Mesh
 
 # Voigt vector of an isotropic unit strain or stress in 2-D
 _IDENTITY = np.array([1.0, 1.0, 0.0])
+
+# free dofs the capacitance correction may span before the stiffness is
+# factorised afresh; the damage of the 744 h reference month stays
+# within it
+MAX_CORRECTED_DOFS = 96
+# reciprocal 1-norm condition estimate of the capacitance matrix below
+# which the correction, whose relative error grows as eps / rcond, is
+# dropped and the stiffness factorised afresh
+MIN_CAPACITANCE_RCOND = 1e-10
 
 
 def biot_coefficient(n: float) -> float:
@@ -201,6 +211,7 @@ class MechState:
     d_w: np.ndarray             # (E,) damage in [0, 1]
     converged: bool = True
     iterations: int = 0
+    factorisations: int = 0     # LU factorisations of the reduced stiffness
 
     @classmethod
     def zero(cls, mesh: Mesh) -> "MechState":
@@ -216,14 +227,28 @@ class MechanicsProblem:
     (dof ids, values); dof 2i is u_x of node i, dof 2i + 1 is u_y. A dof
     listed twice keeps its first value.
 
-    The problem keeps the LU factor of its last reduced stiffness together
-    with the per-element stiffness factor it came from. A damage iteration
-    whose factor array equals the kept one, value for value, reuses that
-    LU instead of factorising again, and builds neither the stiffness nor
-    its reduction: the load is reduced with the kept free-by-constrained
-    block. The matrices are then the same, so the displacements are
-    bitwise those of a fresh factorisation. Once damage moves, the next
-    iteration factorises again.
+    The problem keeps one LU factor of the reduced stiffness K_b = K(f_b),
+    where f_b is the per-element stiffness factor of the first solve, for
+    as long as it can. Let M be the elements whose factor f differs from
+    f_b, S the free dofs of M, P_S the matrix that selects them and D the
+    S block of sum_{e in M} (f_e - f_b,e) KE_e. Then the capacitance
+    (Sherman-Morrison-Woodbury) identity gives
+
+        u = x0 - Z (I + D Z_S)^-1 D x0_S,  x0 = K_b^-1 b,  Z = K_b^-1 P_S,
+
+    and prescribed displacements that are not zero lift the load through
+    the same element differences. Damage never decreases, so S only
+    grows: each column of Z is solved once, when its dof joins S, in the
+    same multi-column solve as that iteration's load, and every damage
+    iteration makes one ``solve_sparse`` call. The small LU of
+    I + D Z_S is kept with the factor array it is for, so an iteration
+    whose factor equals the last one's costs one sparse solve. The
+    stiffness is factorised afresh, and S emptied, when S would pass
+    ``MAX_CORRECTED_DOFS`` dofs or the capacitance matrix is
+    ill-conditioned; the latter finds out after its solve and makes a
+    second one. Solves with f equal to f_b build neither the stiffness
+    nor its reduction, and give bitwise the displacements of a fresh
+    factorisation.
     """
 
     def __init__(self, mesh: Mesh, params: MechParams,
@@ -270,11 +295,19 @@ class MechanicsProblem:
                 "body motion")
         self._free = np.setdiff1d(np.arange(2 * mesh.num_nodes),
                                   self.constraint_dofs)
-        # LU of the reduced stiffness, the stiffness factor it is for and
-        # the free-by-constrained block of that stiffness
+        free_index = np.full(2 * mesh.num_nodes, -1, dtype=np.int64)
+        free_index[self._free] = np.arange(len(self._free))
+        self._element_free = free_index[dofs]     # (E, 6), -1 if constrained
+        self._prescribed = np.zeros(2 * mesh.num_nodes)
+        self._prescribed[self.constraint_dofs] = self.constraint_values
+        # set by the first solve: the LU of the base reduced stiffness, the
+        # stiffness factor f_b it is for, the free-by-constrained block of
+        # that stiffness, S as free indices in the order they joined,
+        # Z = K_b^-1 P_S, and (factor, D, lift, LU of I + D Z_S) of the
+        # last correction
         self._lu: SparseLU | None = None
-        self._lu_factor: np.ndarray | None = None
-        self._a_fc: sp.csr_matrix | None = None
+        self._base = self._a_fc = self._s = self._z = None
+        self._capacitance = None
 
     # -- pieces -------------------------------------------------------------
 
@@ -314,6 +347,75 @@ class MechanicsProblem:
         factor = np.maximum(1.0 - d_w, self.params.residual_stiffness)
         return factor[:, None] * (eps @ self.D.T)
 
+    # -- kept factor and its correction ------------------------------------
+
+    def _factorise(self, factor: np.ndarray, F: np.ndarray) -> np.ndarray:
+        """Make ``factor`` the base: factorise its reduced stiffness, empty
+        S, and return the reduced load."""
+        K = self._stiffness(factor)
+        A, b = apply_dirichlet(K, F, self._free, self.constraint_dofs,
+                               self.constraint_values)
+        self._lu, self._base = SparseLU(A), factor
+        self._a_fc = K[self._free][:, self.constraint_dofs]
+        self._s = np.zeros(0, dtype=np.int64)
+        self._z = np.zeros((len(self._free), 0))
+        self._capacitance = None
+        return b
+
+    def _corrected_solve(self, factor: np.ndarray,
+                         F: np.ndarray) -> np.ndarray | None:
+        """Free displacements under ``factor`` from the kept LU and the
+        capacitance correction of the elements whose factor moved off the
+        base; None when the stiffness must be factorised afresh."""
+        # the reduction apply_dirichlet makes, on the kept matrix
+        b = F[self._free] - self._a_fc @ self.constraint_values
+        moved = np.nonzero(factor != self._base)[0]
+        if not len(moved):
+            return solve_sparse(self._lu, b)
+        kept = self._capacitance
+        if kept is not None and np.array_equal(factor, kept[0]):
+            s, new = self._s, ()
+            _, D, lift, lu = kept
+        else:
+            lu = None
+            local = self._element_free[moved]
+            place = np.full(len(b), -1, dtype=np.int64)     # place in S
+            place[self._s] = np.arange(len(self._s))
+            touched = np.unique(local[local >= 0])
+            new = touched[place[touched] < 0]
+            s = np.concatenate([self._s, new])
+            if len(s) > MAX_CORRECTED_DOFS:
+                return None
+            place[new] = np.arange(len(self._s), len(s))
+            k = len(s)
+            at = np.where(local >= 0, place[local], -1)     # (m, 6)
+            delta = (factor - self._base)[moved, None, None] * self.KE[moved]
+            pairs = (at[:, :, None] >= 0) & (at[:, None, :] >= 0)
+            D = np.bincount((at[:, :, None] * k + at[:, None, :])[pairs],
+                            delta[pairs], minlength=k * k).reshape(k, k)
+            lift = np.einsum("eij,ej->ei", delta,
+                             self._prescribed[self.dofs[moved]])
+            lift = np.bincount(at[at >= 0], lift[at >= 0], minlength=k)
+        b[s] -= lift
+        if len(new):
+            rhs = np.zeros((len(b), 1 + len(new)), order="F")
+            rhs[:, 0] = b
+            rhs[new, np.arange(1, 1 + len(new))] = 1.0
+            x = solve_sparse(self._lu, rhs)
+            self._z = np.concatenate([self._z, x[:, 1:]], axis=1)
+            self._s = s
+            x = x[:, 0]
+        else:
+            x = solve_sparse(self._lu, b)
+        if lu is None:
+            C = np.eye(len(s)) + D @ self._z[s]
+            lu = lu_factor(C, check_finite=False)
+            rcond, _ = lapack.dgecon(lu[0], np.abs(C).sum(axis=0).max())
+            if rcond < MIN_CAPACITANCE_RCOND:
+                return None
+            self._capacitance = (factor, D, lift, lu)
+        return x - self._z @ lu_solve(lu, D @ x[s], check_finite=False)
+
     # -- equilibrium --------------------------------------------------------
 
     def solve(self, theta=None, theta_ref: float = 0.0, p_p=None,
@@ -340,20 +442,17 @@ class MechanicsProblem:
         u = prev.u.copy()
         kappa = kappa_floor.copy()
         converged = False
-        iterations = 0
+        iterations = factorisations = 0
         for iterations in range(1, max_iter + 1):
             factor = np.maximum(1.0 - d, self.params.residual_stiffness)
             F = self._loads(factor, p_p, eps_th)
-            if self._lu is None or not np.array_equal(factor, self._lu_factor):
-                K = self._stiffness(factor)
-                A, b = apply_dirichlet(K, F, self._free, self.constraint_dofs,
-                                       self.constraint_values)
-                self._lu, self._lu_factor = SparseLU(A), factor
-                self._a_fc = K[self._free][:, self.constraint_dofs]
-            else:
-                # the reduction apply_dirichlet makes, on the kept matrix
-                b = F[self._free] - self._a_fc @ self.constraint_values
-            u[self._free] = solve_sparse(self._lu, b)
+            u_free = None if self._lu is None \
+                else self._corrected_solve(factor, F)
+            if u_free is None:
+                b = self._factorise(factor, F)
+                u_free = solve_sparse(self._lu, b)
+                factorisations += 1
+            u[self._free] = u_free
             u[self.constraint_dofs] = self.constraint_values
             eq = mazars_equivalent_strain(self.strains(u))
             kappa = np.maximum(kappa_floor, self.averager(eq))
@@ -366,4 +465,4 @@ class MechanicsProblem:
             if delta < tol:
                 converged = True
                 break
-        return MechState(u, kappa, d, converged, iterations)
+        return MechState(u, kappa, d, converged, iterations, factorisations)

@@ -487,14 +487,20 @@ class TransportProblem:
         S9, M9 = self._unit_matrices()
         blocks = ((0, 0, M9), (0, 0, S9), (0, 1, S9), (1, 0, S9),
                   (1, 1, M9), (1, 1, S9))
-        rows, cols = self._block_entries(blocks)
+        # the six blocks lie on the four positions of _K_BLOCKS, so only
+        # those are listed and sorted, and each block takes its own
+        rows, cols = self._block_entries(_K_BLOCKS)
         diag = np.arange(2 * n)
+        nine = np.arange(9 * e, dtype=np.int32)
+        take = np.concatenate(
+            [nine + 9 * e * _K_BLOCKS.index(block[:2]) for block in blocks]
+            + [36 * e + diag.astype(np.int32)])
         block_coefs = len(blocks) * e
         self._pattern = SparsePattern(
             np.concatenate([rows, diag]), np.concatenate([cols, diag]),
             np.concatenate([np.full(block_coefs, 9), np.ones(2 * n, int)]),
             np.concatenate([unit.ravel() for _, _, unit in blocks]
-                           + [np.ones(2 * n)]), 2 * n)
+                           + [np.ones(2 * n)]), 2 * n, take)
 
         # edge nodes and lumped weights per tag that carries a condition;
         # the condition values are read live from self.robin / self.flux so

@@ -6,7 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from frostsim import cli, driver, transport_solver
+from frostsim import cli, driver, mechanics, transport_solver
 from frostsim.constitutive import TransportParams
 from frostsim.errors import ConfigError, StepFailureError
 from frostsim.ice import IceParams
@@ -397,6 +397,22 @@ class TestRun:
         assert per_step[0] >= 1
         assert per_step[1:].sum() < summary.picard_iterations[1:].sum()
         assert np.all(per_step <= summary.picard_iterations)
+
+    def test_mechanics_factorisations_per_step(self, tmp_path, monkeypatch):
+        made = []
+
+        class CountingLU(mechanics.SparseLU):
+            def __init__(self, A):
+                super().__init__(A)
+                made.append(self)
+
+        monkeypatch.setattr(mechanics, "SparseLU", CountingLU)
+        summary = driver.run(small_run_config(tmp_path, steps=3))
+        per_step = summary.mechanics_factorisations
+        assert per_step.shape == (3,)
+        assert per_step.sum() == len(made)
+        # the undamaged stiffness of the first step is kept
+        assert per_step[0] == 1
 
     def test_halvings_per_step(self, tmp_path, monkeypatch):
         step = transport_solver.TransportProblem.step

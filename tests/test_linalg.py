@@ -1,7 +1,10 @@
 import numpy as np
+import pytest
+import scipy.sparse as sp
 
 from frostsim import transport_solver as ts
-from frostsim._linalg import SparsePattern
+from frostsim._linalg import SparseLU, SparsePattern, solve_sparse
+from frostsim.errors import SingularSystemError
 
 
 def index_arrays(pattern):
@@ -43,3 +46,53 @@ class TestSparsePattern:
         assert pattern._scatter.shape[1] == 6 * e + 2 * n
         assert pattern._scatter.nnz == 54 * e + 2 * n
         assert not hasattr(prob, "_S9")
+
+    def test_step_operator_map_sorts_distinct_positions_once(
+            self, lshape_coarse, mortar):
+        # the map listing all six blocks with their own positions, as the
+        # pattern once was built, is bitwise the one built from the four
+        # distinct positions
+        prob = ts.TransportProblem(lshape_coarse,
+                                   ts.KunzelCoefficients(mortar))
+        S9, M9 = prob._unit_matrices()
+        blocks = ((0, 0, M9), (0, 0, S9), (0, 1, S9), (1, 0, S9),
+                  (1, 1, M9), (1, 1, S9))
+        rows, cols = prob._block_entries(blocks)
+        e, n = lshape_coarse.num_elements, lshape_coarse.num_nodes
+        diag = np.arange(2 * n)
+        listed = SparsePattern(
+            np.concatenate([rows, diag]), np.concatenate([cols, diag]),
+            np.concatenate([np.full(6 * e, 9), np.ones(2 * n, int)]),
+            np.concatenate([unit.ravel() for _, _, unit in blocks]
+                           + [np.ones(2 * n)]), 2 * n)
+        for got, want in zip(index_arrays(prob._pattern),
+                             index_arrays(listed)):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        assert prob._pattern._scatter.data.tobytes() \
+            == listed._scatter.data.tobytes()
+
+
+class TestMatrixRightHandSide:
+    @pytest.fixture()
+    def system(self):
+        rng = np.random.default_rng(11)
+        n = 40
+        A = sp.random(n, n, density=0.1, random_state=rng) \
+            + sp.identity(n) * n
+        return A.tocsr(), rng.normal(size=(n, 5))
+
+    def test_columns_match_single_solves(self, system):
+        A, B = system
+        lu = SparseLU(A)
+        X = solve_sparse(lu, B)
+        assert X.shape == B.shape
+        for j in range(B.shape[1]):
+            x = solve_sparse(A, B[:, j])
+            np.testing.assert_allclose(X[:, j], x, rtol=1e-14, atol=1e-14)
+
+    def test_non_finite_column_raises(self, system):
+        A, B = system
+        B[3, 2] = np.nan
+        with pytest.raises(SingularSystemError):
+            solve_sparse(SparseLU(A), B)

@@ -547,6 +547,154 @@ class TestFactorCache:
             assert state.u.tobytes() == fresh.u.tobytes()
 
 
+class TestCapacitance:
+    """Damage that stays local is applied as a capacitance correction to
+    the kept LU of the undamaged stiffness; the displacements match those
+    of a problem that factorises every damage state afresh."""
+
+    @staticmethod
+    def corner_load(mesh, radius=0.35, p=1e7, centre=(0.0, 0.0)):
+        r = np.hypot(*(mesh.centroids - centre).T)
+        return np.where(r < radius, p, 0.0)
+
+    @staticmethod
+    def factorised(monkeypatch, mesh, params, loads, constraints=None):
+        """States of the loads in turn, each starting from the last, with
+        every damage state factorised afresh."""
+        monkeypatch.setattr(mech, "MAX_CORRECTED_DOFS", 0)
+        prob = mech.MechanicsProblem(mesh, params, constraints)
+        states, prev = [], None
+        for load in loads:
+            prev = prob.solve(prev=prev, **load)
+            states.append(prev)
+        return states
+
+    @staticmethod
+    def assert_close(u, want, rtol):
+        assert np.max(np.abs(u - want)) <= rtol * np.max(np.abs(want))
+
+    def test_localised_damage_keeps_one_factor(self, lshape_coarse,
+                                               monkeypatch):
+        mesh, params = lshape_coarse, mech.MechParams()
+        prob = mech.MechanicsProblem(mesh, params)
+        p_p = self.corner_load(mesh)
+        state = prob.solve(p_p=p_p)
+        assert 0 < np.count_nonzero(state.d_w) < mesh.num_elements // 4
+        assert state.iterations > 2 and state.factorisations == 1
+        after = prob.solve(p_p=1.2 * p_p, prev=state)
+        assert np.any(after.d_w > state.d_w) and after.factorisations == 0
+        want = self.factorised(monkeypatch, mesh, params,
+                               [dict(p_p=p_p), dict(p_p=1.2 * p_p)])
+        self.assert_close(state.u, want[0].u, 1e-12)
+        self.assert_close(after.u, want[1].u, 1e-12)
+        assert want[0].factorisations == state.iterations
+
+    def test_prescribed_displacements_and_body_force(self, lshape_coarse,
+                                                      monkeypatch):
+        mesh = lshape_coarse
+        bnd = mesh.nodes_with_tag(BoundaryTag.A)
+        dofs = np.concatenate([2 * bnd, 2 * bnd + 1])
+        vals = np.concatenate([np.zeros(len(bnd)), 1e-7 * mesh.nodes[bnd, 1]])
+        params = mech.MechParams(body_force=(3e3, -2e4))
+        prob = mech.MechanicsProblem(mesh, params, constraints=(dofs, vals))
+        theta = np.linspace(12.0, 18.0, mesh.num_nodes)
+        # pore pressure at the supported end of the x leg: the lift runs
+        # through damaged elements on the edge
+        loads = [dict(p_p=self.corner_load(mesh, centre=(1.0, 0.0)),
+                      theta=theta, theta_ref=14.0),
+                 dict(p_p=self.corner_load(mesh, p=1.3e7, centre=(1.0, 0.0)))]
+        states, prev = [], None
+        for load in loads:
+            prev = prob.solve(prev=prev, **load)
+            states.append(prev)
+        assert np.count_nonzero(states[-1].d_w) > 0
+        damaged_nodes = mesh.elements[states[-1].d_w > 0].ravel()
+        assert np.intersect1d(damaged_nodes, bnd).size > 0
+        assert [s.factorisations for s in states] == [1, 0]
+        want = self.factorised(monkeypatch, mesh, params, loads, (dofs, vals))
+        for state, fresh in zip(states, want):
+            self.assert_close(state.u, fresh.u, 1e-12)
+
+    def test_one_solve_per_damage_iteration(self, lshape_coarse,
+                                            monkeypatch):
+        calls = []
+
+        def counting(A, b):
+            calls.append(np.shape(b))
+            return solve_sparse(A, b)
+
+        solve_sparse = mech.solve_sparse
+        monkeypatch.setattr(mech, "solve_sparse", counting)
+        prob = mech.MechanicsProblem(lshape_coarse, mech.MechParams())
+        state = prob.solve(p_p=self.corner_load(lshape_coarse))
+        assert len(calls) == state.iterations > 2
+        # the Z columns of new dofs ride along with the load
+        assert any(len(shape) == 2 for shape in calls)
+
+    def test_band_at_residual_stiffness(self, lshape_coarse, monkeypatch):
+        # a band of fully damaged elements across the x leg leaves its end
+        # held by the residual stiffness only
+        mesh, params = lshape_coarse, mech.MechParams()
+        x = mesh.centroids[:, 0]
+        band = (x > 0.6) & (x < 0.7)
+        prev = mech.MechState(np.zeros(2 * mesh.num_nodes),
+                              np.where(band, params.eps_f, 0.0),
+                              np.where(band, 1.0, 0.0))
+        loads = [dict(), dict(p_p=np.full(mesh.num_elements, 1e5), prev=prev)]
+        prob = mech.MechanicsProblem(mesh, params)
+        states = [prob.solve(**load) for load in loads]
+        assert states[1].iterations == 1 and states[1].factorisations == 0
+        monkeypatch.setattr(mech, "MAX_CORRECTED_DOFS", 0)
+        fresh = mech.MechanicsProblem(mesh, params).solve(**loads[1])
+        self.assert_close(states[1].u, fresh.u, 1e-9)
+
+    def test_crossing_the_cap_rebases_once(self, lshape_coarse,
+                                           monkeypatch):
+        # damage prescribed through prev on growing sets of elements
+        # nearest the corner, under a load too small to add to it
+        mesh, params = lshape_coarse, mech.MechParams()
+        order = np.argsort(np.hypot(mesh.centroids[:, 0],
+                                    mesh.centroids[:, 1]))
+        kappa = 0.5 * (params.eps_0 + params.eps_f)
+        p_p = np.full(mesh.num_elements, 1e5)
+
+        def damaged(count):
+            d = np.zeros(mesh.num_elements)
+            d[order[:count]] = mech.damage_function(kappa, params.eps_0,
+                                                    params.eps_f)
+            return mech.MechState(np.zeros(2 * mesh.num_nodes),
+                                  np.where(d > 0.0, kappa, 0.0), d)
+
+        monkeypatch.setattr(mech, "MAX_CORRECTED_DOFS", 20)
+        prob = mech.MechanicsProblem(mesh, params)
+        counts = [4, 8, 16, 18]
+        states = [prob.solve(p_p=p_p)] + [prob.solve(p_p=p_p, prev=damaged(c))
+                                          for c in counts]
+        for count, state in zip(counts, states[1:]):
+            assert state.iterations == 1
+            np.testing.assert_array_equal(state.d_w, damaged(count).d_w)
+        sizes = [s.factorisations for s in states]
+        assert sizes == [1, 0, 0, 1, 0]
+        for count, state in zip(counts, states[1:]):
+            monkeypatch.setattr(mech, "MAX_CORRECTED_DOFS", 0)
+            fresh = mech.MechanicsProblem(mesh, params).solve(
+                p_p=p_p, prev=damaged(count))
+            self.assert_close(state.u, fresh.u, 1e-12)
+
+    def test_ill_conditioned_capacitance_factorises_afresh(
+            self, lshape_coarse, monkeypatch):
+        # with every capacitance matrix refused, each damaged iteration
+        # solves twice and ends on a fresh factor: bitwise the displacements
+        # of factorising every damage state
+        mesh, params = lshape_coarse, mech.MechParams()
+        p_p = self.corner_load(mesh)
+        monkeypatch.setattr(mech, "MIN_CAPACITANCE_RCOND", np.inf)
+        state = mech.MechanicsProblem(mesh, params).solve(p_p=p_p)
+        assert state.factorisations == state.iterations
+        fresh = self.factorised(monkeypatch, mesh, params, [dict(p_p=p_p)])[0]
+        assert state.u.tobytes() == fresh.u.tobytes()
+
+
 class TestLoads:
     def test_equal_to_sequential_scatter(self, lshape_coarse):
         """The one-bincount load vector is bitwise the sum np.add.at makes
