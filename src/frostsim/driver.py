@@ -15,13 +15,14 @@ ASCII VTK snapshots of all fields.
 from __future__ import annotations
 
 import copy
+import functools
 import json
 import math
+import operator
 from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 import scipy.sparse as sp
 
@@ -86,37 +87,89 @@ def _data_file(name: str) -> Path:
     return Path(resources.files("frostsim.data").joinpath(name))
 
 
+@functools.cache
 def _schema() -> dict:
+    """The bundled config schema, parsed on first use; callers must not
+    change it."""
     with open(_data_file("config_schema.json"), encoding="utf-8") as fh:
         return json.load(fh)
 
 
-def _merge_defaults(defaults, overrides, where="config"):
-    if isinstance(defaults, dict):
-        if not isinstance(overrides, dict):
-            raise ConfigError(f"{where} must be an object")
-        merged = {}
-        for key, base in defaults.items():
-            if key in overrides:
-                merged[key] = _merge_defaults(base, overrides[key],
-                                              f"{where}.{key}")
-            else:
-                merged[key] = copy.deepcopy(base)
-        return merged
-    return copy.deepcopy(overrides)
+# JSON types as draft 2020-12 defines them: a bool is neither a number
+# nor an integer, and a float with no fractional part is an integer.
+_PY_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
+             "null": type(None)}
+_BOUNDS = (
+    ("minimum", operator.lt, "less than the minimum of"),
+    ("exclusiveMinimum", operator.le, "less than or equal to the minimum of"),
+    ("maximum", operator.gt, "greater than the maximum of"),
+    ("exclusiveMaximum", operator.ge,
+     "greater than or equal to the maximum of"),
+)
+# every keyword _conform acts on, and the annotations it may ignore
+_SCHEMA_KEYWORDS = frozenset(
+    ["type", "enum", "properties", "additionalProperties", "items",
+     "minItems", "maxItems", "$schema", "title", "description"]
+    + [key for key, _, _ in _BOUNDS])
 
 
-def _non_finite(value, path: str = ""):
-    """Paths of the NaN and infinite numbers in a parsed JSON value, which
-    Python's json reads but no schema bound rejects."""
+def _is_type(value, name: str) -> bool:
+    if name in ("number", "integer"):
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and (name == "number" or isinstance(value, int)
+                     or value.is_integer()))
+    return isinstance(value, _PY_TYPES[name])
+
+
+def _conform(value, schema: dict, path: tuple, errors: list):
+    """Check ``value`` against ``schema`` in one walk.
+
+    Appends ``(path, message)`` for each violation and for each NaN or
+    infinite number, which Python's json reads but no schema bound
+    rejects. Knows the keywords in _SCHEMA_KEYWORDS, and
+    ``additionalProperties`` only as ``false``. Returns a copy of
+    ``value`` with each schema integer as an ``int``.
+    """
+    if isinstance(value, float) and not math.isfinite(value):
+        errors.append((path, "numbers must be finite"))
+        return value
+    names = schema.get("type", ())
+    names = [names] if isinstance(names, str) else names
+    if names and not any(_is_type(value, name) for name in names):
+        errors.append((path, f"{value!r} is not of type "
+                             + ", ".join(map(repr, names))))
+        return value
+    if "enum" in schema and value not in schema["enum"]:
+        errors.append((path, f"{value!r} is not one of {schema['enum']!r}"))
+    if _is_type(value, "number"):
+        for key, fails, words in _BOUNDS:
+            if key in schema and fails(value, schema[key]):
+                errors.append((path, f"{value!r} is {words} {schema[key]!r}"))
+        return int(value) if "integer" in names else value
     if isinstance(value, dict):
-        for key, item in value.items():
-            yield from _non_finite(item, f"{path}/{key}")
-    elif isinstance(value, list):
-        for i, item in enumerate(value):
-            yield from _non_finite(item, f"{path}/{i}")
-    elif isinstance(value, float) and not math.isfinite(value):
-        yield path.lstrip("/")
+        props = schema.get("properties", {})
+        extra = [key for key in value if key not in props]
+        if extra and schema.get("additionalProperties") is False:
+            errors.append((path, "unknown keys "
+                           + ", ".join(map(repr, extra))))
+        return {key: _conform(item, props[key], path + (key,), errors)
+                if key in props else item for key, item in value.items()}
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            errors.append((path, f"{value!r} is too short"))
+        if len(value) > schema.get("maxItems", math.inf):
+            errors.append((path, f"{value!r} is too long"))
+        items = schema.get("items", {})
+        return [_conform(item, items, path + (i,), errors)
+                for i, item in enumerate(value)]
+    return value
+
+
+def _merge_defaults(defaults, overrides):
+    if not isinstance(defaults, dict):
+        return overrides
+    return {key: _merge_defaults(base, overrides[key]) if key in overrides
+            else copy.deepcopy(base) for key, base in defaults.items()}
 
 
 def validate_config(config: dict, base_dir: str | Path | None = None) -> dict:
@@ -124,19 +177,18 @@ def validate_config(config: dict, base_dir: str | Path | None = None) -> dict:
 
     Relative file paths are resolved against ``base_dir`` (the config
     file's directory when loaded from disk, the working directory
-    otherwise). Returns the normalized full config.
+    otherwise). Returns the normalized full config, with each schema
+    integer as an ``int``.
     """
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
-    for spot in _non_finite(config):
-        raise ConfigError(f"invalid config at {spot}: numbers must be finite")
-    validator = jsonschema.Draft202012Validator(_schema())
-    errors = sorted(validator.iter_errors(config), key=lambda e: list(e.path))
+    errors: list = []
+    config = _conform(config, _schema(), (), errors)
     if errors:
-        spots = "; ".join(
-            "/".join(str(p) for p in err.absolute_path) or "(top level)"
-            for err in errors[:3])
-        raise ConfigError(f"invalid config at {spots}: {errors[0].message}")
+        errors.sort(key=lambda err: err[0])
+        spots = "; ".join("/".join(map(str, spot)) or "(top level)"
+                          for spot, _ in errors[:3])
+        raise ConfigError(f"invalid config at {spots}: {errors[0][1]}")
     cfg = _merge_defaults(DEFAULT_CONFIG, config)
 
     base = Path(base_dir) if base_dir is not None else Path.cwd()

@@ -266,7 +266,7 @@ class MechanicsProblem:
         B[:, 2, 0::2] = grads[:, :, 1]
         B[:, 2, 1::2] = grads[:, :, 0]
         self.B = B
-        self.KE = np.einsum("eai,ab,ebj->eij", B, self.D, B) \
+        self.KE = (B.transpose(0, 2, 1) @ (self.D @ B)) \
             * mesh.areas[:, None, None]       # undamaged element stiffness
 
         conn = mesh.elements

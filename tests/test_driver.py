@@ -1,7 +1,14 @@
 import copy
 import json
 import math
+import os
+import random
+import re
+import subprocess
+import sys
+from collections import Counter
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +21,7 @@ from frostsim.mechanics import MechParams, neighbour_pairs
 from frostsim.mesh import generate_lshape, generate_rectangle, load_mesh
 
 CLIMATE_HEADER = "time_h,theta_ext_C,phi_ext,rain_kg_m2_s,swr_W_m2"
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -46,6 +54,37 @@ def small_run_config(tmp_path, steps=2, **extra):
     }
     cfg.update(extra)
     return cfg
+
+
+# draft 2020-12 corner cases, each with the path it is rejected at or
+# None when it is valid
+EDGE_CASES = [
+    ({"time": {"dt_s": True}}, "time/dt_s"),
+    ({"time": {"steps": True}}, "time/steps"),
+    ({"numerics": {"lumped_capacity": 1}}, "numerics/lumped_capacity"),
+    ({"time": {"steps": 1.0}}, None),
+    ({"time": {"steps": 2.5}}, "time/steps"),
+    ({"mechanics": {"body_force": [0.0]}}, "mechanics/body_force"),
+    ({"mechanics": {"body_force": [0.0, -9.8, 0.0]}}, "mechanics/body_force"),
+    ({"mechanics": {"body_force": [0.0, "down"]}}, "mechanics/body_force/1"),
+    ({"probes": None}, None),
+    ({"probes": []}, None),
+    ({"probes": [-1]}, "probes/0"),
+    ({"probes": 3}, "probes"),
+    ({"material": {"capillary_exponent": "cubic"}},
+     "material/capillary_exponent"),
+    ({"material": {"capillary_exponent": None}},
+     "material/capillary_exponent"),
+    ({"material": {"capillary_exponent": "kunzel"}}, None),
+    ({"ice": {"n": 1.0}}, "ice/n"),
+    ({"ice": {"n": 0}}, "ice/n"),
+    ({"transfer": {"alpha_swr": 1}}, None),
+    ({"mesh": {"file": 3}}, "mesh/file"),
+    ({"mesh": None}, "mesh"),
+    ({"bogus": 1}, "(top level)"),
+    ({"bogus": 1, "extra": {}}, "(top level)"),
+    ({"numerics": {"relax": 0.5, "bogus": 1}}, "numerics"),
+]
 
 
 class TestDefaultConfig:
@@ -143,6 +182,147 @@ class TestValidateConfig:
     def test_non_object_rejected(self):
         with pytest.raises(ConfigError):
             driver.validate_config([1, 2, 3])
+
+    @pytest.mark.parametrize("fragment, spot", EDGE_CASES)
+    def test_edge_cases(self, fragment, spot):
+        if spot is None:
+            driver.validate_config(fragment)
+        else:
+            with pytest.raises(ConfigError,
+                               match=f"invalid config at {re.escape(spot)}: "):
+                driver.validate_config(fragment)
+
+    def test_integral_floats_become_ints(self):
+        cfg = driver.validate_config({
+            "time": {"steps": 3.0},
+            "numerics": {"picard_max_iter": 5.0, "damage_max_iter": 3.0},
+            "output": {"probe_every": 2.0}, "probes": [1.0, 4]})
+        values = [cfg["time"]["steps"], cfg["numerics"]["picard_max_iter"],
+                  cfg["numerics"]["damage_max_iter"],
+                  cfg["output"]["probe_every"], *cfg["probes"]]
+        assert values == [3, 5, 3, 2, 1, 4]
+        assert all(type(v) is int for v in values)
+        # number fields keep what they were given
+        cfg = driver.validate_config({"time": {"dt_s": 60.0, "gamma": 1}})
+        assert type(cfg["time"]["dt_s"]) is float
+        assert type(cfg["time"]["gamma"]) is int
+
+    def test_caller_config_left_unchanged(self):
+        fragment = {"time": {"steps": 2.0}, "probes": [1.0]}
+        cfg = driver.validate_config(fragment)
+        assert fragment == {"time": {"steps": 2.0}, "probes": [1.0]}
+        assert type(fragment["time"]["steps"]) is float
+        cfg["probes"].append(7)
+        assert fragment["probes"] == [1.0]
+
+    def test_at_most_three_paths_sorted(self):
+        fragment = {"time": {"steps": 0, "gamma": 2.0, "dt_s": -1.0},
+                    "mesh": {"h": 0}}
+        with pytest.raises(ConfigError) as info:
+            driver.validate_config(fragment)
+        assert str(info.value).startswith(
+            "invalid config at mesh/h; time/dt_s; time/gamma: 0 is ")
+
+
+def random_fragment(rng: random.Random, schema: dict):
+    """A value near what ``schema`` accepts: mostly of the right shape,
+    sometimes of the wrong type, at or past a bound or with unknown keys.
+    Every number is finite; jsonschema does not check that."""
+    if rng.random() < 0.08:
+        return rng.choice([None, True, False, 0, 1, -1, 0.5, 2.0, 1e300,
+                           "x", "", [], {}, [1.0], {"a": 1}])
+    if "enum" in schema:
+        return rng.choice(schema["enum"] + ["other", 3, None])
+    kind = schema.get("type")
+    if isinstance(kind, list):
+        kind = rng.choice(kind)
+    if kind == "object":
+        props = schema["properties"]
+        keys = rng.sample(sorted(props), rng.randint(0, min(4, len(props))))
+        value = {key: random_fragment(rng, props[key]) for key in keys}
+        if rng.random() < 0.08:
+            value[rng.choice(["bogus", "Mesh", ""])] = 1
+        return value
+    if kind == "array":
+        return [random_fragment(rng, schema["items"])
+                for _ in range(rng.randint(0, 3))]
+    if kind in ("number", "integer"):
+        edge = rng.choice([schema[key] for key in (
+            "minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum")
+            if key in schema] or [0])
+        return rng.choice([edge, float(edge), edge + 1, edge - 1,
+                           edge + 0.5, edge - 1e-9, edge + 1e-9, 7.0, 2.5])
+    if kind == "string":
+        return rng.choice(["x", "spec02", ""])
+    if kind == "boolean":
+        return rng.choice([True, False])
+    return None
+
+
+def schema_nodes(schema: dict):
+    """``schema`` and every subschema in it."""
+    yield schema
+    for sub in schema.get("properties", {}).values():
+        yield from schema_nodes(sub)
+    if isinstance(schema.get("items"), dict):
+        yield from schema_nodes(schema["items"])
+
+
+class TestSchemaWalker:
+    def test_matches_jsonschema(self):
+        # jsonschema stays a test-only oracle for the walker
+        jsonschema = pytest.importorskip("jsonschema")
+        schema = driver._schema()
+        validator = jsonschema.Draft202012Validator(schema)
+        rng = random.Random(20201)
+        fragments = [fragment for fragment, _ in EDGE_CASES]
+        fragments += [random_fragment(rng, schema) for _ in range(5000)]
+        outcomes = Counter()
+        for fragment in fragments:
+            errors = []
+            driver._conform(fragment, schema, (), errors)
+            want = {tuple(err.absolute_path)
+                    for err in validator.iter_errors(fragment)}
+            assert {spot for spot, _ in errors} == want, fragment
+            outcomes[bool(want)] += 1
+        assert outcomes[True] > 1000 and outcomes[False] > 1000, outcomes
+
+    def test_schema_uses_only_known_keywords(self):
+        # a keyword the walker does not know (say "pattern") would be
+        # ignored without a word, so the schema may use none
+        schema = driver._schema()
+        assert set().union(*schema_nodes(schema)) <= driver._SCHEMA_KEYWORDS
+        for node in schema_nodes(schema):
+            assert node.get("additionalProperties", False) is False
+            kinds = node.get("type", [])
+            for kind in [kinds] if isinstance(kinds, str) else kinds:
+                assert kind in {*driver._PY_TYPES, "number", "integer"}
+        edited = copy.deepcopy(schema)
+        edited["properties"]["output"]["properties"]["probe_file"][
+            "pattern"] = "[.]csv$"
+        assert "pattern" in set().union(*schema_nodes(edited)) \
+            - driver._SCHEMA_KEYWORDS
+
+    def test_schema_parsed_once(self):
+        assert driver._schema() is driver._schema()
+
+
+def test_import_adds_only_stdlib():
+    # numpy and scipy are the set-up floor; the driver and the CLI may add
+    # nothing to it beyond frostsim and the standard library
+    script = (
+        "import sys\n"
+        "import numpy, scipy.sparse.linalg\n"
+        "before = set(sys.modules)\n"
+        "import frostsim.driver, frostsim.cli\n"
+        "allowed = sys.stdlib_module_names | {'frostsim'}\n"
+        "print(sorted(name for name in set(sys.modules) - before\n"
+        "             if name.split('.')[0] not in allowed))\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestLoadConfig:
@@ -497,6 +677,15 @@ class TestCli:
         assert cli.main(["check-config", str(path)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fragment", [
+        {"time": {"gamma": math.nan}}, {"time": {"steps": "many"}},
+        {"bogus": 1}])
+    def test_check_config_rejects_each_fault(self, tmp_path, capsys,
+                                             fragment):
+        path = write_config(tmp_path, fragment)
+        assert cli.main(["check-config", str(path)]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_run_nan_gamma_is_config_error(self, tmp_path, capsys):
         # JSON's NaN passes the schema's [0, 1] bounds on time.gamma;
         # validate_config rejects it before any model is built
@@ -521,6 +710,16 @@ class TestCli:
                          "--out", str(tmp_path / "out")])
         assert code == 2
         assert f"{spot}: numbers must be finite" in capsys.readouterr().err
+
+    def test_run_integral_float_iteration_caps(self, tmp_path, capsys):
+        # both caps used to reach range() as floats and raise TypeError
+        cfg = small_run_config(
+            tmp_path, steps=1,
+            numerics={"picard_max_iter": 5.0, "damage_max_iter": 3.0})
+        path = write_config(tmp_path, cfg)
+        assert cli.main(["run", "--config", str(path),
+                         "--out", str(tmp_path / "out")]) == 0
+        assert "completed 1 steps" in capsys.readouterr().out
 
     def test_run_writes_outputs(self, tmp_path, capsys):
         out = tmp_path / "results"
