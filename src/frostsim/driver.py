@@ -195,7 +195,8 @@ def validate_config(config: dict, base_dir: str | Path | None = None) -> dict:
     for section, key in (("mesh", "file"), ("ice", "psd_file"),
                          ("climate", "file")):
         value = cfg[section][key]
-        if value is None or value in ("spec01", "spec02"):
+        if value is None or (key == "psd_file"
+                             and value in ("spec01", "spec02")):
             continue
         if not Path(value).is_absolute():
             value = cfg[section][key] = str(base / value)

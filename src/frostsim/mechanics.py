@@ -145,17 +145,13 @@ class NonlocalAverager:
         areas = mesh.areas
         pairs = neighbour_pairs(centroids, 3.0 * length)
         e = mesh.num_elements
-        if len(pairs):
-            d2 = np.sum((centroids[pairs[:, 0]] - centroids[pairs[:, 1]]) ** 2,
-                        axis=1)
-            w = np.exp(-d2 / (2.0 * length ** 2))
-            rows = np.concatenate([pairs[:, 0], pairs[:, 1], np.arange(e)])
-            cols = np.concatenate([pairs[:, 1], pairs[:, 0], np.arange(e)])
-            vals = np.concatenate([w * areas[pairs[:, 1]],
-                                   w * areas[pairs[:, 0]], areas])
-        else:
-            rows = cols = np.arange(e)
-            vals = areas.copy()
+        d2 = np.sum((centroids[pairs[:, 0]] - centroids[pairs[:, 1]]) ** 2,
+                    axis=1)
+        w = np.exp(-d2 / (2.0 * length ** 2))
+        rows = np.concatenate([pairs[:, 0], pairs[:, 1], np.arange(e)])
+        cols = np.concatenate([pairs[:, 1], pairs[:, 0], np.arange(e)])
+        vals = np.concatenate([w * areas[pairs[:, 1]],
+                               w * areas[pairs[:, 0]], areas])
         W = sp.coo_matrix((vals, (rows, cols)), shape=(e, e)).tocsr()
         # dividing by the row sum, not multiplying by its inverse, makes a
         # row without neighbours exactly the identity row
@@ -231,16 +227,16 @@ class MechanicsProblem:
     where f_b is the per-element stiffness factor of the first solve, for
     as long as it can. Let M be the elements whose factor f differs from
     f_b, S the free dofs of M, P_S the matrix that selects them and D the
-    S block of sum_{e in M} (f_e - f_b,e) KE_e. Then the capacitance
-    (Sherman-Morrison-Woodbury) identity gives
+    S block of K(f) - K(f_b), which the stiffness map gives from f - f_b.
+    Then the capacitance (Sherman-Morrison-Woodbury) identity gives
 
         u = x0 - Z (I + D Z_S)^-1 D x0_S,  x0 = K_b^-1 b,  Z = K_b^-1 P_S,
 
     and prescribed displacements that are not zero lift the load through
-    the same element differences. Damage never decreases, so S only
-    grows: each column of Z is solved once, when its dof joins S, in the
-    same multi-column solve as that iteration's load, and every damage
-    iteration makes one ``solve_sparse`` call. The small LU of
+    the constrained columns of the same S rows. Damage never decreases, so
+    S only grows: each column of Z is solved once, when its dof joins S,
+    in the same multi-column solve as that iteration's load, and every
+    damage iteration makes one ``solve_sparse`` call. The small LU of
     I + D Z_S is kept with the factor array it is for, so an iteration
     whose factor equals the last one's costs one sparse solve. The
     stiffness is factorised afresh, and S emptied, when S would pass
@@ -301,37 +297,15 @@ class MechanicsProblem:
         self._prescribed = np.zeros(2 * mesh.num_nodes)
         self._prescribed[self.constraint_dofs] = self.constraint_values
         # set by the first solve: the LU of the base reduced stiffness, the
-        # stiffness factor f_b it is for, the free-by-constrained block of
-        # that stiffness, S as free indices in the order they joined,
-        # Z = K_b^-1 P_S, and (factor, D, lift, LU of I + D Z_S) of the
-        # last correction
+        # stiffness factor f_b it is for, the reduced load of the
+        # prescribed displacements, S as free indices in the order they
+        # joined, Z = K_b^-1 P_S, and (factor, D, lift, LU of I + D Z_S) of
+        # the last correction
         self._lu: SparseLU | None = None
-        self._base = self._a_fc = self._s = self._z = None
+        self._base = self._offset = self._s = self._z = None
         self._capacitance = None
 
     # -- pieces -------------------------------------------------------------
-
-    def _stiffness(self, factor: np.ndarray) -> sp.csr_matrix:
-        """sum_e factor_e KE_e scattered into the global stiffness."""
-        return self._pattern.matrix(factor)
-
-    def _loads(self, factor: np.ndarray, p_p: np.ndarray,
-               eps_th: np.ndarray) -> np.ndarray:
-        mesh = self.mesh
-        b = self.params.biot
-        # per-element Voigt stress-like load: pore pressure plus thermal
-        t_vec = (b * p_p)[:, None] * _IDENTITY[None, :] \
-            + factor[:, None] * eps_th[:, None] * (self.D @ _IDENTITY)[None, :]
-        fe = np.einsum("eai,ea->ei", self.B, t_vec) * mesh.areas[:, None]
-        dofs, vals = [self.dofs.ravel()], [fe.ravel()]
-        bf = self.params.body_force
-        if bf[0] != 0.0 or bf[1] != 0.0:
-            share = mesh.areas / 3.0
-            for comp in (0, 1):
-                dofs.append(2 * mesh.elements.ravel() + comp)
-                vals.append(np.repeat(share * bf[comp], 3))
-        return np.bincount(np.concatenate(dofs), np.concatenate(vals),
-                           minlength=2 * mesh.num_nodes)
 
     def strains(self, u: np.ndarray) -> np.ndarray:
         """Element Voigt strains (E, 3) from nodal displacements."""
@@ -349,28 +323,25 @@ class MechanicsProblem:
 
     # -- kept factor and its correction ------------------------------------
 
-    def _factorise(self, factor: np.ndarray, F: np.ndarray) -> np.ndarray:
-        """Make ``factor`` the base: factorise its reduced stiffness, empty
-        S, and return the reduced load."""
-        K = self._stiffness(factor)
-        A, b = apply_dirichlet(K, F, self._free, self.constraint_dofs,
-                               self.constraint_values)
+    def _factorise(self, factor: np.ndarray) -> None:
+        """Make ``factor`` the base: factorise its reduced stiffness, keep
+        the reduced load of the prescribed displacements, and empty S."""
+        A, self._offset = apply_dirichlet(
+            self._pattern.matrix(factor), np.zeros(2 * self.mesh.num_nodes),
+            self._free, self.constraint_dofs, self.constraint_values)
         self._lu, self._base = SparseLU(A), factor
-        self._a_fc = K[self._free][:, self.constraint_dofs]
         self._s = np.zeros(0, dtype=np.int64)
         self._z = np.zeros((len(self._free), 0))
         self._capacitance = None
-        return b
 
     def _corrected_solve(self, factor: np.ndarray,
                          F: np.ndarray) -> np.ndarray | None:
         """Free displacements under ``factor`` from the kept LU and the
         capacitance correction of the elements whose factor moved off the
         base; None when the stiffness must be factorised afresh."""
-        # the reduction apply_dirichlet makes, on the kept matrix
-        b = F[self._free] - self._a_fc @ self.constraint_values
-        moved = np.nonzero(factor != self._base)[0]
-        if not len(moved):
+        b = F[self._free] + self._offset
+        moved = factor != self._base
+        if not moved.any():
             return solve_sparse(self._lu, b)
         kept = self._capacitance
         if kept is not None and np.array_equal(factor, kept[0]):
@@ -379,23 +350,16 @@ class MechanicsProblem:
         else:
             lu = None
             local = self._element_free[moved]
-            place = np.full(len(b), -1, dtype=np.int64)     # place in S
-            place[self._s] = np.arange(len(self._s))
-            touched = np.unique(local[local >= 0])
-            new = touched[place[touched] < 0]
+            new = np.setdiff1d(local[local >= 0], self._s)
             s = np.concatenate([self._s, new])
             if len(s) > MAX_CORRECTED_DOFS:
                 return None
-            place[new] = np.arange(len(self._s), len(s))
-            k = len(s)
-            at = np.where(local >= 0, place[local], -1)     # (m, 6)
-            delta = (factor - self._base)[moved, None, None] * self.KE[moved]
-            pairs = (at[:, :, None] >= 0) & (at[:, None, :] >= 0)
-            D = np.bincount((at[:, :, None] * k + at[:, None, :])[pairs],
-                            delta[pairs], minlength=k * k).reshape(k, k)
-            lift = np.einsum("eij,ej->ei", delta,
-                             self._prescribed[self.dofs[moved]])
-            lift = np.bincount(at[at >= 0], lift[at >= 0], minlength=k)
+            # the S rows of K(f) - K(f_b): D is their S columns, and their
+            # constrained columns lift the load
+            at = self._free[s]
+            rows = self._pattern.matrix(factor - self._base)[at]
+            D = rows[:, at].toarray()
+            lift = rows @ self._prescribed
         b[s] -= lift
         if len(new):
             rhs = np.zeros((len(b), 1 + len(new)), order="F")
@@ -436,6 +400,19 @@ class MechanicsProblem:
         else:
             eps_th = np.zeros(e)
 
+        # element loads per unit area of a unit pore pressure and of a
+        # unit thermal strain, weighted by the element areas below; the
+        # pore pressure and the body force load every iteration alike, the
+        # thermal load scales with the stiffness factor
+        unit_p = np.einsum("a,eai->ei", _IDENTITY, self.B)
+        unit_th = np.einsum("a,eai->ei", self.D @ _IDENTITY, self.B)
+        body = np.tile(self.params.body_force, 3) * (mesh.areas / 3.0)[:, None]
+        dofs, n = self.dofs.ravel(), 2 * mesh.num_nodes
+        fixed = np.bincount(
+            dofs, ((self.params.biot * p_p * mesh.areas)[:, None] * unit_p
+                   + body).ravel(), minlength=n)
+        thermal = eps_th * mesh.areas
+
         kappa_floor = prev.kappa
         d = prev.d_w.copy()
         eps0 = self.params.eps_0
@@ -445,12 +422,14 @@ class MechanicsProblem:
         iterations = factorisations = 0
         for iterations in range(1, max_iter + 1):
             factor = np.maximum(1.0 - d, self.params.residual_stiffness)
-            F = self._loads(factor, p_p, eps_th)
+            F = fixed + np.bincount(
+                dofs, ((factor * thermal)[:, None] * unit_th).ravel(),
+                minlength=n)
             u_free = None if self._lu is None \
                 else self._corrected_solve(factor, F)
             if u_free is None:
-                b = self._factorise(factor, F)
-                u_free = solve_sparse(self._lu, b)
+                self._factorise(factor)
+                u_free = self._corrected_solve(factor, F)
                 factorisations += 1
             u[self._free] = u_free
             u[self.constraint_dofs] = self.constraint_values

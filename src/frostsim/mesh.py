@@ -38,32 +38,11 @@ _TAG_FROM_NAME = {t.name: t for t in BoundaryTag}
 _EDGE_NODES = ((0, 1), (1, 2), (2, 0))
 
 
-def shape_gradients(coords: np.ndarray) -> tuple[np.ndarray, float]:
-    """Constant gradients of the three linear shape functions on a triangle.
-
-    Parameters
-    ----------
-    coords : (3, 2) array
-        Vertex coordinates, counterclockwise.
-
-    Returns
-    -------
-    grads : (3, 2) array
-        Row i is grad N_i; rows sum to zero.
-    area : float
-        Signed area; positive for counterclockwise vertex order.
-
-    Raises DegenerateElementError for zero or negative area.
-    """
-    coords = np.asarray(coords, dtype=float)
-    if coords.shape != (3, 2):
-        raise ValueError("expected (3, 2) vertex array")
-    grads, areas = _all_geometry(coords, np.array([[0, 1, 2]]))
-    return grads[0], areas[0]
-
-
 def _all_geometry(nodes: np.ndarray, elements: np.ndarray):
-    """Vectorized gradients and areas for every element."""
+    """Constant shape-function gradients (E, 3, 2) and areas (E,) of every
+    element: row i of an element's gradients is grad N_i, and the rows sum
+    to zero. Raises DegenerateElementError for an element whose vertices
+    are collinear or clockwise."""
     p = nodes[elements]  # (E, 3, 2)
     x = p[:, :, 0]
     y = p[:, :, 1]

@@ -686,6 +686,19 @@ class TestCli:
         assert cli.main(["check-config", str(path)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, name", [("mesh", "spec01"),
+                                               ("climate", "spec02")])
+    def test_bundled_psd_name_is_no_file(self, tmp_path, capsys, section,
+                                         name):
+        # only ice.psd_file knows the bundled names; elsewhere they name a
+        # missing file, which must stop at validation, not at the I/O later
+        path = write_config(tmp_path, {section: {"file": name}})
+        assert cli.main(["check-config", str(path)]) == 2
+        assert f"{section}.file: no such file" in capsys.readouterr().err
+        assert cli.main(["run", "--config", str(path),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert f"{section}.file: no such file" in capsys.readouterr().err
+
     def test_run_nan_gamma_is_config_error(self, tmp_path, capsys):
         # JSON's NaN passes the schema's [0, 1] bounds on time.gamma;
         # validate_config rejects it before any model is built

@@ -16,7 +16,6 @@ from frostsim.mesh import (
     generate_rectangle,
     load_mesh,
     parse_mesh,
-    shape_gradients,
     write_mesh,
 )
 
@@ -35,19 +34,24 @@ bedges 3
 """
 
 
+def triangle(points):
+    """One-element mesh of the given vertices, every edge tagged EXT."""
+    return Mesh(points, [[0, 1, 2]], [[0, k, 0] for k in range(3)])
+
+
 class TestShapeGradients:
     def test_unit_triangle_analytic(self):
-        grads, area = shape_gradients([[0, 0], [1, 0], [0, 1]])
-        assert area == pytest.approx(0.5, abs=0.0)
+        mesh = triangle([[0, 0], [1, 0], [0, 1]])
+        assert mesh.areas[0] == pytest.approx(0.5, abs=0.0)
         np.testing.assert_allclose(
-            grads, [[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]], atol=0.0)
+            mesh.grads[0], [[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]], atol=0.0)
 
     def test_gradients_sum_to_zero(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             pts = rng.uniform(-3, 3, size=(3, 2))
             try:
-                grads, _ = shape_gradients(pts)
+                grads = triangle(pts).grads[0]
             except DegenerateElementError:
                 continue
             scale = max(1.0, float(np.abs(grads).max()))
@@ -56,18 +60,17 @@ class TestShapeGradients:
 
     def test_scaling(self):
         pts = np.array([[0.2, 0.1], [1.3, 0.4], [0.5, 1.7]])
-        g1, a1 = shape_gradients(pts)
-        g2, a2 = shape_gradients(2.0 * pts)
-        np.testing.assert_allclose(g2, 0.5 * g1, rtol=1e-14)
-        assert a2 == pytest.approx(4.0 * a1, rel=1e-14)
+        m1, m2 = triangle(pts), triangle(2.0 * pts)
+        np.testing.assert_allclose(m2.grads, 0.5 * m1.grads, rtol=1e-14)
+        assert m2.areas[0] == pytest.approx(4.0 * m1.areas[0], rel=1e-14)
 
     def test_clockwise_rejected(self):
         with pytest.raises(DegenerateElementError):
-            shape_gradients([[0, 0], [0, 1], [1, 0]])
+            triangle([[0, 0], [0, 1], [1, 0]])
 
     def test_collinear_rejected(self):
         with pytest.raises(DegenerateElementError):
-            shape_gradients([[0, 0], [1, 1], [2, 2]])
+            triangle([[0, 0], [1, 1], [2, 2]])
 
 
 class TestMeshQueries:
