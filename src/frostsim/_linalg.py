@@ -25,7 +25,10 @@ class SparsePattern:
     column pointers are the running counts, so only the pattern itself
     needs a sort. ``weights`` is held as the map's data, not copied.
     ``matrix(coefs)`` is one sparse mat-vec, and each slot sums its
-    entries in the listed order.
+    entries in the listed order. Every matrix it returns shares the map's
+    index arrays, which are read-only: an in-place change of structure,
+    such as ``eliminate_zeros``, raises ValueError instead of rewriting the
+    map; make it on a copy.
     """
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray,
@@ -50,6 +53,8 @@ class SparsePattern:
         self._indices = (pattern % n).astype(np.int32)
         self._indptr = np.searchsorted(pattern,
                                        np.arange(n + 1) * n).astype(np.int32)
+        self._indices.setflags(write=False)
+        self._indptr.setflags(write=False)
         self._scatter = sp.csc_matrix(
             (weights, slots,
              np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)),

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import constitutive, ice
-from .driver import build_models, load_config, run
+from .driver import build_models, build_problems, load_config, run
 from .errors import (
     ClimateFormatError,
     ConfigError,
@@ -127,11 +127,11 @@ def _cmd_material_curves(args) -> int:
 
 
 def _cmd_check_config(args) -> int:
-    params, _, mech = build_models(load_config(args.config))
+    problem, mechanics, _ = build_problems(load_config(args.config))
     print("config ok")
-    print(f"b_phi  = {params.b_phi:.10g}")
-    print(f"eps_0  = {mech.eps_0:.10g}")
-    print(f"b      = {mech.biot:.10g}")
+    print(f"b_phi  = {problem.coefficients.params.b_phi:.10g}")
+    print(f"eps_0  = {mechanics.params.eps_0:.10g}")
+    print(f"b      = {mechanics.params.biot:.10g}")
     return 0
 
 

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .climate_io import ClimateSeries, load_climate
+from .climate_io import load_climate
 from .constitutive import TransportParams
 from .errors import ConfigError, StepFailureError
 from .ice import IceModel, IceParams, load_psd_csv
@@ -42,7 +42,8 @@ from .transport_solver import (
 
 __all__ = [
     "DEFAULT_CONFIG", "ProbeRecord", "RunSummary", "StepFields",
-    "build_models", "default_probes", "load_config", "validate_config", "run",
+    "build_models", "build_problems", "default_probes", "load_config",
+    "validate_config", "run",
     "write_probe_csv", "read_probe_csv", "write_field_snapshot",
 ]
 
@@ -222,13 +223,6 @@ def load_config(path: str | Path) -> dict:
     return validate_config(raw, base_dir=path.parent)
 
 
-def _build_mesh(mesh_cfg: dict) -> Mesh:
-    if mesh_cfg["file"] is not None:
-        return load_mesh(mesh_cfg["file"])
-    return generate_lshape(mesh_cfg["outer"], mesh_cfg["thickness"],
-                           mesh_cfg["h"])
-
-
 def _load_psd(ice_cfg: dict):
     name = ice_cfg["psd_file"]
     if name is None or name == "spec01":
@@ -236,13 +230,6 @@ def _load_psd(ice_cfg: dict):
     if name == "spec02":
         return load_psd_csv(_data_file("psd_spec02.csv"))
     return load_psd_csv(name)
-
-
-def _load_climate(climate_cfg: dict) -> ClimateSeries:
-    name = climate_cfg["file"]
-    if name is None:
-        return load_climate(_data_file("climate_winter_744h.csv"))
-    return load_climate(name)
 
 
 def build_models(cfg: dict) -> tuple[TransportParams, IceModel, MechParams]:
@@ -287,6 +274,55 @@ def default_probes(mesh: Mesh) -> np.ndarray:
         if node not in picked:
             picked.append(node)
     return np.array(picked, dtype=np.int64)
+
+
+def build_problems(cfg: dict) -> tuple[TransportProblem, MechanicsProblem,
+                                       np.ndarray]:
+    """Transport and mechanics problems of a validated config, and its
+    probe node ids: everything ``run`` builds, and checks, before its
+    first solve. Raises the error ``run`` would for a mesh, climate or
+    probe list that does not fit."""
+    mesh_cfg, climate_file = cfg["mesh"], cfg["climate"]["file"]
+    mesh = (load_mesh(mesh_cfg["file"]) if mesh_cfg["file"] is not None
+            else generate_lshape(mesh_cfg["outer"], mesh_cfg["thickness"],
+                                 mesh_cfg["h"]))
+    transport_params, ice, mech_params = build_models(cfg)
+    climate = load_climate(climate_file if climate_file is not None
+                           else _data_file("climate_winter_744h.csv"))
+
+    probes = cfg["probes"]
+    if probes is None:
+        probe_nodes = default_probes(mesh)
+    else:
+        probe_nodes = np.asarray(probes, dtype=np.int64)
+        if probe_nodes.ndim != 1 or len(probe_nodes) == 0:
+            raise ConfigError("probes must be a non-empty list of node ids")
+        if probe_nodes.min() < 0 or probe_nodes.max() >= mesh.num_nodes:
+            raise ConfigError(
+                f"probe ids must lie in [0, {mesh.num_nodes})")
+
+    transfer = cfg["transfer"]
+    interior = cfg["interior"]
+    robin = {
+        BoundaryTag.EXT: RobinBC(
+            transfer["alpha_h"], transfer["beta_v"],
+            theta_amb=lambda t: climate.sample(t).theta,
+            phi_amb=lambda t: climate.sample(t).phi),
+        BoundaryTag.INT: RobinBC(
+            transfer["alpha_h"], transfer["beta_v"],
+            theta_amb=interior["theta"], phi_amb=interior["phi"]),
+    }
+    alpha_swr = transfer["alpha_swr"]
+    flux = {
+        BoundaryTag.EXT: BoundaryFlux(
+            q_heat=lambda t: alpha_swr * climate.sample(t).swr,
+            q_moist=lambda t: climate.sample(t).rain),
+    }
+    problem = TransportProblem(
+        mesh, KunzelCoefficients(transport_params, ice_model=ice),
+        robin=robin, flux=flux,
+        lumped_capacity=cfg["numerics"]["lumped_capacity"])
+    return problem, MechanicsProblem(mesh, mech_params), probe_nodes
 
 
 def _node_averager(mesh: Mesh) -> sp.csr_matrix:
@@ -365,49 +401,13 @@ def run(config: dict | str | Path | None = None,
     if out_dir is not None:
         cfg["output"]["dir"] = str(out_dir)
 
-    mesh = _build_mesh(cfg["mesh"])
-    transport_params, ice, mech_params = build_models(cfg)
-    climate = _load_climate(cfg["climate"])
-
-    probes = cfg["probes"]
-    if probes is None:
-        probe_nodes = default_probes(mesh)
-    else:
-        probe_nodes = np.asarray(probes, dtype=np.int64)
-        if probe_nodes.ndim != 1 or len(probe_nodes) == 0:
-            raise ConfigError("probes must be a non-empty list of node ids")
-        if probe_nodes.min() < 0 or probe_nodes.max() >= mesh.num_nodes:
-            raise ConfigError(
-                f"probe ids must lie in [0, {mesh.num_nodes})")
-
-    transfer = cfg["transfer"]
-    interior = cfg["interior"]
-    robin = {
-        BoundaryTag.EXT: RobinBC(
-            transfer["alpha_h"], transfer["beta_v"],
-            theta_amb=lambda t: climate.sample(t).theta,
-            phi_amb=lambda t: climate.sample(t).phi),
-        BoundaryTag.INT: RobinBC(
-            transfer["alpha_h"], transfer["beta_v"],
-            theta_amb=interior["theta"], phi_amb=interior["phi"]),
-    }
-    alpha_swr = transfer["alpha_swr"]
-    flux = {
-        BoundaryTag.EXT: BoundaryFlux(
-            q_heat=lambda t: alpha_swr * climate.sample(t).swr,
-            q_moist=lambda t: climate.sample(t).rain),
-    }
+    problem, mechanics, probe_nodes = build_problems(cfg)
+    mesh, ice = problem.mesh, problem.coefficients.ice_model
     numerics = cfg["numerics"]
-    problem = TransportProblem(
-        mesh, KunzelCoefficients(transport_params, ice_model=ice),
-        robin=robin, flux=flux,
-        lumped_capacity=numerics["lumped_capacity"])
-
     initial = cfg["initial"]
     state = TransportState.uniform(mesh, initial["theta"], initial["phi"])
     state.rdot = problem.consistent_rates(state)
     theta_ref = float(initial["theta"])
-    mechanics = MechanicsProblem(mesh, mech_params)
     mstate = MechState.zero(mesh)
 
     timecfg = cfg["time"]

@@ -352,6 +352,8 @@ class MechanicsProblem:
             local = self._element_free[moved]
             new = np.setdiff1d(local[local >= 0], self._s)
             s = np.concatenate([self._s, new])
+            if not len(s):      # no free dof moved: the correction is I
+                return solve_sparse(self._lu, b)
             if len(s) > MAX_CORRECTED_DOFS:
                 return None
             # the S rows of K(f) - K(f_b): D is their S columns, and their

@@ -17,12 +17,13 @@ Picard iteration on the frozen-coefficient linear system, with the mixing
 factor backed off automatically when the residual grows. Where the Picard
 map stagnates, converging no faster than under-relaxation by the starting
 mixing factor alone would, Anderson mixing of its last few updates
-finishes the step. The operator is one sparse mat-vec of its coefficient
-fields, through a map from coefficients to matrix values fixed at
-construction. One LU factor serves the iterates of a step and the
-steps after it that share gamma dt: each linear solve uses the factor,
-with a few GMRES iterations on it where its answer alone is not accurate
-enough, and A is factorised afresh only when those fail too.
+finishes the step. The operator, and the K and C of ``assemble``, are
+each one sparse mat-vec of their coefficient fields, through one map
+from coefficients to matrix values fixed at construction. One LU factor
+serves the iterates of a step and the steps after it that share
+gamma dt: each linear solve uses the factor, with a few GMRES iterations
+on it where its answer alone is not accurate enough, and A is
+factorised afresh only when those fail too.
 
 Boundary terms: Robin exchange adds alpha L/2 to the diagonal of the
 matching block and alpha ambient L/2 to the load (edge-lumped); prescribed
@@ -72,10 +73,9 @@ _AA_RESIDUAL = 0.1
 _AA_MARGIN = 0.1
 _AA_DEPTH = 3
 
-# (row field, column field) of the element blocks of K and of C, in the
-# order their values are listed; 0 is theta, 1 is phi
+# (row field, column field) of the element blocks of K, in the order
+# their positions are listed; 0 is theta, 1 is phi
 _K_BLOCKS = ((0, 0), (0, 1), (1, 0), (1, 1))
-_C_BLOCKS = ((0, 0), (1, 1))
 
 Value = float | Callable[[float], float]
 
@@ -480,25 +480,31 @@ class TransportProblem:
         self._unit_mass = (np.eye(3) / 3.0 if lumped_capacity
                            else (np.ones((3, 3)) + np.eye(3)) / 12.0)
         self._conn_flat = conn.ravel()
-        # [C + gdt K] as a fixed map from the coefficient fields listed in
-        # _step_operator: per field a block (row field, column field) and
-        # the unit element matrix it scales, then 1 on the diagonal for
-        # the exchange
-        S9, M9 = self._unit_matrices()
+        # every transport matrix as one fixed map from the coefficient
+        # fields listed in _fill: per field a block (row field, column
+        # field) and the exact element integral (E, 9) of its unit
+        # coefficient, the stiffness from the constant gradients and the
+        # storage from the linear shape products; then 1 on the diagonal
+        # for the exchange
+        grads, areas = mesh.grads, mesh.areas
+        S9 = (np.einsum("eik,ejk->eij", grads, grads)
+              * areas[:, None, None]).reshape(-1, 9)
+        M9 = (self._unit_mass[None, :, :] * areas[:, None, None]).reshape(-1, 9)
         blocks = ((0, 0, M9), (0, 0, S9), (0, 1, S9), (1, 0, S9),
                   (1, 1, M9), (1, 1, S9))
         # the six blocks lie on the four positions of _K_BLOCKS, so only
         # those are listed and sorted, and each block takes its own
-        rows, cols = self._block_entries(_K_BLOCKS)
+        r_ = np.repeat(conn, 3, axis=1).ravel()     # (E, 9) i i i j j j ...
+        c_ = np.tile(conn, (1, 3)).ravel()          # (E, 9) i j k i j k ...
         diag = np.arange(2 * n)
         nine = np.arange(9 * e, dtype=np.int32)
         take = np.concatenate(
             [nine + 9 * e * _K_BLOCKS.index(block[:2]) for block in blocks]
             + [36 * e + diag.astype(np.int32)])
-        block_coefs = len(blocks) * e
         self._pattern = SparsePattern(
-            np.concatenate([rows, diag]), np.concatenate([cols, diag]),
-            np.concatenate([np.full(block_coefs, 9), np.ones(2 * n, int)]),
+            np.concatenate([r_ + i * n for i, _ in _K_BLOCKS] + [diag]),
+            np.concatenate([c_ + j * n for _, j in _K_BLOCKS] + [diag]),
+            np.concatenate([np.full(len(blocks) * e, 9), np.ones(2 * n, int)]),
             np.concatenate([unit.ravel() for _, _, unit in blocks]
                            + [np.ones(2 * n)]), 2 * n, take)
 
@@ -514,28 +520,6 @@ class TransportProblem:
                                        np.repeat(0.5 * lengths[idx], 2))
 
     # -- assembly ----------------------------------------------------------
-
-    def _block_entries(self, blocks):
-        """Rows and columns of the element entries of the given blocks, in
-        order; a block starts with its row and column field, 0 for theta
-        and 1 for phi. Only the set-up and ``assemble`` need them, so they
-        are not kept."""
-        conn = self.mesh.elements
-        n = self.mesh.num_nodes
-        r_ = np.repeat(conn, 3, axis=1).ravel()     # (E, 9) i i i j j j ...
-        c_ = np.tile(conn, (1, 3)).ravel()          # (E, 9) i j k i j k ...
-        return (np.concatenate([r_ + b[0] * n for b in blocks]),
-                np.concatenate([c_ + b[1] * n for b in blocks]))
-
-    def _unit_matrices(self):
-        """Exact element integrals (E, 9) for unit coefficients: the
-        stiffness from the constant gradients and the storage from the
-        linear shape products. Only the set-up and ``assemble`` need them,
-        so they are not kept."""
-        grads, areas = self.mesh.grads, self.mesh.areas
-        S9 = np.einsum("eik,ejk->eij", grads, grads) * areas[:, None, None]
-        M9 = self._unit_mass[None, :, :] * areas[:, None, None]
-        return S9.reshape(-1, 9), M9.reshape(-1, 9)
 
     def _centroid_state(self, theta: np.ndarray, phi: np.ndarray):
         theta_c = self.mesh.element_mean(theta)
@@ -559,16 +543,11 @@ class TransportProblem:
         theta_c, phi_c = self._centroid_state(theta, phi)
         cf = self.coefficients.evaluate(theta_c, phi_c)
 
-        S9, M9 = self._unit_matrices()
-        k_vals = np.concatenate([(c[:, None] * S9).ravel()
-                                 for c in (cf.k_tt, cf.k_tp, cf.k_pt, cf.k_pp)])
-        c_vals = np.concatenate([(c[:, None] * M9).ravel()
-                                 for c in (cf.c_tt, cf.c_pp)])
-        K = sp.coo_matrix((k_vals, self._block_entries(_K_BLOCKS)),
-                          shape=(2 * n, 2 * n)).tocsr() \
-            + sp.diags(self._exchange_diagonal(), format="csr")
-        C = sp.coo_matrix((c_vals, self._block_entries(_C_BLOCKS)),
-                          shape=(2 * n, 2 * n)).tocsr()
+        K = self._fill(cf, 0.0, 1.0, self._exchange_diagonal())
+        # C keeps only its storage blocks; pruned on a copy, since the map's
+        # index arrays are read-only
+        C = self._fill(cf, 1.0, 0.0, np.zeros(2 * n)).copy()
+        C.eliminate_zeros()
         f_base, rain = self._step_loads(t)
         return AssembledSystem(K, C, self._with_rain(f_base, rain,
                                                      suppressed_nodes), n)
@@ -620,6 +599,16 @@ class TransportProblem:
             np.add.at(diag, nodes + n, bc.beta_v * weights)
         return diag
 
+    def _fill(self, cf: CoefficientFields, storage: float, stiffness: float,
+              exchange: np.ndarray) -> sp.csr_matrix:
+        """storage C + stiffness (K - diag exchange) + diag(exchange): the
+        map's columns are [c_tt, k_tt, k_tp, k_pt, c_pp, k_pp] and the
+        exchange diagonal. The matrix must not be edited in place."""
+        return self._pattern.matrix(np.concatenate([
+            storage * cf.c_tt, stiffness * cf.k_tt, stiffness * cf.k_tp,
+            stiffness * cf.k_pt, storage * cf.c_pp, stiffness * cf.k_pp,
+            exchange]))
+
     def _mass_history(self, history: np.ndarray):
         """Per-element products M_e h_e of the unit-capacity storage
         matrices with the theta and phi parts of a history vector."""
@@ -633,9 +622,7 @@ class TransportProblem:
                        mass_hist, suppressed, reference=None):
         """[C + gdt K] and gdt F + C history for one Picard iterate.
 
-        The matrix comes from the fixed map of the coefficient fields
-        [c_tt, gdt k_tt, gdt k_tp, gdt k_pt, c_pp, gdt k_pp] and
-        ``exchange``, gdt times the exchange diagonal. ``mass_hist`` comes
+        ``exchange`` is gdt times the exchange diagonal. ``mass_hist`` comes
         from ``_mass_history``; multiplying it by the storage coefficients
         and scattering gives C @ history without forming C. ``reference``
         comes from the coefficient model's ``step_reference`` for models
@@ -647,9 +634,7 @@ class TransportProblem:
             cf = self.coefficients.evaluate_step(theta_c, phi_c, reference)
         else:
             cf = self.coefficients.evaluate(theta_c, phi_c)
-        A = self._pattern.matrix(np.concatenate([
-            cf.c_tt, gdt * cf.k_tt, gdt * cf.k_tp, gdt * cf.k_pt,
-            cf.c_pp, gdt * cf.k_pp, exchange]))
+        A = self._fill(cf, 1.0, gdt, exchange)
         mh_t, mh_p = mass_hist
         b = gdt * self._with_rain(f_base, rain, suppressed)
         b[:n] += np.bincount(self._conn_flat,

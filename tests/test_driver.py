@@ -699,6 +699,29 @@ class TestCli:
                          "--out", str(tmp_path / "out")]) == 2
         assert f"{section}.file: no such file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fragment, message", [
+        ({"probes": [100000]}, "probe ids must lie in [0, "),
+        ({"probes": []}, "probes must be a non-empty list"),
+        ({"mesh": {"file": "bad.mesh"}}, "expected a node line"),
+        ({"climate": {"file": "bad.csv"}}, "expected header"),
+    ])
+    def test_set_up_faults_stop_both_commands(self, tmp_path, capsys,
+                                              fragment, message):
+        # what run builds before its first solve, check-config builds too:
+        # both stop with exit 2 and the same message
+        (tmp_path / "bad.mesh").write_text("nodes 2\n0 0.0 0.0\n")
+        (tmp_path / "bad.csv").write_text("time,theta\n0.0,1.0\n")
+        path = write_config(tmp_path, {"mesh": {"h": 0.2}, **fragment})
+        assert cli.main(["check-config", str(path)]) == 2
+        checked = capsys.readouterr()
+        assert cli.main(["run", "--config", str(path),
+                         "--out", str(tmp_path / "out")]) == 2
+        ran = capsys.readouterr()
+        assert checked.out == ran.out == ""
+        assert checked.err == ran.err
+        assert checked.err.startswith("config error: ")
+        assert message in checked.err
+
     def test_run_nan_gamma_is_config_error(self, tmp_path, capsys):
         # JSON's NaN passes the schema's [0, 1] bounds on time.gamma;
         # validate_config rejects it before any model is built

@@ -52,13 +52,20 @@ class TestSparsePattern:
         # the map listing all six blocks with their own positions, as the
         # pattern once was built, is bitwise the one built from the four
         # distinct positions
-        prob = ts.TransportProblem(lshape_coarse,
-                                   ts.KunzelCoefficients(mortar))
-        S9, M9 = prob._unit_matrices()
+        mesh = lshape_coarse
+        prob = ts.TransportProblem(mesh, ts.KunzelCoefficients(mortar))
+        grads, areas = mesh.grads, mesh.areas
+        S9 = (np.einsum("eik,ejk->eij", grads, grads)
+              * areas[:, None, None]).reshape(-1, 9)
+        M9 = (((np.ones((3, 3)) + np.eye(3)) / 12.0)[None, :, :]
+              * areas[:, None, None]).reshape(-1, 9)
         blocks = ((0, 0, M9), (0, 0, S9), (0, 1, S9), (1, 0, S9),
                   (1, 1, M9), (1, 1, S9))
-        rows, cols = prob._block_entries(blocks)
-        e, n = lshape_coarse.num_elements, lshape_coarse.num_nodes
+        e, n = mesh.num_elements, mesh.num_nodes
+        r_ = np.repeat(mesh.elements, 3, axis=1).ravel()
+        c_ = np.tile(mesh.elements, (1, 3)).ravel()
+        rows = np.concatenate([r_ + i * n for i, _, _ in blocks])
+        cols = np.concatenate([c_ + j * n for _, j, _ in blocks])
         diag = np.arange(2 * n)
         listed = SparsePattern(
             np.concatenate([rows, diag]), np.concatenate([cols, diag]),
@@ -71,6 +78,24 @@ class TestSparsePattern:
             assert got.tobytes() == want.tobytes()
         assert prob._pattern._scatter.data.tobytes() \
             == listed._scatter.data.tobytes()
+
+
+    def test_matrices_cannot_rewrite_the_map(self):
+        # the returned matrices share the map's index arrays, so an
+        # in-place change of structure must fail, not reach later matrices
+        pattern = SparsePattern(np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]),
+                                np.array([2, 2]), np.ones(4), 2)
+        coefs = np.array([0.0, 1.0])
+        before = pattern.matrix(coefs)
+        want = (before.data.copy(), before.indices.copy(),
+                before.indptr.copy())
+        with pytest.raises(ValueError):
+            before.eliminate_zeros()
+        after = pattern.matrix(coefs)
+        for got, expect in zip((after.data, after.indices, after.indptr),
+                               want):
+            np.testing.assert_array_equal(got, expect)
+        assert after.nnz == 4
 
 
 class TestMatrixRightHandSide:

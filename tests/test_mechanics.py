@@ -698,6 +698,32 @@ class TestCapacitance:
                 p_p=p_p, prev=damaged(count))
             self.assert_close(state.u, fresh.u, 1e-12)
 
+    def test_damage_on_fixed_dofs_only_needs_no_correction(self):
+        # damage on an element whose six dofs are all prescribed changes no
+        # free row of K: S stays empty and the kept factor's solve stands
+        mesh = generate_rectangle(1.0, 1.0, 4, 4)
+        ext = mesh.nodes_with_tag(BoundaryTag.EXT)
+        constraints = (np.concatenate([2 * ext, 2 * ext + 1]),
+                       np.zeros(2 * len(ext)))
+        held = np.flatnonzero(np.isin(mesh.elements, ext).all(axis=1))
+        assert len(held) > 0
+        params = mech.MechParams()
+        kappa = 0.5 * (params.eps_0 + params.eps_f)
+        d = np.zeros(mesh.num_elements)
+        d[held[0]] = mech.damage_function(kappa, params.eps_0, params.eps_f)
+        prev = mech.MechState(np.zeros(2 * mesh.num_nodes),
+                              np.where(d > 0.0, kappa, 0.0), d)
+        p_p = np.full(mesh.num_elements, 1e5)
+        prob = mech.MechanicsProblem(mesh, params, constraints)
+        prob.solve(p_p=p_p)
+        state = prob.solve(p_p=p_p, prev=prev)
+        assert state.converged and state.factorisations == 0
+        np.testing.assert_array_equal(state.d_w, d)
+        fresh = mech.MechanicsProblem(mesh, params, constraints).solve(
+            p_p=p_p, prev=prev)
+        assert fresh.factorisations == 1
+        self.assert_close(state.u, fresh.u, 1e-12)
+
     def test_ill_conditioned_capacitance_factorises_afresh(
             self, lshape_coarse, monkeypatch):
         # with every capacitance matrix refused, each damaged iteration
