@@ -15,6 +15,9 @@ config, in this process with the BLAS and OpenMP thread counts pinned to
 - ``mechanics_factorisations``: the sum of
   ``RunSummary.mechanics_factorisations``, the LU factorisations of the
   reduced mechanics stiffness;
+- ``transport_solves``: the calls of ``transport_solver.solve_sparse``,
+  counted by wrapping that module attribute, as the traced benchmark
+  does; failed substeps included;
 - ``wall_s``: wall seconds of the ``driver.run`` call;
 - ``sha256``: the SHA-256 of the probe CSV of the run's records;
 - ``failed_substeps``: for each substep that failed and was halved, its
@@ -42,14 +45,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from frostsim import driver
+from frostsim import driver, transport_solver
 from frostsim.errors import StepFailureError
 from frostsim.transport_solver import TransportProblem
 
 
-def main() -> None:
+def counts(config: dict) -> dict:
+    """The object ``main`` prints, for ``driver.run(config)``."""
     failed = []
+    solves = []
     step = TransportProblem.step
+    solve = transport_solver.solve_sparse
 
     def recording_step(self, state, dt, **options):
         try:
@@ -58,10 +64,19 @@ def main() -> None:
             failed.append((state.t, dt, str(err), err.residuals))
             raise
 
+    def counting_solve(A, b):
+        solves.append(1)
+        return solve(A, b)
+
     TransportProblem.step = recording_step
-    start = time.perf_counter()
-    summary = driver.run({})
-    wall = time.perf_counter() - start
+    transport_solver.solve_sparse = counting_solve
+    try:
+        start = time.perf_counter()
+        summary = driver.run(config)
+        wall = time.perf_counter() - start
+    finally:
+        TransportProblem.step = step
+        transport_solver.solve_sparse = solve
 
     with tempfile.TemporaryDirectory() as tmp:
         probe = Path(tmp) / "probes.csv"
@@ -69,7 +84,7 @@ def main() -> None:
         sha = hashlib.sha256(probe.read_bytes()).hexdigest()
     picard = summary.picard_iterations
     dt_step = summary.config["time"]["dt_s"]
-    print(json.dumps({
+    return {
         "picard": int(picard.sum()),
         "picard_max": int(picard.max()),
         "worst_step": int(picard.argmax()) + 1,
@@ -79,13 +94,18 @@ def main() -> None:
         "factorisations": int(summary.factorisations.sum()),
         "mechanics_factorisations":
             int(summary.mechanics_factorisations.sum()),
+        "transport_solves": len(solves),
         "wall_s": round(wall, 2),
         "sha256": sha,
         "failed_substeps": [
             {"step": int(t // dt_step) + 1, "t_h": t / 3600.0, "dt_s": dt,
              "message": message, "residuals": residuals}
             for t, dt, message, residuals in failed],
-    }))
+    }
+
+
+def main() -> None:
+    print(json.dumps(counts({})))
 
 
 if __name__ == "__main__":

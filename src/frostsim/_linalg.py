@@ -77,33 +77,53 @@ def apply_dirichlet(A: sp.csr_matrix, b: np.ndarray, free: np.ndarray,
     return A_f[:, free], b[free] - A_f[:, fixed] @ values
 
 
+def _splu(A: sp.spmatrix):
+    try:
+        return spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A",
+                         diag_pivot_thresh=0.01,
+                         options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise SingularSystemError(str(exc)) from None
+
+
 class SparseLU:
     """Direct solver for one sparse matrix that keeps its LU factor.
 
     The factorisation runs at the first solve and later solves reuse it,
     so a fresh SparseLU costs what a one-off solve does. ``solve`` takes
-    one right-hand side of shape (n,), or k of them as the columns of an
-    (n, k) array, solved in one call. The matrices of this package are
+    one right-hand side of shape (n,), or several as the columns of an
+    (n, r) array, solved in one call. The matrices of this package are
     structurally symmetric, so the fill-reducing order is minimum degree
     on A + A^T with pivots kept on the diagonal where they are within 1 %
     of the column's largest entry.
+
+    With ``split=k`` only the diagonal blocks A[:k, :k] and A[k:, k:] are
+    factorised, and A[:k, k:] is kept: a solve is block back-substitution,
+    x[k:] from the lower block, then x[:k] from the upper one with
+    A[:k, k:] x[k:] moved to the right. It is exact for the block
+    upper-triangular part of A, which drops A[k:, :k].
     """
 
-    def __init__(self, A: sp.spmatrix):
+    def __init__(self, A: sp.spmatrix, split: int | None = None):
         self._matrix = A
+        self._split = split
         self._lu = None
 
     def solve(self, b: np.ndarray) -> np.ndarray:
+        k = self._split
         if self._lu is None:
-            try:
-                self._lu = spla.splu(sp.csc_matrix(self._matrix),
-                                     permc_spec="MMD_AT_PLUS_A",
-                                     diag_pivot_thresh=0.01,
-                                     options={"SymmetricMode": True})
-            except RuntimeError as exc:
-                raise SingularSystemError(str(exc)) from None
+            if k is None:
+                self._lu = _splu(self._matrix)
+            else:
+                A = sp.csr_matrix(self._matrix)
+                self._lu = (_splu(A[:k, :k]), _splu(A[k:, k:]), A[:k, k:])
             self._matrix = None
-        x = self._lu.solve(b)
+        if k is None:
+            x = self._lu.solve(b)
+        else:
+            upper, lower, coupling = self._lu
+            x_k = lower.solve(b[k:])
+            x = np.concatenate([upper.solve(b[:k] - coupling @ x_k), x_k])
         if not np.all(np.isfinite(x)):
             raise SingularSystemError("linear solve produced non-finite values")
         return x

@@ -534,7 +534,7 @@ def read_probe_csv(path: str | Path) -> list[ProbeRecord]:
 
 def _vtk_scalars(name: str, values: np.ndarray) -> list[str]:
     lines = [f"SCALARS {name} double 1", "LOOKUP_TABLE default"]
-    lines.extend(repr(float(v)) for v in values)
+    lines.extend(map(repr, np.asarray(values, dtype=float).tolist()))
     return lines
 
 
@@ -550,20 +550,17 @@ def write_field_snapshot(mesh: Mesh, fields: StepFields, path: str | Path,
         "DATASET UNSTRUCTURED_GRID",
         f"POINTS {n} double",
     ]
-    for x, y in mesh.nodes:
-        lines.append(f"{float(x)!r} {float(y)!r} 0.0")
+    lines.extend(f"{x!r} {y!r} 0.0" for x, y in mesh.nodes.tolist())
     lines.append(f"CELLS {e} {4 * e}")
-    for a, b, c in mesh.elements:
-        lines.append(f"3 {a} {b} {c}")
+    lines.extend(f"3 {a} {b} {c}" for a, b, c in mesh.elements.tolist())
     lines.append(f"CELL_TYPES {e}")
     lines.extend(["5"] * e)
     lines.append(f"POINT_DATA {n}")
     lines.extend(_vtk_scalars("theta_C", fields.theta))
     lines.extend(_vtk_scalars("phi", fields.phi))
     lines.append("VECTORS displacement_m double")
-    for i in range(n):
-        lines.append(f"{float(fields.u[2 * i])!r} "
-                     f"{float(fields.u[2 * i + 1])!r} 0.0")
+    u = np.asarray(fields.u, dtype=float).tolist()
+    lines.extend(f"{ux!r} {uy!r} 0.0" for ux, uy in zip(u[0::2], u[1::2]))
     lines.append(f"CELL_DATA {e}")
     lines.extend(_vtk_scalars("p_p_Pa", fields.p_p))
     lines.extend(_vtk_scalars("d_w", fields.d_w))

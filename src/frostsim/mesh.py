@@ -411,8 +411,18 @@ def parse_mesh(text: str) -> Mesh:
 
 
 def load_mesh(path: str | Path) -> Mesh:
-    """Read a mesh text file; errors carry the offending line number."""
-    return parse_mesh(Path(path).read_text())
+    """Read a UTF-8 mesh text file; errors start with the path and carry
+    the offending line number."""
+    path = Path(path)
+    try:
+        return parse_mesh(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise MeshFormatError(
+            f"{path}: not UTF-8 text (byte {exc.start})") from None
+    except MeshFormatError as exc:
+        error = MeshFormatError(f"{path}: {exc}")
+        error.line = exc.line
+        raise error from None
 
 
 def write_mesh(mesh: Mesh, path: str | Path) -> None:
@@ -426,4 +436,4 @@ def write_mesh(mesh: Mesh, path: str | Path) -> None:
     lines.append(f"bedges {len(mesh.bedge_elem)}")
     for e, loc, tag in zip(mesh.bedge_elem, mesh.bedge_local, mesh.bedge_tag):
         lines.append(f"{e} {loc} {BoundaryTag(tag).name}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

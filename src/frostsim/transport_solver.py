@@ -23,7 +23,13 @@ from coefficients to matrix values fixed at construction. One LU factor
 serves the iterates of a step and the steps after it that share
 gamma dt: each linear solve uses the factor, with a few GMRES iterations
 on it where its answer alone is not accurate enough, and A is
-factorised afresh only when those fail too.
+factorised afresh only when those fail too. A fresh factor covers only
+the diagonal blocks [theta, theta] and [phi, phi] of A and keeps its
+[theta, phi] block, so it solves the block upper-triangular part of A
+exactly: in the mortar model the [phi, theta] block, the vapor flux that
+temperature drives, is some six orders of magnitude below the
+[phi, phi] block, and dropping it halves the fill. Only where that
+factor's GMRES misses too is the whole A factorised.
 
 Boundary terms: Robin exchange adds alpha L/2 to the diagonal of the
 matching block and alpha ambient L/2 to the load (edge-lumped); prescribed
@@ -341,13 +347,17 @@ def nonlinear_iterate(system_builder, r_guess: np.ndarray, *,
 
     Each update is r - omega delta with A delta = A r - b solved on an LU
     factor: ``lu``, the factor of an earlier matrix, or one of A made at
-    the first update when ``lu`` is None. A kept factor's delta stands
-    when its residual, scaled per block by 1 / ||b_block|| as in the
+    the first update when ``lu`` is None. A factor's delta stands when
+    its residual, scaled per block by 1 / ||b_block|| as in the
     convergence test, is within _ETA of the scaled right-hand side; else
-    up to _KRYLOV_MAX GMRES iterations on the factor correct it. Only
-    when that still misses _ETA is A factorised afresh and solved
-    exactly. The result carries the last factor and the count of
-    factorisations made.
+    up to _KRYLOV_MAX GMRES iterations on the factor correct it. When
+    that misses _ETA, or there is no factor, A is factorised afresh. With
+    two non-empty ``blocks`` the fresh factor is split at their boundary
+    (``SparseLU(A, split)``, exact for A without its lower-left block) and
+    passes the same test; only if it misses _ETA too is the whole A
+    factorised and solved exactly. The old factor is released before a
+    new one is built. The result carries the last factor and the count
+    of factorisations made, one per factor.
 
     A stagnating step switches, for its remaining updates, to type-II
     Anderson mixing (Walker & Ni 2011). The switch comes at iterate
@@ -372,6 +382,8 @@ def nonlinear_iterate(system_builder, r_guess: np.ndarray, *,
         r = project(r)
     if blocks is None:
         blocks = [(0, len(r))]
+    split = (blocks[1][0] if len(blocks) == 2
+             and all(lo < hi for lo, hi in blocks) else None)
     residuals: list[float] = []
     weights = np.empty(len(r))
     omega = relax
@@ -403,9 +415,13 @@ def nonlinear_iterate(system_builder, r_guess: np.ndarray, *,
         if k >= 1 and res > residuals[k - 1]:
             omega = max(0.5 * omega, 0.25 * relax)
         delta = None if lu is None else _gmres(A, lu, mismatch, weights)
+        # SparseLU factorises at its first solve, so the old factor is
+        # released before a new one takes memory
+        if delta is None and split is not None:
+            lu = SparseLU(A, split)
+            made += 1
+            delta = _gmres(A, lu, mismatch, weights)
         if delta is None:
-            # SparseLU factorises at its first solve, so the old factor is
-            # released before the new one takes memory
             lu = SparseLU(A)
             made += 1
             delta = solve_sparse(lu, mismatch)

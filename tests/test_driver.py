@@ -15,7 +15,7 @@ import pytest
 
 from frostsim import cli, driver, mechanics, transport_solver
 from frostsim.constitutive import TransportParams
-from frostsim.errors import ConfigError, StepFailureError
+from frostsim.errors import ConfigError, MeshFormatError, StepFailureError
 from frostsim.ice import IceParams
 from frostsim.mechanics import MechParams, neighbour_pairs
 from frostsim.mesh import generate_lshape, generate_rectangle, load_mesh
@@ -474,6 +474,43 @@ class TestSnapshot:
         ]
         assert path.read_text().splitlines() == expected
 
+    def test_bytes_match_per_value_format(self, tmp_path):
+        # seeded values with 17-digit shortest forms, a negative zero and a
+        # subnormal, on a mesh with several elements; the expected text is
+        # the snapshot format spelled one repr(float(v)) per numpy scalar
+        mesh = generate_rectangle(1.0, 0.7, 3, 2)
+        n, e = mesh.num_nodes, mesh.num_elements
+        rng = np.random.default_rng(11)
+        fields = driver.StepFields(
+            theta=rng.normal(0.0, 10.0, n), phi=rng.uniform(0.0, 1.0, n),
+            u=rng.normal(0.0, 1e-6, 2 * n), p_p=rng.uniform(0.0, 1e7, e),
+            d_w=rng.uniform(0.0, 1.0, e), kappa=rng.uniform(0.0, 1e-3, e))
+        fields.u[2] = -0.0
+        fields.d_w[0] = 5e-324
+
+        def scalars(name, values):
+            return ([f"SCALARS {name} double 1", "LOOKUP_TABLE default"]
+                    + [repr(float(v)) for v in values])
+
+        expected = (["# vtk DataFile Version 3.0", "frostsim fields", "ASCII",
+                     "DATASET UNSTRUCTURED_GRID", f"POINTS {n} double"]
+                    + [f"{float(x)!r} {float(y)!r} 0.0" for x, y in mesh.nodes]
+                    + [f"CELLS {e} {4 * e}"]
+                    + [f"3 {a} {b} {c}" for a, b, c in mesh.elements]
+                    + [f"CELL_TYPES {e}"] + ["5"] * e + [f"POINT_DATA {n}"]
+                    + scalars("theta_C", fields.theta)
+                    + scalars("phi", fields.phi)
+                    + ["VECTORS displacement_m double"]
+                    + [f"{float(fields.u[2 * i])!r} "
+                       f"{float(fields.u[2 * i + 1])!r} 0.0" for i in range(n)]
+                    + [f"CELL_DATA {e}"] + scalars("p_p_Pa", fields.p_p)
+                    + scalars("d_w", fields.d_w)
+                    + scalars("kappa", fields.kappa))
+        path = tmp_path / "snap.vtk"
+        driver.write_field_snapshot(mesh, fields, path)
+        assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
+        assert b"\n-0.0 " in path.read_bytes()
+
 
 class TestRun:
     def test_global_equilibrium_is_inert(self, tmp_path):
@@ -563,8 +600,8 @@ class TestRun:
         made = []
 
         class CountingLU(transport_solver.SparseLU):
-            def __init__(self, A):
-                super().__init__(A)
+            def __init__(self, A, split=None):
+                super().__init__(A, split)
                 made.append(self)
 
         monkeypatch.setattr(transport_solver, "SparseLU", CountingLU)
@@ -721,6 +758,20 @@ class TestCli:
         assert checked.err == ran.err
         assert checked.err.startswith("config error: ")
         assert message in checked.err
+
+    @pytest.mark.parametrize("content", [b"nodes 2\n0 0.0 0.0\n",
+                                         b"# M\xf6rtel\nnodes 3\n"])
+    def test_mesh_file_faults_name_the_file(self, tmp_path, capsys,
+                                            content):
+        # a truncated file, and one that is not UTF-8
+        mesh_path = tmp_path / "bad.mesh"
+        mesh_path.write_bytes(content)
+        with pytest.raises(MeshFormatError) as exc:
+            load_mesh(mesh_path)
+        assert str(mesh_path) in str(exc.value)
+        path = write_config(tmp_path, {"mesh": {"file": str(mesh_path)}})
+        assert cli.main(["check-config", str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: {exc.value}\n"
 
     def test_run_nan_gamma_is_config_error(self, tmp_path, capsys):
         # JSON's NaN passes the schema's [0, 1] bounds on time.gamma;

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from frostsim import _linalg
 from frostsim import transport_solver as ts
 from frostsim._linalg import SparseLU, SparsePattern, solve_sparse
 from frostsim.errors import SingularSystemError
@@ -121,3 +122,46 @@ class TestMatrixRightHandSide:
         B[3, 2] = np.nan
         with pytest.raises(SingularSystemError):
             solve_sparse(SparseLU(A), B)
+
+
+class TestSplitFactor:
+    @staticmethod
+    def blocks(rng, n=50, k=20):
+        A = sp.random(n, n, density=0.1, random_state=rng) \
+            + sp.identity(n) * n
+        return A.tocsr(), k
+
+    def test_solves_the_block_upper_triangular_part(self):
+        rng = np.random.default_rng(4)
+        A, k = self.blocks(rng)
+        upper = A.toarray()
+        upper[k:, :k] = 0.0
+        assert np.abs(A.toarray()[k:, :k]).max() > 0.0
+        n = A.shape[0]
+        for b in (rng.normal(size=n), rng.normal(size=(n, 3))):
+            x = solve_sparse(SparseLU(A, split=k), b)
+            want = np.linalg.solve(upper, b)
+            np.testing.assert_allclose(x, want, rtol=0.0,
+                                       atol=1e-12 * np.abs(want).max())
+
+    def test_factorises_both_blocks_at_the_first_solve(self, monkeypatch):
+        shapes = []
+        splu = _linalg.spla.splu
+
+        def counting(A, **options):
+            shapes.append(A.shape)
+            return splu(A, **options)
+
+        monkeypatch.setattr(_linalg.spla, "splu", counting)
+        A, k = self.blocks(np.random.default_rng(5))
+        lu = SparseLU(A, split=k)
+        assert shapes == []
+        b = np.ones(A.shape[0])
+        np.testing.assert_array_equal(lu.solve(b), lu.solve(b))
+        assert shapes == [(k, k), (A.shape[0] - k, A.shape[0] - k)]
+
+    def test_singular_block_raises(self):
+        A = sp.csr_matrix(np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 0.0],
+                                    [0.0, 1.0, 1.0]]))
+        with pytest.raises(SingularSystemError):
+            SparseLU(A, split=1).solve(np.ones(3))

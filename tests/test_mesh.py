@@ -294,6 +294,33 @@ class TestParse:
         np.testing.assert_array_equal(mesh.bedge_local, again.bedge_local)
         np.testing.assert_array_equal(mesh.bedge_tag, again.bedge_tag)
 
+    def test_load_errors_start_with_the_path(self, tmp_path):
+        path = tmp_path / "cut.mesh"
+        path.write_text("nodes 2\n0 0.0 0.0\n", encoding="utf-8")
+        with pytest.raises(MeshFormatError) as exc:
+            load_mesh(path)
+        assert str(exc.value) == (
+            f"{path}: unexpected end of file, expected a node line")
+
+        path.write_text(UNIT_TRIANGLE_TEXT.replace("1 1.0 0.0", "1 1.0"),
+                        encoding="utf-8")
+        with pytest.raises(MeshFormatError) as exc:
+            load_mesh(path)
+        assert exc.value.line == 4
+        assert str(exc.value).startswith(f"{path}: line 4: ")
+
+        path.write_bytes(b"# M\xf6rtel\n" + UNIT_TRIANGLE_TEXT.encode())
+        with pytest.raises(MeshFormatError,
+                           match=r": not UTF-8 text \(byte 3\)$") as exc:
+            load_mesh(path)
+        assert str(exc.value).startswith(f"{path}: ")
+
+    def test_load_reads_utf8(self, tmp_path):
+        path = tmp_path / "corner.mesh"
+        path.write_bytes(("# Mörtelecke, 2 °C\n" + UNIT_TRIANGLE_TEXT)
+                         .encode("utf-8"))
+        assert load_mesh(path).num_nodes == 3
+
 
 class TestConstruction:
     def test_untagged_boundary_edge_rejected(self):

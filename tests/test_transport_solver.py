@@ -635,8 +635,8 @@ class TestFactorReuse:
         made = []
 
         class CountingLU(ts.SparseLU):
-            def __init__(self, A):
-                super().__init__(A)
+            def __init__(self, A, split=None):
+                super().__init__(A, split)
                 made.append(self)
 
         monkeypatch.setattr(ts, "SparseLU", CountingLU)
@@ -741,6 +741,86 @@ class TestFactorReuse:
         after = prob.step(state, 0.5, relax=1.0)
         assert after.factorisations == 1
         assert len(factorisations) == 2
+
+
+class TestSplitFactor:
+    """A fresh factor of a two-block system drops the lower-left block;
+    the whole A is factorised only when that factor misses _ETA."""
+
+    N = 30
+
+    @pytest.fixture()
+    def splits(self, monkeypatch):
+        made = []
+
+        class RecordingLU(ts.SparseLU):
+            def __init__(self, A, split=None):
+                super().__init__(A, split)
+                made.append(split)
+
+        monkeypatch.setattr(ts, "SparseLU", RecordingLU)
+        return made
+
+    def system(self, coupling):
+        """[[T, B], [coupling B^T, T]] with T tridiagonal and B random."""
+        n = self.N
+        rng = np.random.default_rng(3)
+        T = sp.diags([-np.ones(n - 1), np.linspace(2.5, 4.0, n),
+                      -np.ones(n - 1)], [-1, 0, 1])
+        B = sp.random(n, n, density=0.2, random_state=rng)
+        A = sp.bmat([[T, B], [coupling * B.T, T]], format="csr")
+        return A, rng.normal(size=2 * n)
+
+    def iterate(self, A, b, blocks):
+        return ts.nonlinear_iterate(lambda r: (A, b), np.zeros(len(b)),
+                                    relax=1.0, tol=1e-10, blocks=blocks)
+
+    def test_zero_lower_left_block_converges_in_one_solve(self, splits,
+                                                          monkeypatch):
+        solves = []
+        solve = ts.solve_sparse
+
+        def counting(lu, rhs):
+            solves.append(lu)
+            return solve(lu, rhs)
+
+        monkeypatch.setattr(ts, "solve_sparse", counting)
+        A, b = self.system(0.0)
+        result = self.iterate(A, b, [(0, self.N), (self.N, 2 * self.N)])
+        assert result.iterations == 1
+        assert len(solves) == 1
+        assert splits == [self.N]
+        assert result.factorisations == 1
+        np.testing.assert_allclose(A @ result.r, b, rtol=0.0, atol=1e-12)
+
+    def test_strong_coupling_falls_back_to_the_whole_factor(self, splits):
+        A, b = self.system(1.0)
+        blocks = [(0, self.N), (self.N, 2 * self.N)]
+        # the split factor's answer and its GMRES correction miss _ETA
+        weights = np.ones(2 * self.N)
+        assert ts._gmres(A, ts.SparseLU(A, self.N), b, weights) is None
+        splits.clear()
+        result = self.iterate(A, b, blocks)
+        assert splits == [self.N, None]
+        assert result.factorisations == 2
+        assert result.residuals[-1] < 1e-10
+        np.testing.assert_allclose(A @ result.r, b, atol=1e-9)
+
+    def test_weak_coupling_keeps_the_split_factor(self, splits):
+        A, b = self.system(0.1)
+        result = self.iterate(A, b, [(0, self.N), (self.N, 2 * self.N)])
+        assert splits == [self.N]
+        assert result.factorisations == 1
+        np.testing.assert_allclose(A @ result.r, b, atol=1e-9)
+
+    @pytest.mark.parametrize("blocks", [
+        None, [(0, 0), (0, 60)], [(0, 60), (60, 60)]])
+    def test_one_non_empty_block_uses_the_whole_factor(self, splits, blocks):
+        A, b = self.system(0.1)
+        result = self.iterate(A, b, blocks)
+        assert splits == [None]
+        assert result.iterations == 1
+        np.testing.assert_allclose(A @ result.r, b, atol=1e-12)
 
 
 # manufactured solution: theta_t = div grad theta + s on the unit square,
