@@ -8,12 +8,12 @@ and holds the first/last row outside the tabulated range.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from ._table import read_table
 from .errors import ClimateFormatError
 
 _HEADER = ["time_h", "theta_ext_C", "phi_ext", "rain_kg_m2_s", "swr_W_m2"]
@@ -65,38 +65,18 @@ class ClimateSeries:
 
 
 def load_climate(path: str | Path) -> ClimateSeries:
-    """Read a climate CSV; hours are converted to seconds."""
+    """Read a UTF-8 climate CSV; hours become seconds, errors name it."""
     path = Path(path)
-    rows = []
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != _HEADER:
-            raise ClimateFormatError(
-                f"{path}: expected header '{','.join(_HEADER)}'")
-        for rownum, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 5:
-                raise ClimateFormatError(f"{path}: row {rownum} needs 5 columns")
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError:
-                raise ClimateFormatError(
-                    f"{path}: row {rownum} is not numeric") from None
-    if not rows:
-        raise ClimateFormatError(f"{path}: no data rows")
-    data = np.array(rows)
+    data = read_table(path, _HEADER, ClimateFormatError)
     try:
-        return ClimateSeries(data[:, 0] * 3600.0, data[:, 1], data[:, 2],
-                             data[:, 3], data[:, 4])
+        return ClimateSeries(data[:, 0] * 3600.0, *data.T[1:])
     except ClimateFormatError as exc:
         raise ClimateFormatError(f"{path}: {exc}") from None
 
 
 def write_climate_csv(series: ClimateSeries, path: str | Path) -> None:
     """Write a climate CSV with full float precision (times back to hours)."""
-    with Path(path).open("w", newline="") as fh:
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(_HEADER) + "\n")
         for k in range(len(series)):
             row = (series.times_s[k] / 3600.0, series.theta[k],

@@ -8,8 +8,8 @@ pore air fraction in [0, 1].
 
 Out-of-range inputs raise DomainError rather than extrapolating. Each
 checked function calls an unchecked kernel of the same name with a
-leading underscore; the transport coefficients call the kernels on
-centroid states that the transport problem has already bounded.
+leading underscore, which the transport coefficients call on centroid
+states already bounded; the heat capacity is a kernel only.
 """
 
 from __future__ import annotations
@@ -105,15 +105,6 @@ def water_content(phi, params: TransportParams):
 def _water_content(phi, params):
     b = params.b_phi
     return params.w_f * (b - 1.0) * phi / (b - phi)
-
-
-def humidity_from_water_content(w, params: TransportParams):
-    """Inverse of the sorption isotherm, closed form."""
-    w = np.asarray(w, dtype=float)
-    if np.any(w < 0.0) or np.any(w > params.w_f):
-        raise DomainError("water content outside [0, w_f]")
-    b = params.b_phi
-    return w * b / (w + params.w_f * (b - 1.0))
 
 
 def moisture_capacity(phi, params: TransportParams):
@@ -214,39 +205,19 @@ def _latent_heat_vapor(theta):
     return 2.5008e6 * (T0 / T) ** (0.167 + 3.67e-4 * T)
 
 
-def effective_heat_capacity(theta, phi, params: TransportParams,
-                            ice_model=None, theta_ref=None, frozen_ref=None):
-    """Volumetric heat capacity dH/dtheta, J m^-3 K^-1.
-
-    rho_s c_s + (w - w_i) c_l + w_i c_i - h_i dw_i/dtheta. The ice terms
-    come from ``ice_model.ice_content(theta, w)``; passing None
-    disables them (no frozen water).
-
-    With ``theta_ref`` the latent slope is the enthalpy chord between
-    theta_ref and theta instead of the local tangent. Time steppers pass
-    the step-start temperature here: the absorbed latent heat over the
-    step then matches the ice curve even when one step crosses the
-    freezing front, and the capacity no longer flips between spike and
-    baseline values from one iterate to the next. ``frozen_ref`` is
-    ``ice_model.frozen_fraction(theta_ref)``; callers that evaluate many
-    states against one reference pass it, else it is computed here.
-    """
-    theta = _check_theta(theta)
-    w = water_content(phi, params)
-    ice = None
-    if ice_model is not None:
-        ice = ice_model.ice_content(theta, w)
-        if theta_ref is not None and frozen_ref is None:
-            frozen_ref = ice_model.frozen_fraction(theta_ref)
-    return _effective_heat_capacity(theta, w, params, ice, theta_ref,
-                                    frozen_ref)
-
-
 def _effective_heat_capacity(theta, w, params, ice=None, theta_ref=None,
                              frozen_ref=None):
-    """effective_heat_capacity from w = water_content(phi) and ice = the
-    ice model's (w_i, dw_i/dtheta), or None for no frozen water;
-    ``frozen_ref`` must be given with ``theta_ref`` when there is ice."""
+    """Volumetric heat capacity dH/dtheta, J m^-3 K^-1, at water content
+    w: rho_s c_s + (w - w_i) c_l + w_i c_i - h_i dw_i/dtheta, with
+    ``ice`` the ice model's (w_i, dw_i/dtheta), or None for no ice.
+
+    With ``theta_ref``, the step-start temperature, the latent slope is
+    the enthalpy chord from theta_ref to theta, not the tangent: the
+    latent heat absorbed over a step then matches the ice curve even
+    across the freezing front, and the capacity does not flip between
+    spike and baseline from one iterate to the next. ``frozen_ref`` is
+    the ice model's ``frozen_fraction(theta_ref)``, needed with ice.
+    """
     if ice is None:
         w_i = np.zeros(np.broadcast_shapes(np.shape(theta), np.shape(w)))
         dwi_dtheta = w_i

@@ -224,11 +224,9 @@ def load_config(path: str | Path) -> dict:
 
 
 def _load_psd(ice_cfg: dict):
-    name = ice_cfg["psd_file"]
-    if name is None or name == "spec01":
-        return load_psd_csv(_data_file("psd_spec01.csv"))
-    if name == "spec02":
-        return load_psd_csv(_data_file("psd_spec02.csv"))
+    name = ice_cfg["psd_file"] or "spec01"
+    if name in ("spec01", "spec02"):
+        name = _data_file(f"psd_{name}.csv")
     return load_psd_csv(name)
 
 

@@ -17,12 +17,12 @@ Radii are meters.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from ._table import read_table
 from .errors import DomainError, InvalidParametersError, InvalidPsdError
 
 # adsorbed film thickness prefactor, m K^(1/3)
@@ -86,39 +86,15 @@ class PoreSizeDistribution:
             raise DomainError("pore radius must be positive")
         return np.interp(np.log(r), self._log_r, self.cum_porosity)
 
-    def refined(self, factor: int) -> "PoreSizeDistribution":
-        """Re-tabulated distribution with ``factor`` log-spaced points per bin."""
-        if factor < 1:
-            raise InvalidParametersError("refinement factor must be >= 1")
-        logs = [np.linspace(self._log_r[i], self._log_r[i + 1], factor + 1)[:-1]
-                for i in range(len(self.radii) - 1)]
-        log_r = np.concatenate(logs + [self._log_r[-1:]])
-        return PoreSizeDistribution(np.exp(log_r),
-                                    np.interp(log_r, self._log_r, self.cum_porosity))
-
 
 def load_psd_csv(path: str | Path) -> PoreSizeDistribution:
-    """Read a ``radius_m,cum_porosity`` CSV table."""
+    """Read a UTF-8 ``radius_m,cum_porosity`` CSV; errors name the file."""
     path = Path(path)
-    radii = []
-    psi = []
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["radius_m", "cum_porosity"]:
-            raise InvalidPsdError(
-                f"{path}: expected header 'radius_m,cum_porosity'")
-        for rownum, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2:
-                raise InvalidPsdError(f"{path}: row {rownum} needs 2 columns")
-            try:
-                radii.append(float(row[0]))
-                psi.append(float(row[1]))
-            except ValueError:
-                raise InvalidPsdError(f"{path}: row {rownum} is not numeric") from None
-    return PoreSizeDistribution(np.array(radii), np.array(psi))
+    data = read_table(path, ["radius_m", "cum_porosity"], InvalidPsdError)
+    try:
+        return PoreSizeDistribution(*data.T)
+    except InvalidPsdError as exc:
+        raise InvalidPsdError(f"{path}: {exc}") from None
 
 
 def _check_freezing(theta):
@@ -128,12 +104,8 @@ def _check_freezing(theta):
     return theta
 
 
-def adsorbed_layer(theta):
-    """Unfrozen film thickness on the pore wall, m, for theta < 0 degC."""
-    return _adsorbed_layer(_check_freezing(theta))
-
-
 def _adsorbed_layer(theta):
+    """Unfrozen film thickness on the pore wall, m, for theta < 0 degC."""
     return _FILM_COEF * (1.0 / np.abs(theta)) ** (1.0 / 3.0)
 
 

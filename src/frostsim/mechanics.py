@@ -311,16 +311,6 @@ class MechanicsProblem:
         """Element Voigt strains (E, 3) from nodal displacements."""
         return np.einsum("eij,ej->ei", self.B, u[self.dofs])
 
-    def effective_stress(self, u: np.ndarray, d_w: np.ndarray,
-                         theta=None, theta_ref: float = 0.0) -> np.ndarray:
-        """Damaged skeleton stress (E, 3): (1 - d) D (eps - eps_th)."""
-        eps = self.strains(u)
-        if theta is not None:
-            dt = self.mesh.element_mean(theta) - theta_ref
-            eps = eps - (self.params.alpha * dt)[:, None] * _IDENTITY[None, :]
-        factor = np.maximum(1.0 - d_w, self.params.residual_stiffness)
-        return factor[:, None] * (eps @ self.D.T)
-
     # -- kept factor and its correction ------------------------------------
 
     def _factorise(self, factor: np.ndarray) -> None:

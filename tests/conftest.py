@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from frostsim import constitutive
 from frostsim.constitutive import TransportParams
 from frostsim.ice import IceModel, IceParams, PoreSizeDistribution
 from frostsim.mesh import Mesh, generate_lshape
@@ -44,3 +45,21 @@ def three_knot_psd() -> PoreSizeDistribution:
 def spec01_model(ice_params) -> IceModel:
     from frostsim.driver import _load_psd
     return IceModel(_load_psd({"psd_file": "spec01"}), ice_params)
+
+
+@pytest.fixture(scope="session")
+def heat_capacity():
+    """Effective heat capacity at (theta, phi) from its kernel, the
+    isotherm and the ice model's lookups, as the transport coefficients
+    evaluate it."""
+    def evaluate(theta, phi, params, ice_model=None, theta_ref=None):
+        theta = np.asarray(theta, dtype=float)
+        w = constitutive.water_content(phi, params)
+        ice = frozen_ref = None
+        if ice_model is not None:
+            ice = ice_model.ice_content(theta, w)
+            if theta_ref is not None:
+                frozen_ref = ice_model.frozen_fraction(theta_ref)
+        return constitutive._effective_heat_capacity(theta, w, params, ice,
+                                                     theta_ref, frozen_ref)
+    return evaluate

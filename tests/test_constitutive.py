@@ -49,21 +49,6 @@ class TestSorption:
         phi = np.linspace(0.0, 1.0, 101)
         w = con.water_content(phi, mortar)
         assert np.all(np.diff(w) > 0.0)
-        np.testing.assert_allclose(
-            con.humidity_from_water_content(w, mortar), phi, atol=1e-12)
-
-    def test_inverse_against_bisection(self, mortar):
-        # independent inverse: bisection on the forward map
-        for w_target in (1.0, 23.0, 80.0, 159.0):
-            lo, hi = 0.0, 1.0
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                if con.water_content(mid, mortar) < w_target:
-                    lo = mid
-                else:
-                    hi = mid
-            assert con.humidity_from_water_content(w_target, mortar) \
-                == pytest.approx(0.5 * (lo + hi), abs=1e-10)
 
     def test_domain_errors(self, mortar):
         with pytest.raises(DomainError):
@@ -218,21 +203,21 @@ class TestLatentHeat:
 
 
 class TestEffectiveHeatCapacity:
-    def test_dry_solid(self, mortar):
-        assert con.effective_heat_capacity(10.0, 0.0, mortar) == pytest.approx(
-            1.67e6, rel=1e-14)
+    def test_dry_solid(self, mortar, heat_capacity):
+        assert heat_capacity(10.0, 0.0, mortar) == pytest.approx(1.67e6,
+                                                                 rel=1e-14)
 
-    def test_wet_above_freezing(self, mortar):
+    def test_wet_above_freezing(self, mortar, heat_capacity):
         expect = 1.67e6 + 23.0 * 4187.0
-        assert con.effective_heat_capacity(10.0, 0.8, mortar) \
-            == pytest.approx(expect, rel=1e-9)
+        assert heat_capacity(10.0, 0.8, mortar) == pytest.approx(expect,
+                                                                 rel=1e-9)
 
     def test_latent_term_raises_capacity_below_freezing(
-            self, mortar, spec01_model):
+            self, mortar, spec01_model, heat_capacity):
         # just below the freezing front the release of latent heat
         # dominates; compare at the mirrored temperature above 0
-        cold = con.effective_heat_capacity(-0.5, 0.8, mortar, spec01_model)
-        warm = con.effective_heat_capacity(0.5, 0.8, mortar, spec01_model)
+        cold = heat_capacity(-0.5, 0.8, mortar, spec01_model)
+        warm = heat_capacity(0.5, 0.8, mortar, spec01_model)
         assert cold > warm
 
     def test_latent_term_vanishes_when_fully_frozen(
@@ -245,9 +230,10 @@ class TestEffectiveHeatCapacity:
         assert slope_deep <= 0.0
         assert abs(slope_deep) < abs(slope_front)
 
-    def test_ice_model_ignored_above_freezing(self, mortar, spec01_model):
-        with_ice = con.effective_heat_capacity(7.0, 0.6, mortar, spec01_model)
-        without = con.effective_heat_capacity(7.0, 0.6, mortar)
+    def test_ice_model_ignored_above_freezing(self, mortar, spec01_model,
+                                              heat_capacity):
+        with_ice = heat_capacity(7.0, 0.6, mortar, spec01_model)
+        without = heat_capacity(7.0, 0.6, mortar)
         assert with_ice == pytest.approx(without, rel=1e-12)
 
 

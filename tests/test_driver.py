@@ -741,6 +741,14 @@ class TestCli:
         ({"probes": []}, "probes must be a non-empty list"),
         ({"mesh": {"file": "bad.mesh"}}, "expected a node line"),
         ({"climate": {"file": "bad.csv"}}, "expected header"),
+        # table faults start with the file's name
+        ({"climate": {"file": "latin1.csv"}},
+         "latin1.csv: not UTF-8 text (byte 3)"),
+        ({"ice": {"psd_file": "latin1.csv"}},
+         "latin1.csv: not UTF-8 text (byte 3)"),
+        ({"ice": {"psd_file": "empty.csv"}}, "empty.csv: no data rows"),
+        ({"ice": {"psd_file": "rising.csv"}},
+         "rising.csv: cumulative porosity must be non-increasing"),
     ])
     def test_set_up_faults_stop_both_commands(self, tmp_path, capsys,
                                               fragment, message):
@@ -748,6 +756,10 @@ class TestCli:
         # both stop with exit 2 and the same message
         (tmp_path / "bad.mesh").write_text("nodes 2\n0 0.0 0.0\n")
         (tmp_path / "bad.csv").write_text("time,theta\n0.0,1.0\n")
+        (tmp_path / "latin1.csv").write_bytes(b"# M\xf6rtel\n")
+        (tmp_path / "empty.csv").write_text("radius_m,cum_porosity\n")
+        (tmp_path / "rising.csv").write_text(
+            "radius_m,cum_porosity\n1e-8,0.2\n1e-7,0.3\n")
         path = write_config(tmp_path, {"mesh": {"h": 0.2}, **fragment})
         assert cli.main(["check-config", str(path)]) == 2
         checked = capsys.readouterr()

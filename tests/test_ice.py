@@ -41,20 +41,17 @@ def quad_pore_pressure(theta, psd, params):
 
 class TestGeometricRadii:
     def test_adsorbed_layer_reference_points(self):
-        assert ice.adsorbed_layer(-1.0) == pytest.approx(1.97e-9, rel=1e-14)
+        assert ice._adsorbed_layer(-1.0) == pytest.approx(1.97e-9, rel=1e-14)
         # cube root of 1/8 is exactly 1/2
-        assert ice.adsorbed_layer(-8.0) == pytest.approx(0.985e-9, rel=1e-12)
+        assert ice._adsorbed_layer(-8.0) == pytest.approx(0.985e-9,
+                                                          rel=1e-12)
 
     def test_adsorbed_layer_monotone(self):
         theta = -np.geomspace(0.001, 30.0, 40)
-        r = ice.adsorbed_layer(theta)
+        r = ice._adsorbed_layer(theta)
         assert np.all(np.isfinite(r))
         # |theta| grows along the array, the film shrinks
         assert np.all(np.diff(r) < 0.0)
-
-    def test_adsorbed_layer_rejects_thaw(self):
-        with pytest.raises(DomainError):
-            ice.adsorbed_layer(0.0)
 
     def test_interface_radius_reference_points(self, ice_params):
         assert ice.interface_radius(-1.0, ice_params) == pytest.approx(
@@ -156,10 +153,10 @@ class TestAveragePorePressure:
 
     def test_refinement_converged(self, spec01_model):
         psd, params = spec01_model.psd, spec01_model.params
-        fine = psd.refined(10)
         for theta in (-5.0, -20.0):
             coarse_p = ice.average_pore_pressure(theta, psd, params)
-            fine_p = ice.average_pore_pressure(theta, fine, params)
+            fine_p = ice.average_pore_pressure(theta, psd, params,
+                                               bins_per_interval=80)
             assert abs(fine_p - coarse_p) / fine_p < 0.005
 
     def test_monotone_in_cold(self, spec01_model):
@@ -307,13 +304,6 @@ class TestPsdTable:
     def test_psi_clamps_outside_table(self, three_knot_psd):
         assert three_knot_psd.psi(1e-9) == 0.35
         assert three_knot_psd.psi(1e-3) == 0.0
-
-    def test_refined_preserves_knots(self, three_knot_psd):
-        fine = three_knot_psd.refined(5)
-        assert len(fine.radii) == 11
-        np.testing.assert_allclose(fine.psi(three_knot_psd.radii),
-                                   three_knot_psd.cum_porosity, atol=1e-15)
-        assert fine.total_porosity == three_knot_psd.total_porosity
 
     def test_csv_round_trip(self, tmp_path, three_knot_psd):
         path = tmp_path / "psd.csv"

@@ -58,7 +58,8 @@ class TestAssembly:
         np.testing.assert_array_equal(sys.block("K", "pt").toarray(), 0.0)
         assert sys.block("C", "tp").nnz == 0
 
-    def test_moisture_model_block_coefficients(self, unit_triangle, mortar):
+    def test_moisture_model_block_coefficients(self, unit_triangle, mortar,
+                                               heat_capacity):
         # at a uniform state every block equals its centroid coefficient
         # times the unit-coefficient element matrix
         theta, phi = 10.0, 0.8
@@ -84,7 +85,7 @@ class TestAssembly:
                                        err_msg=name)
         np.testing.assert_allclose(
             sys.block("C", "tt").toarray(),
-            con.effective_heat_capacity(theta, phi, mortar) * M_UNIT,
+            heat_capacity(theta, phi, mortar) * M_UNIT,
             rtol=1e-12)
         np.testing.assert_allclose(
             sys.block("C", "pp").toarray(),
@@ -183,8 +184,10 @@ class TestUncheckedEvaluation:
                                      rng.normal(0.0, 0.8, len(theta)))
         return theta, phi, np.clip(theta_ref, -40.0, 60.0)
 
-    def checked(self, theta, phi, params, ice_model, theta_ref=None):
-        """The same coefficients from the public, checked functions."""
+    def checked(self, theta, phi, params, ice_model, heat_capacity,
+                theta_ref=None):
+        """The same coefficients from the public, checked functions and,
+        for c_tt, the heat capacity kernel on their values."""
         p_sat = con.saturation_pressure(theta)
         dp_sat = con.saturation_pressure_derivative(theta)
         delta_v = con.vapor_permeability(theta, params)
@@ -196,16 +199,15 @@ class TestUncheckedEvaluation:
             "k_tp": h_v * delta_v * p_sat,
             "k_pt": delta_v * phi * dp_sat,
             "k_pp": con.moisture_diffusivity(phi, params) + delta_v * p_sat,
-            "c_tt": con.effective_heat_capacity(theta, phi, params, ice_model,
-                                                theta_ref),
+            "c_tt": heat_capacity(theta, phi, params, ice_model, theta_ref),
             "c_pp": con.moisture_capacity(phi, params),
         }
 
     @pytest.mark.parametrize("with_ice", [False, True])
     @pytest.mark.parametrize("chord", [False, True])
     def test_bitwise_equal_to_checked_functions(self, states, mortar,
-                                                spec01_model, with_ice,
-                                                chord):
+                                                spec01_model, heat_capacity,
+                                                with_ice, chord):
         theta, phi, theta_ref = states
         model = spec01_model if with_ice else None
         coef = ts.KunzelCoefficients(mortar, ice_model=model)
@@ -214,7 +216,7 @@ class TestUncheckedEvaluation:
                                      coef.step_reference(theta_ref))
         else:
             got = coef.evaluate(theta, phi)
-        want = self.checked(theta, phi, mortar, model,
+        want = self.checked(theta, phi, mortar, model, heat_capacity,
                             theta_ref if chord else None)
         for name in self.FIELDS:
             assert getattr(got, name).tobytes() == want[name].tobytes(), name
@@ -248,8 +250,9 @@ class TestUncheckedEvaluation:
                 # the ice model is handed the water content, not phi
                 assert calls["_check_phi"] == before["_check_phi"]
         # the counters see the public functions' checks
-        con.effective_heat_capacity(theta, phi, mortar, spec01_model)
-        ice.adsorbed_layer(-1.0)
+        con.saturation_pressure(theta)
+        con.water_content(phi, mortar)
+        ice.interface_radius(-1.0, spec01_model.params)
         assert min(calls.values()) > 0
 
 
