@@ -26,6 +26,7 @@ ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "src" / "frostsim" / "data"
 sys.path.insert(0, str(ROOT / "src"))
 
+from frostsim._table import write_table
 from frostsim.climate_io import synthetic_winter_series, write_climate_csv
 
 
@@ -43,24 +44,22 @@ def lognormal_psd(median_m: float, sigma: float, porosity: float,
     return radii, psi
 
 
-def write_psd(path: Path, radii: np.ndarray, psi: np.ndarray) -> None:
-    lines = ["radius_m,cum_porosity"]
-    lines.extend(f"{float(r)!r},{float(p)!r}"
-                 for r, p in zip(radii, psi))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"wrote {path}")
-
-
-def main() -> None:
-    DATA.mkdir(parents=True, exist_ok=True)
+def write_fixtures(out: Path) -> None:
+    """Write the two pore size tables and the winter climate into ``out``."""
+    out.mkdir(parents=True, exist_ok=True)
     for name, median, sigma, porosity in (
             ("psd_spec01.csv", 3e-7, 1.0, 0.35),
             ("psd_spec02.csv", 3e-8, 1.2, 0.13)):
-        radii, psi = lognormal_psd(median, sigma, porosity)
-        write_psd(DATA / name, radii, psi)
-    series = synthetic_winter_series(744)
-    write_climate_csv(series, DATA / "climate_winter_744h.csv")
-    print(f"wrote {DATA / 'climate_winter_744h.csv'}")
+        write_table(out / name, "radius_m,cum_porosity",
+                    lognormal_psd(median, sigma, porosity))
+        print(f"wrote {out / name}")
+    write_climate_csv(synthetic_winter_series(744),
+                      out / "climate_winter_744h.csv")
+    print(f"wrote {out / 'climate_winter_744h.csv'}")
+
+
+def main() -> None:
+    write_fixtures(DATA)
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import constitutive, ice
+from ._table import write_table
 from .driver import build_models, build_problems, load_config, run
 from .errors import (
     ClimateFormatError,
@@ -88,14 +89,6 @@ def _cmd_make_mesh(args) -> int:
     return 0
 
 
-def _write_table(path: Path, header: str, columns) -> None:
-    """Write equal-length columns as a CSV of full-precision floats."""
-    rows = [header] + [",".join(repr(float(v)) for v in row)
-                       for row in zip(*columns)]
-    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
-    print(f"wrote {path}")
-
-
 def _cmd_material_curves(args) -> int:
     params, model, _ = build_models(load_config(args.config))
     out = Path(args.out)
@@ -103,26 +96,27 @@ def _cmd_material_curves(args) -> int:
 
     phi = np.linspace(0.0, 1.0, 201)
     w = constitutive.water_content(phi, params)
-    _write_table(out / "moisture.csv",
-                 "phi,w_kg_m3,dw_dphi_kg_m3,D_phi_m2_s,lambda_W_mK",
-                 (phi, w, constitutive.moisture_capacity(phi, params),
-                  constitutive.moisture_diffusivity(phi, params),
-                  constitutive.thermal_conductivity(w, params)))
-
     theta = np.linspace(-30.0, 40.0, 201)
-    _write_table(out / "thermal.csv",
-                 "theta_C,p_sat_Pa,dp_sat_dtheta_Pa_K,delta_v_kg_m_s_Pa,h_v_J_kg",
-                 (theta, constitutive.saturation_pressure(theta),
-                  constitutive.saturation_pressure_derivative(theta),
-                  constitutive.vapor_permeability(theta, params),
-                  constitutive.latent_heat_vapor(theta)))
-
     theta_f = np.linspace(-30.0, -0.1, 200)
     w_i, _ = model.ice_content(theta_f, constitutive.water_content(
         np.ones_like(theta_f), params))
-    _write_table(out / "ice.csv", "theta_C,r_cr_m,p_p_Pa,w_i_sat_kg_m3",
-                 (theta_f, ice.critical_radius(theta_f, model.params),
-                  model.pore_pressure(theta_f), w_i))
+    for name, header, columns in (
+            ("moisture.csv",
+             "phi,w_kg_m3,dw_dphi_kg_m3,D_phi_m2_s,lambda_W_mK",
+             (phi, w, constitutive.moisture_capacity(phi, params),
+              constitutive.moisture_diffusivity(phi, params),
+              constitutive.thermal_conductivity(w, params))),
+            ("thermal.csv",
+             "theta_C,p_sat_Pa,dp_sat_dtheta_Pa_K,delta_v_kg_m_s_Pa,h_v_J_kg",
+             (theta, constitutive.saturation_pressure(theta),
+              constitutive.saturation_pressure_derivative(theta),
+              constitutive.vapor_permeability(theta, params),
+              constitutive.latent_heat_vapor(theta))),
+            ("ice.csv", "theta_C,r_cr_m,p_p_Pa,w_i_sat_kg_m3",
+             (theta_f, ice.critical_radius(theta_f, model.params),
+              model.pore_pressure(theta_f), w_i))):
+        write_table(out / name, header, columns)
+        print(f"wrote {out / name}")
     return 0
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._table import read_table
+from ._table import read_table, write_table
 from .errors import ClimateFormatError
 
 _HEADER = ["time_h", "theta_ext_C", "phi_ext", "rain_kg_m2_s", "swr_W_m2"]
@@ -76,12 +76,9 @@ def load_climate(path: str | Path) -> ClimateSeries:
 
 def write_climate_csv(series: ClimateSeries, path: str | Path) -> None:
     """Write a climate CSV with full float precision (times back to hours)."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(_HEADER) + "\n")
-        for k in range(len(series)):
-            row = (series.times_s[k] / 3600.0, series.theta[k],
-                   series.phi[k], series.rain[k], series.swr[k])
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    write_table(path, ",".join(_HEADER),
+                (series.times_s / 3600.0, series.theta, series.phi,
+                 series.rain, series.swr))
 
 
 def synthetic_winter_series(hours: int = 744) -> ClimateSeries:

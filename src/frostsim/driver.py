@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
+from ._table import read_text, write_table
 from .climate_io import load_climate
 from .constitutive import TransportParams
 from .errors import ConfigError, StepFailureError
@@ -92,8 +93,7 @@ def _data_file(name: str) -> Path:
 def _schema() -> dict:
     """The bundled config schema, parsed on first use; callers must not
     change it."""
-    with open(_data_file("config_schema.json"), encoding="utf-8") as fh:
-        return json.load(fh)
+    return json.loads(read_text(_data_file("config_schema.json"), ConfigError))
 
 
 # JSON types as draft 2020-12 defines them: a bool is neither a number
@@ -213,7 +213,7 @@ def load_config(path: str | Path) -> dict:
     """Read, validate and normalize a JSON config file."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = read_text(path, ConfigError)
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     try:
@@ -494,21 +494,15 @@ def run(config: dict | str | Path | None = None,
 
 def write_probe_csv(records: list[ProbeRecord], path: str | Path) -> None:
     """Write probe records time-major, node-minor under a fixed header."""
-    lines = [_PROBE_HEADER]
-    for rec in records:
-        for i, node in enumerate(rec.nodes):
-            lines.append(",".join([
-                repr(float(rec.time_h)), str(int(node)),
-                repr(float(rec.theta[i])), repr(float(rec.phi[i])),
-                repr(float(rec.p_p[i])), repr(float(rec.d_w[i])),
-                repr(float(rec.u_mag[i])),
-            ]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    columns = zip(*(([float(rec.time_h)] * len(rec.nodes), rec.nodes,
+                     rec.theta, rec.phi, rec.p_p, rec.d_w, rec.u_mag)
+                    for rec in records))
+    write_table(path, _PROBE_HEADER, [np.concatenate(c) for c in columns])
 
 
 def read_probe_csv(path: str | Path) -> list[ProbeRecord]:
     """Read a probe CSV back into records grouped by time."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(Path(path), ConfigError)
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != _PROBE_HEADER:
         raise ConfigError(f"not a probe CSV: {path}")

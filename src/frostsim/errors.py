@@ -38,12 +38,6 @@ class InvalidPsdError(FrostsimError, ValueError):
 class ClimateFormatError(FrostsimError, ValueError):
     """A climate CSV is malformed or out of order."""
 
-    def __init__(self, message: str, row: int | None = None):
-        if row is not None:
-            message = f"row {row}: {message}"
-        super().__init__(message)
-        self.row = row
-
 
 class SingularSystemError(FrostsimError):
     """A linear solve failed because the system matrix is singular."""

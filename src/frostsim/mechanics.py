@@ -396,8 +396,8 @@ class MechanicsProblem:
         # unit thermal strain, weighted by the element areas below; the
         # pore pressure and the body force load every iteration alike, the
         # thermal load scales with the stiffness factor
-        unit_p = np.einsum("a,eai->ei", _IDENTITY, self.B)
-        unit_th = np.einsum("a,eai->ei", self.D @ _IDENTITY, self.B)
+        unit_p = mesh.grads.reshape(-1, 6)
+        unit_th = (self.D @ _IDENTITY)[0] * unit_p
         body = np.tile(self.params.body_force, 3) * (mesh.areas / 3.0)[:, None]
         dofs, n = self.dofs.ravel(), 2 * mesh.num_nodes
         fixed = np.bincount(

@@ -14,10 +14,12 @@ the cut faces that act as roller supports.
 from __future__ import annotations
 
 import enum
+import math
 from pathlib import Path
 
 import numpy as np
 
+from ._table import read_text
 from .errors import (
     DegenerateElementError,
     InvalidGeometryError,
@@ -339,6 +341,8 @@ def parse_mesh(text: str) -> Mesh:
             xy = (float(tok[1]), float(tok[2]))
         except ValueError:
             raise MeshFormatError("bad number on node line", lineno) from None
+        if not all(map(math.isfinite, xy)):
+            raise MeshFormatError("node coordinate is not finite", lineno)
         if not 0 <= i < n:
             raise MeshFormatError(f"node id {i} out of range 0..{n - 1}", lineno)
         if seen[i]:
@@ -414,11 +418,9 @@ def load_mesh(path: str | Path) -> Mesh:
     """Read a UTF-8 mesh text file; errors start with the path and carry
     the offending line number."""
     path = Path(path)
+    text = read_text(path, MeshFormatError)
     try:
-        return parse_mesh(path.read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:
-        raise MeshFormatError(
-            f"{path}: not UTF-8 text (byte {exc.start})") from None
+        return parse_mesh(text)
     except MeshFormatError as exc:
         error = MeshFormatError(f"{path}: {exc}")
         error.line = exc.line

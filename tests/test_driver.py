@@ -749,6 +749,10 @@ class TestCli:
         ({"ice": {"psd_file": "empty.csv"}}, "empty.csv: no data rows"),
         ({"ice": {"psd_file": "rising.csv"}},
          "rising.csv: cumulative porosity must be non-increasing"),
+        # NaN passes every comparison of the series and table checks
+        ({"climate": {"file": "nan.csv"}}, "nan.csv: row 3 is not finite"),
+        ({"ice": {"psd_file": "nan_psd.csv"}},
+         "nan_psd.csv: row 3 is not finite"),
     ])
     def test_set_up_faults_stop_both_commands(self, tmp_path, capsys,
                                               fragment, message):
@@ -760,6 +764,10 @@ class TestCli:
         (tmp_path / "empty.csv").write_text("radius_m,cum_porosity\n")
         (tmp_path / "rising.csv").write_text(
             "radius_m,cum_porosity\n1e-8,0.2\n1e-7,0.3\n")
+        (tmp_path / "nan.csv").write_text(
+            f"{CLIMATE_HEADER}\n0,1,0.5,0,0\nnan,1,nan,0,0\n")
+        (tmp_path / "nan_psd.csv").write_text(
+            "radius_m,cum_porosity\n1e-8,0.35\nnan,nan\n1e-6,0.0\n")
         path = write_config(tmp_path, {"mesh": {"h": 0.2}, **fragment})
         assert cli.main(["check-config", str(path)]) == 2
         checked = capsys.readouterr()
@@ -771,11 +779,13 @@ class TestCli:
         assert checked.err.startswith("config error: ")
         assert message in checked.err
 
-    @pytest.mark.parametrize("content", [b"nodes 2\n0 0.0 0.0\n",
-                                         b"# M\xf6rtel\nnodes 3\n"])
+    @pytest.mark.parametrize("content", [
+        b"nodes 2\n0 0.0 0.0\n", b"# M\xf6rtel\nnodes 3\n",
+        b"nodes 3\n0 0.0 0.0\n1 nan 0.0\n2 0.0 1.0\nelements 1\n0 0 1 2\n"
+        b"bedges 3\n0 0 EXT\n0 1 EXT\n0 2 EXT\n"])
     def test_mesh_file_faults_name_the_file(self, tmp_path, capsys,
                                             content):
-        # a truncated file, and one that is not UTF-8
+        # a truncated file, one that is not UTF-8, and a NaN coordinate
         mesh_path = tmp_path / "bad.mesh"
         mesh_path.write_bytes(content)
         with pytest.raises(MeshFormatError) as exc:
@@ -784,6 +794,16 @@ class TestCli:
         path = write_config(tmp_path, {"mesh": {"file": str(mesh_path)}})
         assert cli.main(["check-config", str(path)]) == 2
         assert capsys.readouterr().err == f"config error: {exc.value}\n"
+
+    def test_config_not_utf8_stops_both_commands(self, tmp_path, capsys):
+        # the byte is counted from the start of the file, mark included
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'\xef\xbb\xbf{"note": "M\xf6rtel"}')
+        for argv in (["check-config", str(path)],
+                     ["run", "--config", str(path)]):
+            assert cli.main(argv) == 2
+            assert capsys.readouterr().err == (
+                f"config error: {path}: not UTF-8 text (byte 14)\n")
 
     def test_run_nan_gamma_is_config_error(self, tmp_path, capsys):
         # JSON's NaN passes the schema's [0, 1] bounds on time.gamma;

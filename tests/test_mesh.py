@@ -267,6 +267,14 @@ class TestParse:
             parse_mesh(bad)
         assert exc.value.line == 4
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_coordinate_carries_line_number(self, value):
+        bad = UNIT_TRIANGLE_TEXT.replace("1 1.0 0.0", f"1 {value} 0.0")
+        with pytest.raises(MeshFormatError,
+                           match="node coordinate is not finite") as exc:
+            parse_mesh(bad)
+        assert exc.value.line == 4
+
     def test_duplicate_node_id(self):
         bad = UNIT_TRIANGLE_TEXT.replace("1 1.0 0.0", "0 1.0 0.0")
         with pytest.raises(MeshFormatError):
