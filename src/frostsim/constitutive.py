@@ -29,6 +29,13 @@ _B_PHI_CAP = 1e6
 T0 = 273.15                     # K, the melting point of ice
 R_V = 461.5                     # J kg^-1 K^-1, gas constant of water vapor
 
+# Smallest |theta - theta_ref| at which the heat capacity takes the
+# enthalpy chord, K. The chord's round-off is about 1e-14 K / |dtheta| of
+# the capacity (3e-15 to 3e-14 K measured on both bundled tables with the
+# pores full), so at this floor it stays below 1e-7; below it the chord
+# loses its digits and the tangent, which it then matches, takes over.
+_CHORD_FLOOR = 1e-6
+
 
 @dataclass(frozen=True)
 class TransportParams:
@@ -226,7 +233,7 @@ def _effective_heat_capacity(theta, w, params, ice=None, theta_ref=None,
         if theta_ref is not None:
             w_i_ref = w * np.reshape(frozen_ref, np.shape(theta_ref))
             dtheta = theta - theta_ref
-            wide = np.abs(dtheta) > 1e-3
+            wide = np.abs(dtheta) > _CHORD_FLOOR
             chord = (w_i - w_i_ref) / np.where(wide, dtheta, 1.0)
             dwi_dtheta = np.where(wide, np.minimum(chord, 0.0),
                                   dwi_dtheta)
