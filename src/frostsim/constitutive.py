@@ -29,11 +29,9 @@ _B_PHI_CAP = 1e6
 T0 = 273.15                     # K, the melting point of ice
 R_V = 461.5                     # J kg^-1 K^-1, gas constant of water vapor
 
-# Smallest |theta - theta_ref| at which the heat capacity takes the
-# enthalpy chord, K. The chord's round-off is about 1e-14 K / |dtheta| of
-# the capacity (3e-15 to 3e-14 K measured on both bundled tables with the
-# pores full), so at this floor it stays below 1e-7; below it the chord
-# loses its digits and the tangent, which it then matches, takes over.
+# K, smallest |theta - theta_ref| with the enthalpy chord: its round-off
+# is 3e-15 to 3e-14 K / |theta - theta_ref| of the heat capacity (both
+# bundled tables, pores full), below 1e-7 from this floor up
 _CHORD_FLOOR = 1e-6
 
 
@@ -222,7 +220,8 @@ def _effective_heat_capacity(theta, w, params, ice=None, theta_ref=None,
     the enthalpy chord from theta_ref to theta, not the tangent: the
     latent heat absorbed over a step then matches the ice curve even
     across the freezing front, and the capacity does not flip between
-    spike and baseline from one iterate to the next. ``frozen_ref`` is
+    spike and baseline from one iterate to the next; within
+    ``_CHORD_FLOOR`` of theta_ref it is the tangent. ``frozen_ref`` is
     the ice model's ``frozen_fraction(theta_ref)``, needed with ice.
     """
     if ice is None:

@@ -27,8 +27,6 @@ from .errors import DomainError, InvalidParametersError, InvalidPsdError
 
 # adsorbed film thickness prefactor, m K^(1/3)
 _FILM_COEF = 1.97e-9
-# temperature step of the centred difference for dw_i/dtheta, K
-_FD_STEP = 0.01
 
 
 @dataclass(frozen=True)
@@ -72,7 +70,10 @@ class PoreSizeDistribution:
         self.radii = radii
         self.cum_porosity = psi
         self._log_r = np.log(radii)
-        for arr in (self.radii, self.cum_porosity, self._log_r):
+        # the rate -dpsi/dlog(r) of each interval, and 0 below and above
+        self._rate = np.concatenate(
+            ([0.0], -np.diff(psi) / np.diff(self._log_r), [0.0]))
+        for arr in (self.radii, self.cum_porosity, self._log_r, self._rate):
             arr.setflags(write=False)
 
     @property
@@ -104,6 +105,18 @@ def _check_freezing(theta):
     return theta
 
 
+def _on_frozen(theta, fill, evaluate):
+    """``evaluate`` of the temperatures below 0 degC, ``fill`` at the
+    others; a float for a scalar theta. ``evaluate`` maps a 1-D array of
+    temperatures to values along its first axis, of the shape of fill."""
+    theta = np.asarray(theta, dtype=float)
+    out = np.full(theta.shape + np.shape(fill), fill)
+    frozen = theta < 0.0
+    if np.any(frozen):
+        out[frozen] = evaluate(theta[frozen])
+    return float(out) if out.ndim == 0 else out
+
+
 def _adsorbed_layer(theta):
     """Unfrozen film thickness on the pore wall, m, for theta < 0 degC."""
     return _FILM_COEF * (1.0 / np.abs(theta)) ** (1.0 / 3.0)
@@ -120,15 +133,8 @@ def _interface_radius(theta, params):
 
 def critical_radius(theta, params: IceParams):
     """Smallest frozen pore radius; +inf at or above 0 degC."""
-    theta = np.asarray(theta, dtype=float)
-    frozen = theta < 0.0
-    out = np.full(theta.shape, np.inf)
-    if np.any(frozen):
-        tf = theta[frozen]
-        out[frozen] = _interface_radius(tf, params) + _adsorbed_layer(tf)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _on_frozen(theta, np.inf, lambda t: _interface_radius(t, params)
+                      + _adsorbed_layer(t))
 
 
 def _chi(r, r_ir, r_ar, gamma_li):
@@ -164,11 +170,7 @@ def average_pore_pressure(theta, psd: PoreSizeDistribution, params: IceParams,
     (gauge zero by default) at or above 0 degC. Accepts scalars or 1-D
     arrays.
     """
-    theta_arr = np.atleast_1d(np.asarray(theta, dtype=float))
-    out = np.full(theta_arr.shape, params.p_l)
-    frozen = theta_arr < 0.0
-    if np.any(frozen):
-        tf = theta_arr[frozen]
+    def evaluate(tf):
         r_ir = _interface_radius(tf, params)
         r_ar = _adsorbed_layer(tf)
         r_cr = r_ir + r_ar
@@ -185,10 +187,8 @@ def average_pore_pressure(theta, psd: PoreSizeDistribution, params: IceParams,
         chi = _chi(r_mid, r_ir[:, None], r_ar[:, None], params.gamma_li)
         integral = np.where(log_hi > log_lo[:, None],
                             chi * dpsi, 0.0).sum(axis=1)
-        out[frozen] = params.p_l + integral / params.n
-    if np.isscalar(theta) or np.ndim(theta) == 0:
-        return float(out[0])
-    return out
+        return params.p_l + integral / params.n
+    return _on_frozen(theta, params.p_l, evaluate)
 
 
 def pore_pressure(theta, psd: PoreSizeDistribution, params: IceParams):
@@ -205,11 +205,7 @@ def pore_pressure(theta, psd: PoreSizeDistribution, params: IceParams):
     empty, once r_cr reaches the largest table radius. Accepts scalars
     or 1-D arrays.
     """
-    theta_arr = np.atleast_1d(np.asarray(theta, dtype=float))
-    out = np.full(theta_arr.shape, params.p_l)
-    frozen = theta_arr < 0.0
-    if np.any(frozen):
-        tf = theta_arr[frozen]
+    def evaluate(tf):
         r_ir = _interface_radius(tf, params)[:, None]
         r_ar = _adsorbed_layer(tf)[:, None]
         r_cr = r_ir + r_ar
@@ -220,15 +216,12 @@ def pore_pressure(theta, psd: PoreSizeDistribution, params: IceParams):
                                                     psd._log_r[:-1]), 0.0)
         dlog = np.log1p(r_ar * np.maximum(r_hi - r_lo, 0.0)
                         / (r_hi * (r_lo - r_ar)))
-        rate = -np.diff(psd.cum_porosity) / np.diff(psd._log_r)
         # a row sum, not a matrix product, so that an element's value does
         # not depend on how many others freeze with it
         integral = params.gamma_li * ((2.0 * du / r_ir - dlog / r_ar)
-                                      * rate).sum(axis=1)
-        out[frozen] = params.p_l + integral / params.n
-    if np.isscalar(theta) or np.ndim(theta) == 0:
-        return float(out[0])
-    return out
+                                      * psd._rate[1:-1]).sum(axis=1)
+        return params.p_l + integral / params.n
+    return _on_frozen(theta, params.p_l, evaluate)
 
 
 def frozen_fraction(theta, psd: PoreSizeDistribution,
@@ -237,37 +230,38 @@ def frozen_fraction(theta, psd: PoreSizeDistribution,
 
     Zero at or above 0 degC; always returns an array of at least 1-D.
     """
-    t = np.atleast_1d(np.asarray(theta, dtype=float))
-    frac = np.zeros(t.shape)
-    frozen = t < 0.0
-    if np.any(frozen):
-        tf = t[frozen]
-        r_cr = _interface_radius(tf, params) + _adsorbed_layer(tf)
-        frac[frozen] = np.interp(np.log(np.minimum(r_cr, psd.radii[-1])),
-                                 psd._log_r, psd.cum_porosity) / params.n
-    return frac
+    return np.atleast_1d(_frozen_share(theta, psd, params)[0])
+
+
+def _frozen_share(theta, psd, params):
+    """psi(r_cr) / n and its exact slope in theta, both 0 at or above
+    0 degC: psi falls at its interval's rate in u = ln r_cr, and u rises
+    at (r_ir + r_ar / 3) / (|theta| r_cr), as r_ir goes as 1 / |theta|
+    and r_ar as |theta|^(-1/3); the rate is 0 outside the table."""
+    def evaluate(t):
+        r_ir = _interface_radius(t, params)
+        r_ar = _adsorbed_layer(t)
+        r_cr = r_ir + r_ar
+        u = np.log(r_cr)
+        rate = psd._rate[np.searchsorted(psd._log_r, u, side="right")]
+        return np.stack(
+            (np.interp(u, psd._log_r, psd.cum_porosity) / params.n,
+             -rate * (r_ir + r_ar / 3.0) / (np.abs(t) * r_cr) / params.n),
+            axis=-1)
+    return np.moveaxis(_on_frozen(theta, (0.0, 0.0), evaluate), -1, 0)
 
 
 def ice_content(theta, w, psd: PoreSizeDistribution, params: IceParams):
     """Frozen water content w_i and its slope dw_i/dtheta.
 
     The pore water content w, kg m^-3, is assumed distributed over the
-    pore volume, so the frozen fraction is psi(r_cr) / n. The slope is a
-    centered finite difference with a step of _FD_STEP kelvin, clamped to
-    be non-positive; the three temperatures it needs go through one
-    frozen-fraction lookup. Both outputs are zero at or above 0 degC.
+    pore volume, so the frozen fraction is psi(r_cr) / n and w_i is w
+    times it; the slope is w times the fraction's exact slope. Both
+    outputs are zero at or above 0 degC.
     """
-    theta_arr = np.asarray(theta, dtype=float)
-    shape = np.broadcast_shapes(theta_arr.shape, np.shape(w))
-    t = np.broadcast_to(theta_arr, shape).ravel()
-    frac = frozen_fraction(np.concatenate([t, t + _FD_STEP, t - _FD_STEP]),
-                           psd, params).reshape((3,) + shape)
-    w = np.broadcast_to(w, shape)
-    w_i = w * frac[0]
-    slope = np.minimum(w * (frac[1] - frac[2]) / (2.0 * _FD_STEP), 0.0)
-    if shape == ():
-        return float(w_i), float(slope)
-    return w_i, slope
+    frac, slope = _frozen_share(theta, psd, params)
+    out = w * frac, w * slope
+    return tuple(map(float, out)) if np.ndim(out[0]) == 0 else out
 
 
 @dataclass(frozen=True)

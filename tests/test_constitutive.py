@@ -230,6 +230,19 @@ class TestEffectiveHeatCapacity:
         assert slope_deep <= 0.0
         assert abs(slope_deep) < abs(slope_front)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_chord_meets_tangent_at_the_floor(self, mortar, spec01_model,
+                                              heat_capacity, sign):
+        # a frozen centroid that moved just more than the floor over the
+        # step takes the chord, one that moved just less the tangent: the
+        # two agree, so the capacity does not jump between Picard iterates
+        theta, floor = -1.7, con._CHORD_FLOOR
+        above = heat_capacity(theta, 0.8, mortar, spec01_model,
+                              theta - sign * 1.01 * floor)
+        below = heat_capacity(theta, 0.8, mortar, spec01_model,
+                              theta - sign * 0.99 * floor)
+        assert above == pytest.approx(below, rel=1e-6)
+
     def test_ice_model_ignored_above_freezing(self, mortar, spec01_model,
                                               heat_capacity):
         with_ice = heat_capacity(7.0, 0.6, mortar, spec01_model)

@@ -277,12 +277,30 @@ class TestIceContent:
         assert np.all(slope <= 0.0)
 
     def test_slope_matches_finite_difference(self, spec01_model, mortar):
-        theta, h = -1.7, 0.01
+        # a 1e-6 K centred difference, with theta - h and theta + h inside
+        # the same table interval; dropping the film's r_ar / 3 from the
+        # slope moves it by 0.4 to 2.4 % here
+        theta, h = np.array([-0.3, -1.7, -4.0]), 1e-6
+        radii, params = spec01_model.psd.radii, spec01_model.params
+        assert np.array_equal(
+            np.searchsorted(radii, ice.critical_radius(theta - h, params)),
+            np.searchsorted(radii, ice.critical_radius(theta + h, params)))
         w = con.water_content(0.8, mortar)
         w_hi, _ = spec01_model.ice_content(theta + h, w)
         w_lo, _ = spec01_model.ice_content(theta - h, w)
         _, slope = spec01_model.ice_content(theta, w)
-        assert slope == pytest.approx((w_hi - w_lo) / (2.0 * h), rel=1e-10)
+        np.testing.assert_allclose(slope, (w_hi - w_lo) / (2.0 * h), rtol=1e-7)
+
+    def test_slope_zero_outside_table_and_thaw(self, three_knot_psd,
+                                               ice_params):
+        # r_cr lies above the table's last radius just below 0 degC and
+        # below its first radius at -20 degC
+        theta = np.array([-0.01, -20.0, -0.0, 0.0, 3.0])
+        r_cr = ice.critical_radius(theta[:2], ice_params)
+        assert r_cr[0] > three_knot_psd.radii[-1]
+        assert r_cr[1] < three_knot_psd.radii[0]
+        _, slope = ice.ice_content(theta, 50.0, three_knot_psd, ice_params)
+        assert np.all(slope == 0.0)
 
 
 class TestPsdTable:
