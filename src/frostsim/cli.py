@@ -18,6 +18,7 @@ from .driver import build_models, build_problems, load_config, run
 from .errors import (
     ClimateFormatError,
     ConfigError,
+    DegenerateElementError,
     DomainError,
     FrostsimError,
     InvalidGeometryError,
@@ -30,7 +31,8 @@ from .errors import (
 from .mesh import generate_lshape, write_mesh
 
 _CONFIG_ERRORS = (ConfigError, InvalidParametersError, InvalidPsdError,
-                  MeshFormatError, ClimateFormatError, InvalidGeometryError)
+                  MeshFormatError, ClimateFormatError, InvalidGeometryError,
+                  DegenerateElementError)
 _SOLVER_ERRORS = (StepFailureError, SingularSystemError, DomainError)
 
 

@@ -88,7 +88,7 @@ class Mesh:
         n = len(nodes)
         m = len(elements)
         if n < 3 or m < 1:
-            raise ValueError("mesh needs at least one triangle")
+            raise MeshFormatError("mesh needs at least one triangle")
         if elements.min() < 0 or elements.max() >= n:
             raise MeshFormatError("element references a node id out of range")
 
@@ -425,6 +425,8 @@ def load_mesh(path: str | Path) -> Mesh:
         error = MeshFormatError(f"{path}: {exc}")
         error.line = exc.line
         raise error from None
+    except DegenerateElementError as exc:
+        raise DegenerateElementError(f"{path}: {exc}") from None
 
 
 def write_mesh(mesh: Mesh, path: str | Path) -> None:

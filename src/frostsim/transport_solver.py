@@ -683,8 +683,6 @@ class TransportProblem:
         n = self.mesh.num_nodes
         sys = self.assemble(r[:n], r[n:], t, suppressed_nodes=suppressed)
         rhs = sys.F - sys.K @ r
-        if not len(self._fixed):
-            return solve_sparse(sys.C, rhs)
         dt = 1e-6
         rates = (self._dirichlet_at(t + dt) - self._dirichlet_at(t)) / dt
         rdot = np.empty(len(rhs))

@@ -15,7 +15,8 @@ import pytest
 
 from frostsim import cli, driver, mechanics, transport_solver
 from frostsim.constitutive import TransportParams
-from frostsim.errors import ConfigError, MeshFormatError, StepFailureError
+from frostsim.errors import (ConfigError, DegenerateElementError,
+                             MeshFormatError, StepFailureError)
 from frostsim.ice import IceParams
 from frostsim.mechanics import MechParams, neighbour_pairs
 from frostsim.mesh import generate_lshape, generate_rectangle, load_mesh
@@ -782,18 +783,25 @@ class TestCli:
     @pytest.mark.parametrize("content", [
         b"nodes 2\n0 0.0 0.0\n", b"# M\xf6rtel\nnodes 3\n",
         b"nodes 3\n0 0.0 0.0\n1 nan 0.0\n2 0.0 1.0\nelements 1\n0 0 1 2\n"
+        b"bedges 3\n0 0 EXT\n0 1 EXT\n0 2 EXT\n",
+        b"nodes 0\nelements 0\nbedges 0\n",
+        b"nodes 3\n0 0.0 0.0\n1 1.0 0.0\n2 2.0 0.0\nelements 1\n0 0 1 2\n"
         b"bedges 3\n0 0 EXT\n0 1 EXT\n0 2 EXT\n"])
     def test_mesh_file_faults_name_the_file(self, tmp_path, capsys,
                                             content):
-        # a truncated file, one that is not UTF-8, and a NaN coordinate
+        # a truncated file, one that is not UTF-8, a NaN coordinate, a
+        # mesh without a triangle and a collinear triangle
         mesh_path = tmp_path / "bad.mesh"
         mesh_path.write_bytes(content)
-        with pytest.raises(MeshFormatError) as exc:
+        with pytest.raises((MeshFormatError, DegenerateElementError)) as exc:
             load_mesh(mesh_path)
-        assert str(mesh_path) in str(exc.value)
+        assert str(exc.value).startswith(f"{mesh_path}: ")
         path = write_config(tmp_path, {"mesh": {"file": str(mesh_path)}})
-        assert cli.main(["check-config", str(path)]) == 2
-        assert capsys.readouterr().err == f"config error: {exc.value}\n"
+        for argv in (["check-config", str(path)],
+                     ["run", "--config", str(path),
+                      "--out", str(tmp_path / "out")]):
+            assert cli.main(argv) == 2
+            assert capsys.readouterr().err == f"config error: {exc.value}\n"
 
     def test_config_not_utf8_stops_both_commands(self, tmp_path, capsys):
         # the byte is counted from the start of the file, mark included
