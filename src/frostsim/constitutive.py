@@ -29,9 +29,8 @@ _B_PHI_CAP = 1e6
 T0 = 273.15                     # K, the melting point of ice
 R_V = 461.5                     # J kg^-1 K^-1, gas constant of water vapor
 
-# K, smallest |theta - theta_ref| with the enthalpy chord: its round-off
-# is 3e-15 to 3e-14 K / |theta - theta_ref| of the heat capacity (both
-# bundled tables, pores full), below 1e-7 from this floor up
+# K; above it the enthalpy chord's round-off, 3e-15 to 3e-14 K / |dtheta|
+# of the heat capacity on both bundled tables with full pores, is < 1e-7
 _CHORD_FLOOR = 1e-6
 
 

@@ -415,18 +415,15 @@ def parse_mesh(text: str) -> Mesh:
 
 
 def load_mesh(path: str | Path) -> Mesh:
-    """Read a UTF-8 mesh text file; errors start with the path and carry
-    the offending line number."""
+    """Read a UTF-8 mesh text file; errors start with the path, and format
+    errors carry the offending line number."""
     path = Path(path)
     text = read_text(path, MeshFormatError)
     try:
         return parse_mesh(text)
-    except MeshFormatError as exc:
-        error = MeshFormatError(f"{path}: {exc}")
-        error.line = exc.line
-        raise error from None
-    except DegenerateElementError as exc:
-        raise DegenerateElementError(f"{path}: {exc}") from None
+    except (MeshFormatError, DegenerateElementError) as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def write_mesh(mesh: Mesh, path: str | Path) -> None:
