@@ -7,7 +7,9 @@ JSON line: for each probe column (``theta``, ``phi``, ``p_p``, ``d_w``
 and ``u_mag``, in the units of the CSV) the largest absolute difference
 over every time and probe node. When the two files differ in their times
 or their probe nodes the values do not pair up: it then prints why on
-stderr and exits with 1.
+stderr and exits with 1. A file that cannot be read as a probe CSV
+(missing, or with a bad header or row) gives ``probe_diff: <message>``
+on stderr and exit 2.
 
 Run from the repository root.
 """
@@ -25,6 +27,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from frostsim import driver  # noqa: E402
+from frostsim.errors import ConfigError  # noqa: E402
 
 COLUMNS = ("theta", "phi", "p_p", "d_w", "u_mag")
 
@@ -46,8 +49,12 @@ def main(argv=None) -> int:
     parser.add_argument("base", help="probe CSV of the base revision")
     parser.add_argument("change", help="probe CSV of the change")
     args = parser.parse_args(argv)
-    changes = largest_changes(driver.read_probe_csv(args.base),
-                              driver.read_probe_csv(args.change))
+    try:
+        changes = largest_changes(driver.read_probe_csv(args.base),
+                                  driver.read_probe_csv(args.change))
+    except (ConfigError, OSError) as exc:
+        print(f"probe_diff: {exc}", file=sys.stderr)
+        return 2
     if changes is None:
         print("probe_diff: the files differ in their times or probe nodes",
               file=sys.stderr)

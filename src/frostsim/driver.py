@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from ._table import read_text, write_table
+from ._table import read_table, read_text, write_table
 from .climate_io import load_climate
 from .constitutive import TransportParams
 from .errors import ConfigError, StepFailureError
@@ -501,27 +501,15 @@ def write_probe_csv(records: list[ProbeRecord], path: str | Path) -> None:
 
 
 def read_probe_csv(path: str | Path) -> list[ProbeRecord]:
-    """Read a probe CSV back into records grouped by time."""
-    text = read_text(Path(path), ConfigError)
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != _PROBE_HEADER:
-        raise ConfigError(f"not a probe CSV: {path}")
-    records: list[ProbeRecord] = []
-    buf: dict[float, list[list[float]]] = {}
-    order: list[float] = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        t = float(parts[0])
-        if t not in buf:
-            buf[t] = []
-            order.append(t)
-        buf[t].append([float(parts[1])] + [float(p) for p in parts[2:]])
-    for t in order:
-        rows = np.array(buf[t])
-        records.append(ProbeRecord(
-            time_h=t, nodes=rows[:, 0].astype(np.int64), theta=rows[:, 1],
-            phi=rows[:, 2], p_p=rows[:, 3], d_w=rows[:, 4], u_mag=rows[:, 5]))
-    return records
+    """Read a probe CSV back into records, one per run of rows that share
+    a time; faults raise ``ConfigError`` naming the file and the row."""
+    data = read_table(Path(path), _PROBE_HEADER.split(","), ConfigError)
+    runs = np.split(data, np.flatnonzero(np.diff(data[:, 0])) + 1)
+    return [ProbeRecord(time_h=float(rows[0, 0]),
+                        nodes=rows[:, 1].astype(np.int64), theta=rows[:, 2],
+                        phi=rows[:, 3], p_p=rows[:, 4], d_w=rows[:, 5],
+                        u_mag=rows[:, 6])
+            for rows in runs]
 
 
 def _vtk_scalars(name: str, values: np.ndarray) -> list[str]:

@@ -80,13 +80,6 @@ class PoreSizeDistribution:
     def total_porosity(self) -> float:
         return float(self.cum_porosity[0])
 
-    def psi(self, r):
-        """Volume fraction of pores larger than r; clamped outside the table."""
-        r = np.asarray(r, dtype=float)
-        if np.any(r <= 0.0):
-            raise DomainError("pore radius must be positive")
-        return np.interp(np.log(r), self._log_r, self.cum_porosity)
-
 
 def load_psd_csv(path: str | Path) -> PoreSizeDistribution:
     """Read a UTF-8 ``radius_m,cum_porosity`` CSV; errors name the file."""

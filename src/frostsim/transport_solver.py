@@ -524,16 +524,18 @@ class TransportProblem:
             np.concatenate([unit.ravel() for _, _, unit in blocks]
                            + [np.ones(2 * n)]), 2 * n, take)
 
-        # edge nodes and lumped weights per tag that carries a condition;
-        # the condition values are read live from self.robin / self.flux so
+        # per tag that carries a condition, its distinct nodes and their
+        # weights, the sums of half of each tagged edge's length; the
+        # condition values are read live from self.robin / self.flux so
         # they may be swapped out
         pairs = mesh.boundary_edge_nodes()
-        lengths = mesh.boundary_edge_lengths()
-        self._edge_scatter = {}
+        half = 0.5 * mesh.boundary_edge_lengths()
+        self._weights = {}
         for tag in set(self.robin) | set(self.flux):
             idx = mesh.edges_with_tag(tag)
-            self._edge_scatter[tag] = (pairs[idx].ravel(),
-                                       np.repeat(0.5 * lengths[idx], 2))
+            w = np.bincount(pairs[idx].ravel(), np.repeat(half[idx], 2))
+            nodes = np.flatnonzero(w)
+            self._weights[tag] = nodes, w[nodes]
 
     # -- assembly ----------------------------------------------------------
 
@@ -559,61 +561,48 @@ class TransportProblem:
         theta_c, phi_c = self._centroid_state(theta, phi)
         cf = self.coefficients.evaluate(theta_c, phi_c)
 
-        K = self._fill(cf, 0.0, 1.0, self._exchange_diagonal())
+        exchange, load, rain = self._boundary(t)
+        K = self._fill(cf, 0.0, 1.0, exchange)
         # C keeps only its storage blocks; pruned on a copy, since the map's
         # index arrays are read-only
         C = self._fill(cf, 1.0, 0.0, np.zeros(2 * n)).copy()
         C.eliminate_zeros()
-        f_base, rain = self._step_loads(t)
-        return AssembledSystem(K, C, self._with_rain(f_base, rain,
-                                                     suppressed_nodes), n)
+        suppressed = False if suppressed_nodes is None else suppressed_nodes
+        return AssembledSystem(K, C, self._with_rain(load, rain, suppressed), n)
 
-    def _step_loads(self, t: float):
-        """Load split at time t: the part fixed within a step, plus the
-        rain terms that get masked per iteration as nodes saturate."""
+    def _boundary(self, t: float):
+        """Exchange diagonal per dof, the load fixed within a step and the
+        rain per node at time t; the rain is masked per iterate as nodes
+        saturate."""
         mesh = self.mesh
         n = mesh.num_nodes
-        base = np.zeros(2 * n)
+        exchange, load, rain = np.zeros(2 * n), np.zeros(2 * n), np.zeros(n)
         for tag, bc in self.robin.items():
-            nodes, weights = self._edge_scatter[tag]
-            np.add.at(base, nodes, bc.alpha_h * _at(bc.theta_amb, t) * weights)
-            np.add.at(base, nodes + n, bc.beta_v * _at(bc.phi_amb, t) * weights)
-        rain = []
+            nodes, w = self._weights[tag]
+            exchange[nodes] += bc.alpha_h * w
+            exchange[nodes + n] += bc.beta_v * w
+            load[nodes] += bc.alpha_h * _at(bc.theta_amb, t) * w
+            load[nodes + n] += bc.beta_v * _at(bc.phi_amb, t) * w
         for tag, fl in self.flux.items():
-            nodes, weights = self._edge_scatter[tag]
-            np.add.at(base, nodes, _at(fl.q_heat, t) * weights)
-            rain.append((nodes, _at(fl.q_moist, t) * weights))
-        for src, offset in ((self.source_heat, 0), (self.source_moist, n)):
+            nodes, w = self._weights[tag]
+            load[nodes] += _at(fl.q_heat, t) * w
+            rain[nodes] += _at(fl.q_moist, t) * w
+        for src, part in ((self.source_heat, load[:n]),
+                          (self.source_moist, load[n:])):
             if src is None:
                 continue
             sc = src(mesh.centroids[:, 0], mesh.centroids[:, 1], t)
-            load = np.broadcast_to(np.asarray(sc, dtype=float),
-                                   (mesh.num_elements,)) * mesh.areas / 3.0
-            np.add.at(base, mesh.elements.ravel() + offset,
-                      np.repeat(load, 3))
-        return base, rain
+            share = np.broadcast_to(np.asarray(sc, dtype=float),
+                                    (mesh.num_elements,)) * mesh.areas / 3.0
+            part += np.bincount(self._conn_flat, np.repeat(share, 3),
+                                minlength=n)
+        return exchange, load, rain
 
-    def _with_rain(self, f_base, rain, suppressed):
-        """f_base plus the rain terms, masked on the suppressed nodes."""
-        if not rain:
-            return f_base
-        n = self.mesh.num_nodes
-        F = f_base.copy()
-        for nodes, q_m in rain:
-            if suppressed is not None:
-                q_m = np.where(suppressed[nodes], 0.0, q_m)
-            np.add.at(F, nodes + n, q_m)
+    def _with_rain(self, load, rain, suppressed):
+        """load plus the rain, masked on the suppressed nodes."""
+        F = load.copy()
+        F[self.mesh.num_nodes:] += np.where(suppressed, 0.0, rain)
         return F
-
-    def _exchange_diagonal(self) -> np.ndarray:
-        """Edge-lumped exchange terms on the diagonal of K, per dof."""
-        n = self.mesh.num_nodes
-        diag = np.zeros(2 * n)
-        for tag, bc in self.robin.items():
-            nodes, weights = self._edge_scatter[tag]
-            np.add.at(diag, nodes, bc.alpha_h * weights)
-            np.add.at(diag, nodes + n, bc.beta_v * weights)
-        return diag
 
     def _fill(self, cf: CoefficientFields, storage: float, stiffness: float,
               exchange: np.ndarray) -> sp.csr_matrix:
@@ -634,7 +623,7 @@ class TransportProblem:
         return (areas * (history[:n][conn] @ self._unit_mass),
                 areas * (history[n:][conn] @ self._unit_mass))
 
-    def _step_operator(self, theta, phi, gdt, exchange, f_base, rain,
+    def _step_operator(self, theta, phi, gdt, exchange, load, rain,
                        mass_hist, suppressed, reference=None):
         """[C + gdt K] and gdt F + C history for one Picard iterate.
 
@@ -652,7 +641,7 @@ class TransportProblem:
             cf = self.coefficients.evaluate(theta_c, phi_c)
         A = self._fill(cf, 1.0, gdt, exchange)
         mh_t, mh_p = mass_hist
-        b = gdt * self._with_rain(f_base, rain, suppressed)
+        b = gdt * self._with_rain(load, rain, suppressed)
         b[:n] += np.bincount(self._conn_flat,
                              (cf.c_tt[:, None] * mh_t).ravel(), minlength=n)
         b[n:] += np.bincount(self._conn_flat,
@@ -706,8 +695,8 @@ class TransportProblem:
         history = r_old + dt * (1.0 - gamma) * rdot_old
         suppressed = np.zeros(n, dtype=bool)
         gdt = gamma * dt
-        f_base, rain = self._step_loads(t_new)
-        exchange = gdt * self._exchange_diagonal()
+        exchange, load, rain = self._boundary(t_new)
+        exchange = gdt * exchange
         mass_hist = self._mass_history(history)
         step_reference = getattr(self.coefficients, "step_reference", None)
         reference = (None if step_reference is None
@@ -727,7 +716,7 @@ class TransportProblem:
             r_new[free] = x
             suppressed[:] |= r_new[n:] >= _SATURATED
             A, b = self._step_operator(r_new[:n], r_new[n:], gdt, exchange,
-                                       f_base, rain, mass_hist, suppressed,
+                                       load, rain, mass_hist, suppressed,
                                        reference=reference)
             if len(fixed):
                 A, b = apply_dirichlet(A, b, free, fixed, vals)

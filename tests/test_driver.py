@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from frostsim import cli, driver, mechanics, transport_solver
-from frostsim.constitutive import TransportParams
+from frostsim.constitutive import THETA_MAX, THETA_MIN, TransportParams
 from frostsim.errors import (ConfigError, DegenerateElementError,
                              MeshFormatError, StepFailureError)
 from frostsim.ice import IceParams
@@ -112,6 +112,13 @@ class TestDefaultConfig:
         for name, section in driver.DEFAULT_CONFIG.items():
             if isinstance(section, dict):
                 assert set(section) == set(props[name]["properties"]), name
+
+    @pytest.mark.parametrize("section", ["initial", "interior"])
+    def test_set_up_temperature_within_the_fits(self, section):
+        # the property fits hold on [THETA_MIN, THETA_MAX]; a set-up
+        # temperature outside would only fail at the first solve
+        theta = driver._schema()["properties"][section]["properties"]["theta"]
+        assert (theta["minimum"], theta["maximum"]) == (THETA_MIN, THETA_MAX)
 
 
 class TestValidateConfig:
@@ -410,16 +417,39 @@ class TestProbeCsv:
         assert "np" not in path.read_text()
 
     def test_empty_records(self, tmp_path):
+        # run never writes one, so reading one back is a fault
         path = tmp_path / "probes.csv"
         driver.write_probe_csv([], path)
         assert path.read_text() == driver._PROBE_HEADER + "\n"
-        assert driver.read_probe_csv(path) == []
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: "
+                                              "no data rows$"):
+            driver.read_probe_csv(path)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "other.csv"
         path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(ConfigError, match="not a probe CSV"):
+        with pytest.raises(ConfigError, match="expected header 'time_h,node,"):
             driver.read_probe_csv(path)
+
+    @pytest.mark.parametrize("row, fault", [
+        ("2.0,7,13.0,0.52", "row 3 needs 7 columns"),
+        ("2.0,7,13.0,0.52,x,0.3,1e-6", "row 3 is not numeric")])
+    def test_bad_row_names_file_and_row(self, tmp_path, row, fault):
+        path = tmp_path / "probes.csv"
+        path.write_text(f"{driver._PROBE_HEADER}\n1.0,3,14.0,0.5,0,0,0\n"
+                        f"{row}\n")
+        with pytest.raises(ConfigError,
+                           match=f"^{re.escape(str(path))}: {fault}$"):
+            driver.read_probe_csv(path)
+
+    def test_groups_consecutive_rows_by_time(self, tmp_path):
+        path = tmp_path / "probes.csv"
+        path.write_text(f"{driver._PROBE_HEADER}\n" + "".join(
+            f"{t},{node},0,0,0,0,0\n"
+            for t, node in ((1.0, 3), (1.0, 7), (2.0, 3), (1.0, 3))))
+        recs = driver.read_probe_csv(path)
+        assert [r.time_h for r in recs] == [1.0, 2.0, 1.0]
+        assert [r.nodes.tolist() for r in recs] == [[3, 7], [3], [3]]
 
 
 class TestSnapshot:
@@ -754,6 +784,11 @@ class TestCli:
         ({"climate": {"file": "nan.csv"}}, "nan.csv: row 3 is not finite"),
         ({"ice": {"psd_file": "nan_psd.csv"}},
          "nan_psd.csv: row 3 is not finite"),
+        # outside the property fits' [-40, 60] degC
+        ({"initial": {"theta": 80}},
+         "initial/theta: 80 is greater than the maximum of 60"),
+        ({"interior": {"theta": -60}},
+         "interior/theta: -60 is less than the minimum of -40"),
     ])
     def test_set_up_faults_stop_both_commands(self, tmp_path, capsys,
                                               fragment, message):

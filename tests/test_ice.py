@@ -319,9 +319,13 @@ class TestPsdTable:
         with pytest.raises(InvalidPsdError):
             P([1e-8, 1e-7], [1.2, 0.0])                # porosity >= 1
 
-    def test_psi_clamps_outside_table(self, three_knot_psd):
-        assert three_knot_psd.psi(1e-9) == 0.35
-        assert three_knot_psd.psi(1e-3) == 0.0
+    def test_frozen_fraction_clamps_outside_table(self, three_knot_psd,
+                                                  ice_params):
+        # r_cr lies below the table's first radius at -20 degC, so every
+        # pore is frozen, and above its last just below 0 degC, so none
+        frac = ice.frozen_fraction(np.array([-20.0, -0.01]), three_knot_psd,
+                                   ice_params)
+        np.testing.assert_array_equal(frac, [0.35 / ice_params.n, 0.0])
 
     def test_csv_round_trip(self, tmp_path, three_knot_psd):
         path = tmp_path / "psd.csv"

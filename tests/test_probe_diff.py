@@ -57,3 +57,15 @@ def test_unpaired_files_fail(tmp_path, capsys, other):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "differ in their times or probe nodes" in captured.err
+
+
+@pytest.mark.parametrize("order", ["base", "change"])
+def test_unreadable_file_exits_2(tmp_path, capsys, order):
+    good = written(tmp_path, "good.csv", records())
+    short = tmp_path / "short.csv"
+    short.write_text(f"{driver._PROBE_HEADER}\n1.0,3,14.0,0.5\n")
+    args = [str(short), good] if order == "base" else [good, str(short)]
+    assert probe_diff.main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"probe_diff: {short}: row 2 needs 7 columns\n")

@@ -11,7 +11,7 @@ from frostsim.errors import (
     InvalidParametersError,
     StepFailureError,
 )
-from frostsim.mesh import BoundaryTag, generate_rectangle
+from frostsim.mesh import BoundaryTag, generate_lshape, generate_rectangle
 
 # exact element matrices of the unit triangle (area 1/2) for unit
 # coefficients: stiffness from the constant gradients, consistent storage
@@ -256,6 +256,102 @@ class TestUncheckedEvaluation:
         assert min(calls.values()) > 0
 
 
+class TestBoundary:
+    """The boundary terms of each tag, lumped to nodal weights at set-up,
+    against a scatter of every tagged edge. At h = 0.15 the L-shape's
+    outside faces have edges 0.15 and 2/15 long, as 0.4 is not a
+    multiple of h."""
+
+    @pytest.fixture
+    def mesh(self):
+        mesh = generate_lshape(1.0, 0.4, 0.15)
+        lengths = mesh.boundary_edge_lengths()
+        assert np.ptp(lengths[mesh.edges_with_tag(BoundaryTag.EXT)]) > 0.01
+        return mesh
+
+    def make_problem(self, mesh, mortar):
+        robin = {
+            BoundaryTag.EXT: ts.RobinBC(8.0, 5.6e-8,
+                                        lambda t: -4.0 + t / 3600.0, 0.9),
+            BoundaryTag.INT: ts.RobinBC(7.7, 2.5e-8, 20.0,
+                                        lambda t: 0.55),
+        }
+        flux = {BoundaryTag.EXT: ts.BoundaryFlux(
+            q_heat=35.0, q_moist=lambda t: 1e-4 * (1.0 + t / 3600.0))}
+        return ts.TransportProblem(
+            mesh, ts.KunzelCoefficients(mortar), robin=robin, flux=flux,
+            source_heat=lambda x, y, t: 3.0 + x * y,
+            source_moist=lambda x, y, t: 1e-6)
+
+    def scattered(self, prob, t):
+        """Exchange diagonal, load and rain, edge by edge."""
+        mesh = prob.mesh
+        n = mesh.num_nodes
+        pairs = mesh.boundary_edge_nodes()
+        lengths = mesh.boundary_edge_lengths()
+        exchange, load, rain = np.zeros(2 * n), np.zeros(2 * n), np.zeros(n)
+
+        def at(value):
+            return value(t) if callable(value) else value
+
+        for tag, bc in prob.robin.items():
+            idx = mesh.edges_with_tag(tag)
+            nodes, w = pairs[idx].ravel(), np.repeat(0.5 * lengths[idx], 2)
+            np.add.at(exchange, nodes, bc.alpha_h * w)
+            np.add.at(exchange, nodes + n, bc.beta_v * w)
+            np.add.at(load, nodes, bc.alpha_h * at(bc.theta_amb) * w)
+            np.add.at(load, nodes + n, bc.beta_v * at(bc.phi_amb) * w)
+        for tag, fl in prob.flux.items():
+            idx = mesh.edges_with_tag(tag)
+            nodes, w = pairs[idx].ravel(), np.repeat(0.5 * lengths[idx], 2)
+            np.add.at(load, nodes, at(fl.q_heat) * w)
+            np.add.at(rain, nodes, at(fl.q_moist) * w)
+        x, y = mesh.centroids[:, 0], mesh.centroids[:, 1]
+        for src, offset in ((prob.source_heat, 0), (prob.source_moist, n)):
+            share = src(x, y, t) * mesh.areas / 3.0
+            np.add.at(load, mesh.elements.ravel() + offset,
+                      np.repeat(share, 3))
+        return exchange, load, rain
+
+    def test_matches_per_edge_scatter(self, mesh, mortar):
+        prob = self.make_problem(mesh, mortar)
+        for t in (0.0, 7200.0):
+            got = prob._boundary(t)
+            for name, g, want in zip(("exchange", "load", "rain"), got,
+                                     self.scattered(prob, t)):
+                assert np.count_nonzero(want) > 0
+                np.testing.assert_allclose(g, want, rtol=1e-14, atol=0.0,
+                                           err_msg=name)
+
+    def test_weights_sum_to_tag_length(self, mesh, mortar):
+        prob = self.make_problem(mesh, mortar)
+        lengths = mesh.boundary_edge_lengths()
+        assert set(prob._weights) == {BoundaryTag.EXT, BoundaryTag.INT}
+        for tag, (nodes, w) in prob._weights.items():
+            np.testing.assert_array_equal(nodes, mesh.nodes_with_tag(tag))
+            assert np.all(w > 0.0)
+            assert w.sum() == pytest.approx(
+                lengths[mesh.edges_with_tag(tag)].sum(), rel=1e-14)
+
+    def test_rain_masked_only_on_suppressed_node(self, mesh, mortar):
+        n = mesh.num_nodes
+        prob = self.make_problem(mesh, mortar)
+        _, load, rain = prob._boundary(7200.0)
+        np.testing.assert_array_equal(np.flatnonzero(rain),
+                                      mesh.nodes_with_tag(BoundaryTag.EXT))
+        node = mesh.nodes_with_tag(BoundaryTag.EXT)[3]
+        suppressed = np.zeros(n, dtype=bool)
+        suppressed[node] = True
+        F = prob._with_rain(load, rain, suppressed)
+        np.testing.assert_array_equal(F[:n], load[:n])
+        expect = load[n:] + rain
+        expect[node] = load[n + node]
+        np.testing.assert_array_equal(F[n:], expect)
+        np.testing.assert_array_equal(
+            prob._with_rain(load, rain, np.zeros(n, dtype=bool))[n:],
+            load[n:] + rain)
+
+
 class TestStepOperator:
     """The Picard operator filled into the fixed CSR pattern against the
     independently assembled K, C and F."""
@@ -296,9 +392,8 @@ class TestStepOperator:
         prob = self.make_problem(mesh, mortar, **options)
         t, gdt = 7200.0, 1800.0
 
-        f_base, rain = prob._step_loads(t)
-        A, b = prob._step_operator(theta, phi, gdt,
-                                   gdt * prob._exchange_diagonal(), f_base,
+        exchange, load, rain = prob._boundary(t)
+        A, b = prob._step_operator(theta, phi, gdt, gdt * exchange, load,
                                    rain, prob._mass_history(history),
                                    suppressed)
         sys = prob.assemble(theta, phi, t, suppressed_nodes=suppressed)
