@@ -1,8 +1,8 @@
 """Counts and wall time of the full 744 h reference month.
 
-Runs ``frostsim.driver.run({})``, the bundled winter with the default
-config, in this process with the BLAS and OpenMP thread counts pinned to
-1, and prints one JSON object:
+Runs ``frostsim.driver.run(CONFIG)``, the bundled winter with the default
+config or with the config file CONFIG, in this process with the BLAS and
+OpenMP thread counts pinned to 1, and prints one JSON object:
 
 - ``picard`` and ``picard_max``: the sum and the largest entry of
   ``RunSummary.picard_iterations``, and ``worst_step``: the 1-based
@@ -21,11 +21,17 @@ config, in this process with the BLAS and OpenMP thread counts pinned to
 - ``wall_s``: wall seconds of the ``driver.run`` call;
 - ``sha256``: the SHA-256 of the probe CSV of the run's records;
 - ``failed_substeps``: for each substep that failed and was halved, its
-  step, start hour, length, message and residual history.
+  step, start hour, length, message and residual history;
+- ``fallbacks``: the 1-based numbers of the steps with a substep that
+  succeeded after the Picard safeguard dropped its Newton term, found
+  from ``NonlinearResult.fallback`` by wrapping
+  ``transport_solver.nonlinear_iterate``.
 
-Run from the repository root:
+Run from the repository root, for instance on the spec02 month:
 
     python3 scripts/month_counts.py
+    echo '{"ice": {"psd_file": "spec02", "n": 0.13}}' > spec02.json
+    python3 scripts/month_counts.py spec02.json
 """
 
 from __future__ import annotations
@@ -50,26 +56,40 @@ from frostsim.errors import StepFailureError
 from frostsim.transport_solver import TransportProblem
 
 
-def counts(config: dict) -> dict:
+def counts(config: dict | str | Path) -> dict:
     """The object ``main`` prints, for ``driver.run(config)``."""
     failed = []
     solves = []
+    dropped = []
+    fallbacks = []
     step = TransportProblem.step
     solve = transport_solver.solve_sparse
+    iterate = transport_solver.nonlinear_iterate
 
     def recording_step(self, state, dt, **options):
+        dropped.clear()
         try:
-            return step(self, state, dt, **options)
+            out = step(self, state, dt, **options)
         except StepFailureError as err:
             failed.append((state.t, dt, str(err), err.residuals))
             raise
+        if dropped:
+            fallbacks.append(state.t)
+        return out
 
     def counting_solve(A, b):
         solves.append(1)
         return solve(A, b)
 
+    def recording_iterate(*args, **kwargs):
+        result = iterate(*args, **kwargs)
+        if result.fallback:
+            dropped.append(1)
+        return result
+
     TransportProblem.step = recording_step
     transport_solver.solve_sparse = counting_solve
+    transport_solver.nonlinear_iterate = recording_iterate
     try:
         start = time.perf_counter()
         summary = driver.run(config)
@@ -77,6 +97,7 @@ def counts(config: dict) -> dict:
     finally:
         TransportProblem.step = step
         transport_solver.solve_sparse = solve
+        transport_solver.nonlinear_iterate = iterate
 
     with tempfile.TemporaryDirectory() as tmp:
         probe = Path(tmp) / "probes.csv"
@@ -101,11 +122,14 @@ def counts(config: dict) -> dict:
             {"step": int(t // dt_step) + 1, "t_h": t / 3600.0, "dt_s": dt,
              "message": message, "residuals": residuals}
             for t, dt, message, residuals in failed],
+        "fallbacks": sorted({int(t // dt_step) + 1 for t in fallbacks}),
     }
 
 
 def main() -> None:
-    print(json.dumps(counts({})))
+    if len(sys.argv) > 2:
+        sys.exit("usage: month_counts.py [CONFIG.json]")
+    print(json.dumps(counts(sys.argv[1] if len(sys.argv) == 2 else {})))
 
 
 if __name__ == "__main__":

@@ -25,10 +25,11 @@ class SparsePattern:
     column pointers are the running counts, so only the pattern itself
     needs a sort. ``weights`` is held as the map's data, not copied.
     ``matrix(coefs)`` is one sparse mat-vec, and each slot sums its
-    entries in the listed order. Every matrix it returns shares the map's
-    index arrays, which are read-only: an in-place change of structure,
-    such as ``eliminate_zeros``, raises ValueError instead of rewriting the
-    map; make it on a copy.
+    entries in the listed order; a shorter ``coefs`` leaves the last
+    coefficients, and their entries, out. Every matrix it returns shares
+    the map's index arrays, which are read-only: an in-place change of
+    structure, such as ``eliminate_zeros``, raises ValueError instead of
+    rewriting the map; make it on a copy.
     """
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray,
@@ -60,9 +61,18 @@ class SparsePattern:
              np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)),
             shape=(len(pattern), len(counts)))
         self._n = n
+        self._head = self._scatter      # a view of its leading columns
 
     def matrix(self, coefs: np.ndarray) -> sp.csr_matrix:
-        return sp.csr_matrix((self._scatter @ coefs, self._indices,
+        scatter, m = self._scatter, len(coefs)
+        if m < scatter.shape[1]:
+            if self._head.shape[1] != m:
+                end = scatter.indptr[m]
+                self._head = sp.csc_matrix(
+                    (scatter.data[:end], scatter.indices[:end],
+                     scatter.indptr[:m + 1]), shape=(scatter.shape[0], m))
+            scatter = self._head
+        return sp.csr_matrix((scatter @ coefs, self._indices,
                               self._indptr), shape=(self._n, self._n))
 
 

@@ -13,23 +13,23 @@ is advanced with the one-parameter theta scheme
     [gamma dt K + C] r_new = gamma dt F + C [r_old + dt (1 - gamma) rdot_old]
 
 (gamma = 0.5 is the trapezoidal rule) and the nonlinearity is resolved by
-Picard iteration on the frozen-coefficient linear system, with the mixing
-factor backed off automatically when the residual grows. Where the Picard
-map stagnates, converging no faster than under-relaxation by the starting
-mixing factor alone would, Anderson mixing of its last few updates
-finishes the step. The operator, and the K and C of ``assemble``, are
-each one sparse mat-vec of their coefficient fields, through one map
-from coefficients to matrix values fixed at construction. One LU factor
-serves the iterates of a step and the steps after it that share
-gamma dt: each linear solve uses the factor, with a few GMRES iterations
-on it where its answer alone is not accurate enough, and A is
-factorised afresh only when those fail too. A fresh factor covers only
-the diagonal blocks [theta, theta] and [phi, phi] of A and keeps its
-[theta, phi] block, so it solves the block upper-triangular part of A
-exactly: in the mortar model the [phi, theta] block, the vapor flux that
-temperature drives, is some six orders of magnitude below the
-[phi, phi] block, and dropping it halves the fill. Only where that
-factor's GMRES misses too is the whole A factorised.
+Picard iteration on the frozen-coefficient system A(r) r = b(r), whose
+update matrix adds the exact derivative of the latent-heat storage, the
+stiff part of the heat balance below freezing; the mixing factor backs
+off when the residual grows, and a second growth drops that Newton term
+for the rest of the step. Every transport matrix is one sparse mat-vec
+of its coefficient fields, through one map from coefficients to matrix
+values fixed at construction. One LU factor serves the iterates of a
+step and the steps after it that share gamma dt: each linear solve uses
+the factor, with a few GMRES iterations on it where its answer alone is
+not accurate enough, and the update matrix is factorised afresh only
+when those fail too. A fresh factor covers only its diagonal blocks
+[theta, theta] and [phi, phi] and keeps its [theta, phi] block, so it
+solves the block upper-triangular part exactly: in the mortar model the
+[phi, theta] block, the vapor flux that temperature drives, is some six
+orders of magnitude below the [phi, phi] block, and dropping it halves
+the fill. Only where that factor's GMRES misses too is the whole matrix
+factorised.
 
 Boundary terms: Robin exchange adds alpha L/2 to the diagonal of the
 matching block and alpha ambient L/2 to the load (edge-lumped); prescribed
@@ -72,12 +72,6 @@ _SATURATED = 1.0 - 1e-9
 # otherwise factorises A afresh
 _ETA = 1e-2
 _KRYLOV_MAX = 4
-
-# the gate of nonlinear_iterate's Anderson mixing (residual below which,
-# margin over the rate 1 - relax) and its number of differences
-_AA_RESIDUAL = 0.1
-_AA_MARGIN = 0.1
-_AA_DEPTH = 3
 
 # (row field, column field) of the element blocks of K, in the order
 # their positions are listed; 0 is theta, 1 is phi
@@ -124,6 +118,7 @@ class CoefficientFields:
     k_pp: np.ndarray
     c_tt: np.ndarray
     c_pp: np.ndarray
+    dc_tt: np.ndarray | None = None     # d c_tt / d theta, where modelled
 
 
 class KunzelCoefficients:
@@ -180,6 +175,8 @@ class KunzelCoefficients:
         c_pp = constitutive._moisture_capacity(phi, params)
         ice = (None if self.ice_model is None
                else self.ice_model.ice_content(theta, w))
+        c_tt, dc_tt = constitutive._effective_heat_capacity(
+            theta, w, params, ice, theta_ref, frozen_ref)
         return CoefficientFields(
             k_tt=constitutive._thermal_conductivity(w, params)
                  + h_v * delta_v * phi * dp_sat,
@@ -188,10 +185,7 @@ class KunzelCoefficients:
             # D_phi = D_l dw/dphi, as in constitutive.moisture_diffusivity
             k_pp=constitutive._liquid_conductivity(w, params) * c_pp
                  + delta_v * p_sat,
-            c_tt=constitutive._effective_heat_capacity(theta, w, params, ice,
-                                                       theta_ref, frozen_ref),
-            c_pp=c_pp,
-        )
+            c_tt=c_tt, c_pp=c_pp, dc_tt=dc_tt)
 
 
 class ConstantCoefficients:
@@ -264,6 +258,7 @@ class NonlinearResult:
     residuals: list[float] = field(default_factory=list)
     lu: SparseLU | None = None      # the factor the last update used
     factorisations: int = 0
+    fallback: bool = False          # the Newton term was dropped
 
 
 def _gmres(A, lu: SparseLU, rhs: np.ndarray,
@@ -314,64 +309,41 @@ def _gmres(A, lu: SparseLU, rhs: np.ndarray,
     return None
 
 
-def _anderson(pairs, omega: float, weights: np.ndarray) -> np.ndarray:
-    """Type-II Anderson update from the kept (r_j, f_j), latest last.
-
-    With dX and dF the differences of successive r_j and f_j, it is
-    r_k + omega f_k - (dX + omega dF) g, where g minimises
-    ||weights * (f_k - dF g)||.
-    """
-    r, f = pairs[-1]
-    d_x = np.diff(np.stack([x for x, _ in pairs], axis=1), axis=1)
-    d_f = np.diff(np.stack([u for _, u in pairs], axis=1), axis=1)
-    g = np.linalg.lstsq(weights[:, None] * d_f, weights * f, rcond=None)[0]
-    return r + omega * f - (d_x + omega * d_f) @ g
-
-
 def nonlinear_iterate(system_builder, r_guess: np.ndarray, *,
                       tol: float = 1e-6, max_iter: int = 50,
                       relax: float = 0.7, blocks=None,
                       project=None, lu: SparseLU | None = None
                       ) -> NonlinearResult:
-    """Safeguarded Picard iteration on A(r) r = b(r).
+    """Safeguarded Picard iteration on A(r) r = b(r), with a Newton term.
 
-    ``system_builder(r)`` returns the frozen-coefficient pair (A, b).
-    Convergence is judged on the worst per-block relative residual before
-    each solve, so a linear system converges after one solve. ``relax``
-    is the starting (and maximum) mixing factor; it is halved whenever
-    the residual grows, down to a quarter of its starting value, which
-    damps the oscillation of the frozen-coefficient map across a phase
-    change front without slowing smooth steps. Divergence (residual
-    growing tenfold over five iterations) and exceeding ``max_iter``
-    solves raise StepFailureError, which carries the residual history.
+    ``system_builder(r, newton)`` returns the update matrix M, b(r) and
+    the residual R = A(r) r - b(r); M is A(r), plus with ``newton`` the
+    part of R's Jacobian the builder supplies. Convergence is judged on
+    the worst per-block ||R|| / ||b|| before each solve, so a linear
+    system converges after one solve. ``relax`` is the starting (and
+    maximum) mixing factor; it is halved whenever the residual grows,
+    down to a quarter of its starting value, which damps the oscillation
+    of the frozen-coefficient map across a phase change front without
+    slowing smooth steps. The second growth while ``newton`` is asked
+    for instead restarts the mixing factor at ``relax`` and drops the
+    factor in hand; later iterates are plain Picard, and the result's
+    ``fallback`` is set. Divergence (residual growing tenfold over five
+    iterations) and exceeding ``max_iter`` solves raise
+    StepFailureError, which carries the residual history.
 
-    Each update is r - omega delta with A delta = A r - b solved on an LU
-    factor: ``lu``, the factor of an earlier matrix, or one of A made at
+    Each update is r - omega delta with M delta = R solved on an LU
+    factor: ``lu``, the factor of an earlier matrix, or one of M made at
     the first update when ``lu`` is None. A factor's delta stands when
     its residual, scaled per block by 1 / ||b_block|| as in the
     convergence test, is within _ETA of the scaled right-hand side; else
     up to _KRYLOV_MAX GMRES iterations on the factor correct it. When
-    that misses _ETA, or there is no factor, A is factorised afresh. With
+    that misses _ETA, or there is no factor, M is factorised afresh. With
     two non-empty ``blocks`` the fresh factor is split at their boundary
-    (``SparseLU(A, split)``, exact for A without its lower-left block) and
-    passes the same test; only if it misses _ETA too is the whole A
+    (``SparseLU(M, split)``, exact for M without its lower-left block) and
+    passes the same test; only if it misses _ETA too is the whole M
     factorised and solved exactly. The old factor is released before a
     new one is built. The result carries the last factor and the count
     of factorisations made, one per factor.
-
-    A stagnating step switches, for its remaining updates, to type-II
-    Anderson mixing (Walker & Ni 2011). The switch comes at iterate
-    k >= 2, the first with two ratios, once the residual is below
-    _AA_RESIDUAL and the last two ratios res_k / res_{k-1} both exceed
-    (1 - relax) + _AA_MARGIN; a linear map under-relaxed by relax
-    contracts at exactly 1 - relax, so it keeps the plain update. The
-    gate is keyed on relax, not on the backed-off omega, so that a step
-    whose omega has fallen to its floor still mixes once it crawls. With
-    f_j = -delta_j and dX, dF the differences of the last _AA_DEPTH + 1
-    iterates r_j and of their f_j, the update is
-    r + omega f_k - (dX + omega dF) g, where g minimises the block-scaled
-    ||weights * (f_k - dF g)|| of the convergence test; ``project``
-    applies to it as to a plain update.
     """
     if not 0.0 < relax <= 1.0:
         raise InvalidParametersError("relaxation factor must lie in (0, 1]")
@@ -388,12 +360,9 @@ def nonlinear_iterate(system_builder, r_guess: np.ndarray, *,
     weights = np.empty(len(r))
     omega = relax
     made = 0
-    pairs: list[tuple[np.ndarray, np.ndarray]] = []   # (r_j, -delta_j)
-    mixing = False
-    stalled = 1.0 - relax + _AA_MARGIN
+    newton, grown = True, False
     for k in range(max_iter + 1):
-        A, b = system_builder(r)
-        mismatch = A @ r - b
+        M, b, mismatch = system_builder(r, newton)
         res = 0.0
         for lo, hi in blocks:
             scale = max(float(np.linalg.norm(b[lo:hi])), 1e-30)
@@ -401,7 +370,7 @@ def nonlinear_iterate(system_builder, r_guess: np.ndarray, *,
             res = max(res, float(np.linalg.norm(mismatch[lo:hi])) / scale)
         residuals.append(res)
         if res < tol:
-            return NonlinearResult(r, k, residuals, lu, made)
+            return NonlinearResult(r, k, residuals, lu, made, not newton)
         if k >= 5 and res > 10.0 * residuals[k - 5]:
             raise StepFailureError(
                 f"Picard iteration diverging after {k} iterations",
@@ -413,23 +382,22 @@ def nonlinear_iterate(system_builder, r_guess: np.ndarray, *,
                 residual_norm=res, iterations=k,
                 residuals=residuals)
         if k >= 1 and res > residuals[k - 1]:
-            omega = max(0.5 * omega, 0.25 * relax)
-        delta = None if lu is None else _gmres(A, lu, mismatch, weights)
+            if newton and grown:
+                newton, omega, lu = False, relax, None
+            else:
+                grown, omega = grown or newton, max(0.5 * omega, 0.25 * relax)
+        delta = None if lu is None else _gmres(M, lu, mismatch, weights)
         # SparseLU factorises at its first solve, so the old factor is
         # released before a new one takes memory
         if delta is None and split is not None:
-            lu = SparseLU(A, split)
+            lu = SparseLU(M, split)
             made += 1
-            delta = _gmres(A, lu, mismatch, weights)
+            delta = _gmres(M, lu, mismatch, weights)
         if delta is None:
-            lu = SparseLU(A)
+            lu = SparseLU(M)
             made += 1
             delta = solve_sparse(lu, mismatch)
-        pairs = pairs[-_AA_DEPTH:] + [(r, -delta)]
-        mixing = mixing or (k >= 2 and res < _AA_RESIDUAL
-                            and res > stalled * residuals[k - 1]
-                            and residuals[k - 1] > stalled * residuals[k - 2])
-        r = _anderson(pairs, omega, weights) if mixing else r - omega * delta
+        r = r - omega * delta
         if project is not None:
             r = project(r)
     raise AssertionError("unreachable")
@@ -500,8 +468,9 @@ class TransportProblem:
         # fields listed in _fill: per field a block (row field, column
         # field) and the exact element integral (E, 9) of its unit
         # coefficient, the stiffness from the constant gradients and the
-        # storage from the linear shape products; then 1 on the diagonal
-        # for the exchange
+        # storage from the linear shape products; 1 on the diagonal for
+        # the exchange; per element and local row a Newton column of 1/3
+        # on the row's three theta-theta entries, listed last
         grads, areas = mesh.grads, mesh.areas
         S9 = (np.einsum("eik,ejk->eij", grads, grads)
               * areas[:, None, None]).reshape(-1, 9)
@@ -509,29 +478,31 @@ class TransportProblem:
         blocks = ((0, 0, M9), (0, 0, S9), (0, 1, S9), (1, 0, S9),
                   (1, 1, M9), (1, 1, S9))
         # the six blocks lie on the four positions of _K_BLOCKS, so only
-        # those are listed and sorted, and each block takes its own
+        # those are listed and sorted, and each block, and the Newton
+        # columns on the theta-theta block, take their own
         r_ = np.repeat(conn, 3, axis=1).ravel()     # (E, 9) i i i j j j ...
         c_ = np.tile(conn, (1, 3)).ravel()          # (E, 9) i j k i j k ...
         diag = np.arange(2 * n)
         nine = np.arange(9 * e, dtype=np.int32)
         take = np.concatenate(
             [nine + 9 * e * _K_BLOCKS.index(block[:2]) for block in blocks]
-            + [36 * e + diag.astype(np.int32)])
+            + [36 * e + diag.astype(np.int32), nine])
         self._pattern = SparsePattern(
             np.concatenate([r_ + i * n for i, _ in _K_BLOCKS] + [diag]),
             np.concatenate([c_ + j * n for _, j in _K_BLOCKS] + [diag]),
-            np.concatenate([np.full(len(blocks) * e, 9), np.ones(2 * n, int)]),
+            np.concatenate([np.full(len(blocks) * e, 9), np.ones(2 * n, int),
+                            np.full(3 * e, 3)]),
             np.concatenate([unit.ravel() for _, _, unit in blocks]
-                           + [np.ones(2 * n)]), 2 * n, take)
+                           + [np.ones(2 * n), np.full(9 * e, 1.0 / 3.0)]),
+            2 * n, take)
 
-        # per tag that carries a condition, its distinct nodes and their
-        # weights, the sums of half of each tagged edge's length; the
-        # condition values are read live from self.robin / self.flux so
-        # they may be swapped out
+        # per tag, its distinct nodes and their weights, the sums of half
+        # of each tagged edge's length; the condition values are read live
+        # from self.robin / self.flux so they may be swapped out or added
         pairs = mesh.boundary_edge_nodes()
         half = 0.5 * mesh.boundary_edge_lengths()
         self._weights = {}
-        for tag in set(self.robin) | set(self.flux):
+        for tag in BoundaryTag:
             idx = mesh.edges_with_tag(tag)
             w = np.bincount(pairs[idx].ravel(), np.repeat(half[idx], 2))
             nodes = np.flatnonzero(w)
@@ -605,14 +576,15 @@ class TransportProblem:
         return F
 
     def _fill(self, cf: CoefficientFields, storage: float, stiffness: float,
-              exchange: np.ndarray) -> sp.csr_matrix:
-        """storage C + stiffness (K - diag exchange) + diag(exchange): the
-        map's columns are [c_tt, k_tt, k_tp, k_pt, c_pp, k_pp] and the
-        exchange diagonal. The matrix must not be edited in place."""
+              exchange: np.ndarray, newton=()) -> sp.csr_matrix:
+        """storage C + stiffness (K - diag exchange) + diag(exchange) + the
+        Newton term: the map's columns are [c_tt, k_tt, k_tp, k_pt, c_pp,
+        k_pp], the exchange diagonal and the (E, 3) ``newton``, left out if
+        not given. The matrix must not be edited in place."""
         return self._pattern.matrix(np.concatenate([
             storage * cf.c_tt, stiffness * cf.k_tt, stiffness * cf.k_tp,
             stiffness * cf.k_pt, storage * cf.c_pp, stiffness * cf.k_pp,
-            exchange]))
+            exchange, np.ravel(newton)]))
 
     def _mass_history(self, history: np.ndarray):
         """Per-element products M_e h_e of the unit-capacity storage
@@ -623,30 +595,48 @@ class TransportProblem:
         return (areas * (history[:n][conn] @ self._unit_mass),
                 areas * (history[n:][conn] @ self._unit_mass))
 
-    def _step_operator(self, theta, phi, gdt, exchange, load, rain,
-                       mass_hist, suppressed, reference=None):
-        """[C + gdt K] and gdt F + C history for one Picard iterate.
+    def _step_operator(self, r, gdt, exchange, load, rain, mass_hist,
+                       suppressed, reference=None, newton=False):
+        """Update matrix, b = gdt F + C history and residual A r - b of one
+        Picard iterate at r = [theta, phi], with A = [C + gdt K].
 
         ``exchange`` is gdt times the exchange diagonal. ``mass_hist`` comes
         from ``_mass_history``; multiplying it by the storage coefficients
         and scattering gives C @ history without forming C. ``reference``
         comes from the coefficient model's ``step_reference`` for models
-        that use chord capacities.
+        that use chord capacities. The update matrix is A, or, with
+        ``newton`` and a model that gives dc_tt, A plus the derivative of
+        each element's storage c_e M_e (theta_e - h_e) through its centroid
+        temperature, dc_e M_e (theta_e - h_e) (1, 1, 1) / 3.
         """
         n = self.mesh.num_nodes
-        theta_c, phi_c = self._centroid_state(theta, phi)
+        theta_c, phi_c = self._centroid_state(r[:n], r[n:])
         if reference is not None:
             cf = self.coefficients.evaluate_step(theta_c, phi_c, reference)
         else:
             cf = self.coefficients.evaluate(theta_c, phi_c)
-        A = self._fill(cf, 1.0, gdt, exchange)
         mh_t, mh_p = mass_hist
         b = gdt * self._with_rain(load, rain, suppressed)
         b[:n] += np.bincount(self._conn_flat,
                              (cf.c_tt[:, None] * mh_t).ravel(), minlength=n)
         b[n:] += np.bincount(self._conn_flat,
                              (cf.c_pp[:, None] * mh_p).ravel(), minlength=n)
-        return A, b
+        active = (np.flatnonzero(cf.dc_tt)
+                  if newton and cf.dc_tt is not None else ())
+        if not len(active):
+            A = self._fill(cf, 1.0, gdt, exchange)
+            return A, b, A @ r - b
+        conn = self.mesh.elements[active]
+        mass = self.mesh.areas[active, None] * (r[conn] @ self._unit_mass)
+        v = cf.dc_tt[active, None] * (mass - mh_t[active])
+        newton_coefs = np.zeros((len(cf.c_tt), 3))
+        newton_coefs[active] = v
+        J = self._fill(cf, 1.0, gdt, exchange, newton_coefs)
+        # J r holds the Newton term's theta_c v on top of A r
+        res = J @ r - b
+        res[:n] -= np.bincount(conn.ravel(),
+                               (theta_c[active, None] * v).ravel(), n)
+        return J, b, res
 
     # -- dirichlet ---------------------------------------------------------
 
@@ -712,15 +702,16 @@ class TransportProblem:
         r_free = r_new[free]
         n_t = n - int(np.count_nonzero(fixed < n))
 
-        def builder(x):
+        def builder(x, newton):
             r_new[free] = x
             suppressed[:] |= r_new[n:] >= _SATURATED
-            A, b = self._step_operator(r_new[:n], r_new[n:], gdt, exchange,
-                                       load, rain, mass_hist, suppressed,
-                                       reference=reference)
+            M, b, res = self._step_operator(r_new, gdt, exchange, load, rain,
+                                            mass_hist, suppressed, reference,
+                                            newton)
             if len(fixed):
-                A, b = apply_dirichlet(A, b, free, fixed, vals)
-            return A, b
+                M, b = apply_dirichlet(M, b, free, fixed, vals)
+                res = res[free]
+            return M, b, res
 
         phi_range = self.coefficients.phi_range
 

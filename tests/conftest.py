@@ -61,5 +61,5 @@ def heat_capacity():
             if theta_ref is not None:
                 frozen_ref = ice_model.frozen_fraction(theta_ref)
         return constitutive._effective_heat_capacity(theta, w, params, ice,
-                                                     theta_ref, frozen_ref)
+                                                     theta_ref, frozen_ref)[0]
     return evaluate

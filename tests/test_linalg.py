@@ -33,6 +33,29 @@ class TestSparsePattern:
         np.testing.assert_allclose(A.toarray(), expect, rtol=1e-15,
                                    atol=1e-15)
 
+    def test_short_coefficients_leave_the_last_out(self):
+        # a shorter vector skips the last coefficients' entries through a
+        # view of the map's leading columns, not a copy; scipy copies a
+        # view of less than half of an array, and the transport map's
+        # leading columns hold most of its entries, as they do here
+        rng = np.random.default_rng(6)
+        n, per_coef = 6, np.array([5, 4, 2, 1])
+        rows = rng.integers(0, n, per_coef.sum())
+        cols = rng.integers(0, n, per_coef.sum())
+        pattern = SparsePattern(rows, cols, per_coef,
+                                rng.normal(size=per_coef.sum()), n)
+        coefs = rng.normal(size=len(per_coef))
+        padded = pattern.matrix(np.concatenate([coefs[:2], np.zeros(2)]))
+        for _ in range(2):
+            short = pattern.matrix(coefs[:2])
+            assert short.data.tobytes() == padded.data.tobytes()
+            assert pattern.matrix(coefs).nnz == short.nnz
+        head, scatter = pattern._head, pattern._scatter
+        assert head.shape[1] == 2
+        for a, b in ((head.data, scatter.data),
+                     (head.indices, scatter.indices)):
+            assert np.shares_memory(a, b)
+
     def test_step_operator_map_holds_no_int64_slots(self, lshape_coarse,
                                                     mortar):
         prob = ts.TransportProblem(lshape_coarse,
@@ -41,18 +64,18 @@ class TestSparsePattern:
         assert not hasattr(pattern, "_slots")
         for arr in index_arrays(pattern):
             assert arr.dtype != np.int64
-        # one column per coefficient of the six element fields and the
-        # exchange diagonal
+        # one column per coefficient of the six element fields, the
+        # exchange diagonal and the three Newton rows of each element
         e, n = lshape_coarse.num_elements, lshape_coarse.num_nodes
-        assert pattern._scatter.shape[1] == 6 * e + 2 * n
-        assert pattern._scatter.nnz == 54 * e + 2 * n
+        assert pattern._scatter.shape[1] == 9 * e + 2 * n
+        assert pattern._scatter.nnz == 63 * e + 2 * n
         assert not hasattr(prob, "_S9")
 
     def test_step_operator_map_sorts_distinct_positions_once(
             self, lshape_coarse, mortar):
-        # the map listing all six blocks with their own positions, as the
-        # pattern once was built, is bitwise the one built from the four
-        # distinct positions
+        # the map listing all six blocks and the Newton rows with their own
+        # positions, as the pattern once was built, is bitwise the one
+        # built from the four distinct positions
         mesh = lshape_coarse
         prob = ts.TransportProblem(mesh, ts.KunzelCoefficients(mortar))
         grads, areas = mesh.grads, mesh.areas
@@ -69,10 +92,12 @@ class TestSparsePattern:
         cols = np.concatenate([c_ + j * n for _, j, _ in blocks])
         diag = np.arange(2 * n)
         listed = SparsePattern(
-            np.concatenate([rows, diag]), np.concatenate([cols, diag]),
-            np.concatenate([np.full(6 * e, 9), np.ones(2 * n, int)]),
+            np.concatenate([rows, diag, r_]), np.concatenate([cols, diag, c_]),
+            np.concatenate([np.full(6 * e, 9), np.ones(2 * n, int),
+                            np.full(3 * e, 3)]),
             np.concatenate([unit.ravel() for _, _, unit in blocks]
-                           + [np.ones(2 * n)]), 2 * n)
+                           + [np.ones(2 * n), np.full(9 * e, 1.0 / 3.0)]),
+            2 * n)
         for got, want in zip(index_arrays(prob._pattern),
                              index_arrays(listed)):
             assert got.dtype == want.dtype

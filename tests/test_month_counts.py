@@ -1,6 +1,9 @@
 """scripts/month_counts.py on a short run."""
 
+import hashlib
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 from frostsim import driver, transport_solver
@@ -37,3 +40,35 @@ def test_counts_transport_solves(monkeypatch):
     assert counts["factorisations"] == summary.factorisations.sum()
     assert counts["halvings"] == 0
     assert counts["failed_substeps"] == []
+
+
+def test_config_file(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "spec02.json"
+    path.write_text(json.dumps({"mesh": {"h": 0.2}, "time": {"steps": 2},
+                                "ice": {"psd_file": "spec02", "n": 0.13}}))
+    monkeypatch.setattr(sys, "argv", ["month_counts.py", str(path)])
+    month_counts.main()
+    counts = json.loads(capsys.readouterr().out)
+    summary = driver.run(path)
+    assert summary.config["ice"]["psd_file"] == "spec02"
+    probe = tmp_path / "probes.csv"
+    driver.write_probe_csv(summary.records, probe)
+    assert counts["sha256"] == hashlib.sha256(probe.read_bytes()).hexdigest()
+    assert counts["picard"] == summary.picard_iterations.sum()
+    assert counts["fallbacks"] == []
+
+
+def test_fallbacks_name_their_steps(monkeypatch):
+    iterate = transport_solver.nonlinear_iterate
+    calls = []
+
+    def second_falls_back(*args, **kwargs):
+        result = iterate(*args, **kwargs)
+        calls.append(1)
+        result.fallback = len(calls) == 2
+        return result
+
+    monkeypatch.setattr(transport_solver, "nonlinear_iterate",
+                        second_falls_back)
+    assert month_counts.counts(CONFIG)["fallbacks"] == [2]
+    assert transport_solver.nonlinear_iterate is second_falls_back

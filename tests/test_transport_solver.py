@@ -326,12 +326,33 @@ class TestBoundary:
     def test_weights_sum_to_tag_length(self, mesh, mortar):
         prob = self.make_problem(mesh, mortar)
         lengths = mesh.boundary_edge_lengths()
-        assert set(prob._weights) == {BoundaryTag.EXT, BoundaryTag.INT}
+        assert set(prob._weights) == set(BoundaryTag)
         for tag, (nodes, w) in prob._weights.items():
             np.testing.assert_array_equal(nodes, mesh.nodes_with_tag(tag))
             assert np.all(w > 0.0)
             assert w.sum() == pytest.approx(
                 lengths[mesh.edges_with_tag(tag)].sum(), rel=1e-14)
+
+    def test_conditions_added_after_set_up(self, mortar):
+        # every tag is weighed at set-up, so conditions on tags a problem
+        # was built without act as if given from the start
+        mesh = generate_lshape(1.0, 0.3, 0.1)
+        coef = ts.KunzelCoefficients(mortar)
+        ext = ts.RobinBC(8.0, 5.6e-8, -4.0, 0.9)
+        inner = ts.RobinBC(7.7, 2.5e-8, 20.0, 0.55)
+        wet = ts.BoundaryFlux(q_heat=10.0, q_moist=1e-4)
+        late = ts.TransportProblem(mesh, coef, robin={BoundaryTag.EXT: ext})
+        late.robin[BoundaryTag.INT] = inner
+        late.flux[BoundaryTag.A] = wet
+        early = ts.TransportProblem(
+            mesh, coef, robin={BoundaryTag.EXT: ext, BoundaryTag.INT: inner},
+            flux={BoundaryTag.A: wet})
+        state = ts.TransportState.uniform(mesh, 5.0, 0.6)
+        state.rdot = early.consistent_rates(state)
+        assert (late.consistent_rates(state).tobytes()
+                == state.rdot.tobytes())
+        got, want = late.step(state, 3600.0), early.step(state, 3600.0)
+        assert got.r.tobytes() == want.r.tobytes()
 
     def test_rain_masked_only_on_suppressed_node(self, mesh, mortar):
         n = mesh.num_nodes
@@ -393,9 +414,11 @@ class TestStepOperator:
         t, gdt = 7200.0, 1800.0
 
         exchange, load, rain = prob._boundary(t)
-        A, b = prob._step_operator(theta, phi, gdt, gdt * exchange, load,
-                                   rain, prob._mass_history(history),
-                                   suppressed)
+        r = np.concatenate([theta, phi])
+        A, b, res = prob._step_operator(r, gdt, gdt * exchange, load, rain,
+                                        prob._mass_history(history),
+                                        suppressed)
+        assert res.tobytes() == (A @ r - b).tobytes()
         sys = prob.assemble(theta, phi, t, suppressed_nodes=suppressed)
         expect_A = (sys.C + gdt * sys.K).toarray()
         assert A.has_canonical_format
@@ -443,6 +466,95 @@ class TestStepOperator:
         for block in (slice(0, n), slice(n, 2 * n)):
             rel = np.linalg.norm(mismatch[block]) / np.linalg.norm(b[block])
             assert rel < tol
+
+
+class TestNewtonTerm:
+    """The derivative of the latent-heat storage in the update matrix."""
+
+    GDT = 1800.0
+
+    def problem(self, mesh, mortar, spec01_model):
+        robin = {BoundaryTag.EXT: ts.RobinBC(8.0, 5.6e-8, -4.0, 0.9)}
+        return ts.TransportProblem(
+            mesh, ts.KunzelCoefficients(mortar, ice_model=spec01_model),
+            robin=robin)
+
+    def state(self, mesh, low, high):
+        """theta in [low, high], phi, a history and the step reference
+        0.1 to 0.3 K warmer than theta."""
+        n = mesh.num_nodes
+        rng = np.random.default_rng(5)
+        theta = rng.uniform(low, high, n)
+        phi = rng.uniform(0.6, 0.9, n)
+        start = theta + rng.uniform(0.1, 0.3, n)
+        history = np.concatenate([start, phi])
+        return theta, phi, history, mesh.element_mean(start)
+
+    def operator(self, prob, theta, phi, history, reference, newton):
+        exchange, load, rain = prob._boundary(0.0)
+        return prob._step_operator(
+            np.concatenate([theta, phi]), self.GDT, self.GDT * exchange,
+            load, rain,
+            prob._mass_history(history), np.zeros(len(theta), bool),
+            reference, newton)
+
+    def test_columns_are_the_storage_derivative(self, lshape_coarse, mortar,
+                                                spec01_model):
+        # centroids in the freezing band and 0.1 to 0.3 K below their step
+        # start, so every chord is negative and wide of the floor
+        mesh = lshape_coarse
+        n = mesh.num_nodes
+        prob = self.problem(mesh, mortar, spec01_model)
+        theta, phi, history, theta_ref = self.state(mesh, -0.3, -0.02)
+        reference = prob.coefficients.step_reference(theta_ref)
+        phi_c = mesh.element_mean(phi)
+
+        def capacity(t):
+            return prob.coefficients.evaluate_step(
+                mesh.element_mean(t), phi_c, reference)
+
+        def scatter(c, t):
+            """sum_e c_e M_e t_e"""
+            m = prob._mass_history(np.concatenate([t, phi]))[0]
+            return np.bincount(mesh.elements.ravel(),
+                               (c[:, None] * m).ravel(), minlength=n)
+
+        def storage(t):
+            c = capacity(t).c_tt
+            return scatter(c, t) - scatter(c, history[:n])
+
+        cf = capacity(theta)
+        assert np.all(cf.dc_tt != 0.0)
+        J = self.operator(prob, theta, phi, history, reference, True)[0]
+        A = self.operator(prob, theta, phi, history, reference, False)[0]
+        d = np.random.default_rng(8).normal(size=n)
+        got = ((J - A) @ np.concatenate([d, np.zeros(n)]))[:n]
+        eps = 1e-6
+        want = ((storage(theta + eps * d) - storage(theta - eps * d))
+                / (2.0 * eps) - scatter(cf.c_tt, d))
+        assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("low, high, newton", [(2.0, 8.0, True),
+                                                   (-0.3, -0.02, False)])
+    def test_picard_operator_without_the_term(self, lshape_coarse, mortar,
+                                              spec01_model, low, high,
+                                              newton):
+        # above 0 degC every dc_e is 0; below it the term is not asked for
+        mesh = lshape_coarse
+        prob = self.problem(mesh, mortar, spec01_model)
+        theta, phi, history, theta_ref = self.state(mesh, low, high)
+        reference = prob.coefficients.step_reference(theta_ref)
+        M, b, res = self.operator(prob, theta, phi, history, reference,
+                                  newton)
+        cf = prob.coefficients.evaluate_step(
+            mesh.element_mean(theta), mesh.element_mean(phi), reference)
+        assert np.any(cf.dc_tt) != newton
+        A = prob._fill(cf, 1.0, self.GDT, self.GDT * prob._boundary(0.0)[0])
+        for got, want in ((M.data, A.data), (M.indices, A.indices),
+                          (M.indptr, A.indptr)):
+            assert got.tobytes() == want.tobytes()
+        r = np.concatenate([theta, phi])
+        assert res.tobytes() == (A @ r - b).tobytes()
 
 
 class TestDirichlet:
@@ -530,26 +642,35 @@ class TestDirichlet:
         np.testing.assert_allclose(resid[free], 0.0, atol=1e-10)
 
 
+def picard(builder):
+    """nonlinear_iterate's builder from r -> (A, b): the update matrix is
+    A, with or without the Newton term, and the residual A r - b."""
+    def build(r, newton):
+        A, b = builder(r)
+        return A, b, A @ r - b
+    return build
+
+
 class TestPicardIteration:
     def eye(self, n=1):
         return sp.identity(n, format="csr")
 
     def test_linear_system_single_solve(self):
         b = np.array([2.0, -1.0])
-        result = ts.nonlinear_iterate(lambda r: (self.eye(2), b),
+        result = ts.nonlinear_iterate(picard(lambda r: (self.eye(2), b)),
                                       np.zeros(2), relax=1.0)
         assert result.iterations == 1
         np.testing.assert_array_equal(result.r, b)
 
     def test_converged_guess_takes_no_solve(self):
         b = np.array([2.0, -1.0])
-        result = ts.nonlinear_iterate(lambda r: (self.eye(2), b), b.copy(),
-                                      relax=1.0)
+        result = ts.nonlinear_iterate(picard(lambda r: (self.eye(2), b)),
+                                      b.copy(), relax=1.0)
         assert result.iterations == 0
         assert result.residuals == [0.0]
 
     def test_parameter_validation(self):
-        builder = lambda r: (self.eye(), np.ones(1))
+        builder = picard(lambda r: (self.eye(), np.ones(1)))
         with pytest.raises(InvalidParametersError):
             ts.nonlinear_iterate(builder, np.zeros(1), relax=0.0)
         with pytest.raises(InvalidParametersError):
@@ -560,7 +681,7 @@ class TestPicardIteration:
     def test_max_iter_exhaustion(self):
         # fixed point of r/2 + 1 is approached geometrically, so a tight
         # tolerance cannot be met in three solves
-        builder = lambda r: (self.eye(), 0.5 * r + 1.0)
+        builder = picard(lambda r: (self.eye(), 0.5 * r + 1.0))
         with pytest.raises(StepFailureError) as info:
             ts.nonlinear_iterate(builder, np.zeros(1), tol=1e-12,
                                  max_iter=3, relax=1.0)
@@ -578,7 +699,7 @@ class TestPicardIteration:
             return self.eye(), b
 
         with pytest.raises(StepFailureError, match="diverging") as info:
-            ts.nonlinear_iterate(builder, np.zeros(1), relax=1.0)
+            ts.nonlinear_iterate(picard(builder), np.zeros(1), relax=1.0)
         history = info.value.residuals
         assert len(history) == info.value.iterations + 1
         assert history[-1] == info.value.residual_norm > 10.0 * history[-6]
@@ -587,7 +708,8 @@ class TestPicardIteration:
         # the clamp holds every iterate at 1 while A r = b needs 2, so the
         # residual stalls at 1/2 and no iteration count meets the tolerance
         with pytest.raises(StepFailureError, match="no convergence") as info:
-            ts.nonlinear_iterate(lambda r: (self.eye(), np.array([2.0])),
+            ts.nonlinear_iterate(picard(lambda r: (self.eye(),
+                                                   np.array([2.0]))),
                                  np.zeros(1), max_iter=6, relax=1.0,
                                  project=lambda r: np.minimum(r, 1.0))
         assert info.value.residuals == [1.0] + [0.5] * 6
@@ -595,7 +717,7 @@ class TestPicardIteration:
 
     def test_under_relaxation_converges_geometrically(self):
         b = np.array([4.0])
-        result = ts.nonlinear_iterate(lambda r: (self.eye(), b),
+        result = ts.nonlinear_iterate(picard(lambda r: (self.eye(), b)),
                                       np.zeros(1), relax=0.5, tol=1e-10)
         # r_k = (1 - 0.5^k) b, so the relative residual halves per solve
         assert result.r[0] == pytest.approx(4.0, rel=1e-9)
@@ -610,60 +732,24 @@ class TestPicardIteration:
     Y_STAR = np.array([1.0, 0.3, 0.5, 0.8, 1.0])
     BLOCKS = [(0, 1), (1, 5)]
 
-    def stagnating(self, seen=None):
+    def stagnating(self):
         c = self.Y_STAR - self.LAMBDA * self.Y_STAR - 0.02 * self.Y_STAR ** 2
 
         def builder(r):
-            if seen is not None:
-                seen.append(r.copy())
             y = r / self.SCALE
             return self.eye(5), self.SCALE * (c + self.LAMBDA * y
                                               + 0.02 * y ** 2)
         return builder
 
     def iterate_stagnating(self, builder=None, max_iter=400, **options):
-        return ts.nonlinear_iterate(builder or self.stagnating(), np.zeros(5),
-                                    tol=1e-10, relax=1.0, max_iter=max_iter,
-                                    blocks=self.BLOCKS, **options)
-
-    def test_stagnating_iteration_is_accelerated(self, monkeypatch):
-        result = self.iterate_stagnating()
-        np.testing.assert_allclose(result.r / self.SCALE, self.Y_STAR,
-                                   rtol=1e-8)
-        # 47 here; the block weights keep the unit-scale unknown in the
-        # least-squares fit, without them the iteration diverges
-        assert result.iterations <= 50
-        monkeypatch.setattr(ts, "_AA_RESIDUAL", 0.0)     # never mix
-        assert self.iterate_stagnating().iterations == 322
-
-    def test_backed_off_omega_keeps_the_gate(self, monkeypatch):
-        # b jumps from 1 to -1 at the second build, so the residual grows
-        # and omega backs off once, from 0.7 to 0.35. b then stays put and
-        # plain updates shrink the residual by exactly 0.65 per solve:
-        # above the gate's (1 - 0.7) + 0.1 = 0.4, below the 0.75 that the
-        # backed-off omega would set
-        builds = []
-
-        def builder(r):
-            builds.append(r.copy())
-            return self.eye(), np.array([1.0 if len(builds) == 1 else -1.0])
-
-        result = ts.nonlinear_iterate(builder, np.zeros(1), tol=1e-10,
-                                      relax=0.7)
-        res = result.residuals
-        assert res[1] > res[0]
-        np.testing.assert_allclose(np.divide(res[2:9], res[1:8]), 0.65,
-                                   rtol=1e-12)
-        assert result.iterations <= 10
-        assert result.r[0] == pytest.approx(-1.0, abs=1e-9)
-        monkeypatch.setattr(ts, "_AA_RESIDUAL", 0.0)     # never mix
-        builds.clear()
-        assert ts.nonlinear_iterate(builder, np.zeros(1), tol=1e-10,
-                                    relax=0.7, max_iter=100).iterations == 56
+        return ts.nonlinear_iterate(picard(builder or self.stagnating()),
+                                    np.zeros(5), tol=1e-10, relax=1.0,
+                                    max_iter=max_iter, blocks=self.BLOCKS,
+                                    **options)
 
     def test_fast_iteration_keeps_plain_updates(self):
         # contraction 0.05 under omega = 0.7: the residual ratio stays near
-        # 0.32, below the gate's 0.4, so every update is r - omega delta
+        # 0.32 and never grows, so every update is r - omega delta
         c = np.array([1.0, -2.0, 0.5])
         seen = []
 
@@ -671,30 +757,50 @@ class TestPicardIteration:
             seen.append(r.copy())
             return self.eye(3), c + 0.05 * np.sin(r)
 
-        result = ts.nonlinear_iterate(builder, np.zeros(3), tol=1e-13,
-                                      relax=0.7)
+        result = ts.nonlinear_iterate(picard(builder), np.zeros(3),
+                                      tol=1e-13, relax=0.7)
         assert result.iterations == len(seen) - 1 > 20
         r = np.zeros(3)
         for got in seen:
             assert got.tobytes() == r.tobytes()
             r = r - 0.7 * (r - (c + 0.05 * np.sin(r)))
 
-    def test_mixed_iterates_are_projected(self):
-        # the clamp sits at the first unknown's fixed point; unclamped,
-        # the mixed iterates overshoot it
+    def test_second_growth_drops_the_newton_term(self):
+        # the Newton matrix is A / 6, so a Newton update r - omega 6 R
+        # leaves R (1 - 6 omega): -3.2 R at omega 0.7, -1.1 R at 0.35
+        b = np.array([1.0])
         seen = []
-        builder = self.stagnating(seen)
-        self.iterate_stagnating(builder)
-        assert max(r[0] for r in seen) > 1.0
-        seen.clear()
 
-        def clamp(r):
-            np.clip(r[:1], 0.0, 1.0, out=r[:1])
-            return r
+        def builder(r, newton):
+            seen.append(newton)
+            A = self.eye()
+            return (A / 6.0 if newton else A), b, A @ r - b
 
-        result = self.iterate_stagnating(builder, project=clamp)
-        assert max(r[0] for r in seen) == 1.0
-        assert result.iterations < 50
+        def iterate(**options):
+            seen.clear()
+            return ts.nonlinear_iterate(builder, np.zeros(1), tol=1e-10,
+                                        relax=0.7, lu=kept, **options)
+
+        kept = ts.SparseLU(self.eye() / 6.0)
+        result = iterate(max_iter=100)
+        res = result.residuals
+        # growths at iterates 1 and 2; the second restarts omega at 0.7
+        # for the update of its own, Newton matrix, and Picard at a halved
+        # omega follows
+        np.testing.assert_allclose(np.divide(res[1:5], res[:4]),
+                                   [3.2, 1.1, 3.2, 0.65], rtol=1e-12)
+        assert seen[:3] == [True] * 3 and not any(seen[3:])
+        assert result.fallback
+        # the kept factor is dropped and the Newton matrix factorised once;
+        # GMRES on that factor solves every Picard update
+        assert result.factorisations == 1 and result.lu is not kept
+        assert result.r[0] == pytest.approx(1.0, abs=1e-9)
+
+        kept = ts.SparseLU(self.eye() / 6.0)
+        with pytest.raises(StepFailureError, match="no convergence") as info:
+            iterate(max_iter=10)
+        assert info.value.residuals == res[:11]
+        assert seen == [True] * 3 + [False] * 8
 
     def test_mixed_failures_carry_residual_history(self):
         converged = self.iterate_stagnating().residuals
@@ -703,8 +809,8 @@ class TestPicardIteration:
         assert info.value.residuals == converged[:21]
         assert info.value.residual_norm == converged[20]
 
-        # from the 15th build on, well after the mixing has started, b is
-        # pushed away tenfold per build
+        # from the 15th build on, while the iteration crawls, b is pushed
+        # away tenfold per build
         calls = []
         builder = self.stagnating()
 
@@ -786,7 +892,7 @@ class TestFactorReuse:
                       -np.ones(n - 1)], [-1, 0, 1], format="csr")
         b = np.sin(np.arange(n, dtype=float))
         wrong = ts.SparseLU(A + shift * sp.diags(np.cos(np.arange(n)) ** 2))
-        result = ts.nonlinear_iterate(lambda r: (A, b), np.zeros(n),
+        result = ts.nonlinear_iterate(picard(lambda r: (A, b)), np.zeros(n),
                                       relax=1.0, tol=1e-10, lu=wrong)
         assert result.residuals[-1] < 1e-10
         np.testing.assert_allclose(A @ result.r, b, atol=1e-9)
@@ -870,7 +976,8 @@ class TestSplitFactor:
         return A, rng.normal(size=2 * n)
 
     def iterate(self, A, b, blocks):
-        return ts.nonlinear_iterate(lambda r: (A, b), np.zeros(len(b)),
+        return ts.nonlinear_iterate(picard(lambda r: (A, b)),
+                                    np.zeros(len(b)),
                                     relax=1.0, tol=1e-10, blocks=blocks)
 
     def test_zero_lower_left_block_converges_in_one_solve(self, splits,
