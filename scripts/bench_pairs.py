@@ -11,7 +11,7 @@ JSON line:
 - ``metrics``: per end-to-end metric of BENCHMARK.json and side, the
   median of the run medians with its first and third quartiles, the
   change of the medians in percent and the pairs the change won, by the
-  metric's ``better`` direction;
+  metric's ``better`` direction, and the verdict of ``verdict``;
 - ``attempted`` and ``failed``: the samples per side, summed over runs;
 - ``probe_sha256``: the probe SHA-256s each side's samples gave;
 - ``runs``: per side, the ``parse_run`` record of every run, pair by pair.
@@ -54,10 +54,42 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarise(runs: dict, better: dict) -> dict:
+def verdict(entry: dict, pairs: list[tuple[float, float]], sign: float,
+            bound: float) -> dict:
+    """Whether a metric's ``summarise`` entry and its (base, change)
+    ``pairs`` resolve a gain or a regression; ``sign`` is 1 where lower
+    is better and -1 where higher is, ``bound`` the metric's relative
+    bound in BENCHMARK.json.
+
+    ``gain_resolved``: the change won at least nine tenths of the pairs
+    and its median beats the base's by more than the base's
+    interquartile range. ``regression``: "beyond bound" where the
+    change's median is worse than the base's by more than ``bound`` of
+    it; else "unresolved" where the base's interquartile range exceeds
+    ``bound`` of its median and not every change run beats every base
+    run; else "none".
+    """
+    base = entry["base"]
+    gain = sign * (base["median"] - entry["change"]["median"])
+    spread = base["q3"] - base["q1"]
+    scale = bound * abs(base["median"])
+    if -gain > scale:
+        regression = "beyond bound"
+    elif spread > scale and not (
+            max(sign * c for _, c in pairs) < min(sign * b for b, _ in pairs)):
+        regression = "unresolved"
+    else:
+        regression = "none"
+    return {"gain_resolved": bool(entry["pairs_won"] >= 0.9 * entry["pairs"]
+                                  and gain > spread),
+            "regression": regression}
+
+
+def summarise(runs: dict, better: dict, bounds: dict | None = None) -> dict:
     """Summary of paired runs: ``runs[side]`` lists the ``parse_run``
     records of each pair in order, ``better[metric]`` is "lower" or
-    "higher"."""
+    "higher", and the metrics with a relative bound in ``bounds`` get
+    its ``verdict``."""
     metrics = {}
     for name, direction in better.items():
         pairs = [(b["metrics"][name], c["metrics"][name])
@@ -73,6 +105,8 @@ def summarise(runs: dict, better: dict) -> dict:
                                / base_median if base_median else None)
         entry["pairs_won"] = sum(sign * (c - b) < 0.0 for b, c in pairs)
         entry["pairs"] = len(pairs)
+        if bounds and name in bounds:
+            entry.update(verdict(entry, pairs, sign, bounds[name]))
         metrics[name] = entry
     return {
         "metrics": metrics,
@@ -105,6 +139,7 @@ def main(argv=None) -> int:
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
     export = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
     try:
         archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.base],
@@ -123,7 +158,7 @@ def main(argv=None) -> int:
         shutil.rmtree(export, ignore_errors=True)
     print(json.dumps({"workload": args.workload, "base": args.base,
                       "seed": SEED, "seconds": args.seconds,
-                      **summarise(runs, better), "runs": runs}))
+                      **summarise(runs, better, bounds), "runs": runs}))
     return 0
 
 

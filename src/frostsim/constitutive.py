@@ -209,41 +209,31 @@ def _latent_heat_vapor(theta):
     return 2.5008e6 * (T0 / T) ** (0.167 + 3.67e-4 * T)
 
 
-def _effective_heat_capacity(theta, w, params, ice=None, theta_ref=None,
-                             frozen_ref=None):
+def _effective_heat_capacity(theta, w, params, ice, theta_ref, frozen_ref):
     """Volumetric heat capacity dH/dtheta, J m^-3 K^-1, at water content
     w, rho_s c_s + (w - w_i) c_l + w_i c_i - h_i s with ``ice`` the ice
-    model's (w_i, dw_i/dtheta) or None and s the latent slope, and its
-    exact derivative in theta, None without ice or ``theta_ref``.
+    model's (w_i, dw_i/dtheta), zeros without ice, and s the latent
+    slope, and its exact derivative in theta.
 
-    With ``theta_ref``, the step-start temperature, s is the enthalpy
-    chord from theta_ref to theta, not the tangent: the latent heat
-    absorbed over a step then matches the ice curve even across the
-    freezing front, and the capacity does not flip between spike and
-    baseline from one iterate to the next; within ``_CHORD_FLOOR`` of
-    theta_ref it is the tangent, and there, or where the chord is
-    clamped at 0, the derivative holds s fixed. ``frozen_ref`` is the
-    ice model's ``frozen_fraction(theta_ref)``, needed with ice.
+    s is the enthalpy chord from the step-start temperature theta_ref to
+    theta, not the tangent: the latent heat absorbed over a step then
+    matches the ice curve even across the freezing front, and the
+    capacity does not flip between spike and baseline from one iterate
+    to the next; within ``_CHORD_FLOOR`` of theta_ref it is the tangent,
+    and there, or where the chord is clamped at 0, the derivative holds
+    s fixed. ``frozen_ref`` is the frozen fraction at theta_ref.
     """
-    derivative = None
-    if ice is None:
-        w_i = np.zeros(np.broadcast_shapes(np.shape(theta), np.shape(w)))
-        slope = w_i
-    else:
-        w_i, tangent = ice
-        slope = tangent
-        if theta_ref is not None:
-            w_i_ref = w * np.reshape(frozen_ref, np.shape(theta_ref))
-            dtheta = theta - theta_ref
-            wide = np.abs(dtheta) > _CHORD_FLOOR
-            span = np.where(wide, dtheta, 1.0)
-            chord = (w_i - w_i_ref) / span
-            slope = np.where(wide, np.minimum(chord, 0.0), tangent)
-            # the chord's derivative is (tangent - chord) / dtheta
-            derivative = ((params.c_i - params.c_l) * tangent
-                          - params.h_i * np.where(wide & (chord < 0.0),
-                                                  (tangent - slope) / span,
-                                                  0.0))
+    w_i, tangent = ice
+    w_i_ref = w * np.reshape(frozen_ref, np.shape(theta_ref))
+    dtheta = theta - theta_ref
+    wide = np.abs(dtheta) > _CHORD_FLOOR
+    span = np.where(wide, dtheta, 1.0)
+    chord = (w_i - w_i_ref) / span
+    slope = np.where(wide, np.minimum(chord, 0.0), tangent)
+    # the chord's derivative is (tangent - chord) / dtheta
+    derivative = ((params.c_i - params.c_l) * tangent
+                  - params.h_i * np.where(wide & (chord < 0.0),
+                                          (tangent - slope) / span, 0.0))
     return (params.rho_s * params.c_s
             + (w - w_i) * params.c_l
             + w_i * params.c_i

@@ -118,7 +118,7 @@ class CoefficientFields:
     k_pp: np.ndarray
     c_tt: np.ndarray
     c_pp: np.ndarray
-    dc_tt: np.ndarray | None = None     # d c_tt / d theta, where modelled
+    dc_tt: np.ndarray                   # d c_tt / d theta
 
 
 class KunzelCoefficients:
@@ -128,11 +128,13 @@ class KunzelCoefficients:
     plus vapor transport in the moisture block. The gradient of the vapor
     pressure phi p_sat(theta) is split into its theta and phi parts, which
     produces the off-diagonal coupling blocks. An ice model adds frozen
-    water and latent heat to the storage coefficient.
+    water and latent heat to the storage coefficient; without one the
+    frozen fraction is 0.
 
-    ``evaluate`` and ``evaluate_step`` do not check their inputs: the
-    transport problem bounds every centroid state by ``theta_range`` and
-    ``phi_range`` before it asks for coefficients.
+    Meets the contract ``TransportProblem`` states. ``evaluate`` and
+    ``evaluate_step`` do not check their inputs: the transport problem
+    bounds every centroid state by ``theta_range`` and ``phi_range``
+    before it asks for coefficients.
     """
 
     # admissible centroid state; evaluations outside raise DomainError
@@ -144,13 +146,13 @@ class KunzelCoefficients:
         self.ice_model = ice_model
 
     def evaluate(self, theta: np.ndarray, phi: np.ndarray) -> CoefficientFields:
-        return self._evaluate(theta, phi)
+        """Coefficients at theta as a step start: c_tt is the tangent."""
+        return self._evaluate(theta, phi, *self.step_reference(theta))
 
     def step_reference(self, theta_ref):
         """Step-start data for ``evaluate_step``: the centroid temperatures
-        and, with an ice model, their frozen fraction, which stays fixed
-        over the step."""
-        frozen = (None if self.ice_model is None
+        and their frozen fraction, which stays fixed over the step."""
+        frozen = (np.zeros(np.shape(theta_ref)) if self.ice_model is None
                   else self.ice_model.frozen_fraction(theta_ref))
         return theta_ref, frozen
 
@@ -160,8 +162,7 @@ class KunzelCoefficients:
         the step still absorbs the full latent heat."""
         return self._evaluate(theta, phi, *reference)
 
-    def _evaluate(self, theta, phi, theta_ref=None,
-                  frozen_ref=None) -> CoefficientFields:
+    def _evaluate(self, theta, phi, theta_ref, frozen_ref) -> CoefficientFields:
         # the unchecked kernels of constitutive: the centroid states come
         # from TransportProblem._centroid_state, which bounds them by
         # theta_range and phi_range
@@ -173,7 +174,8 @@ class KunzelCoefficients:
         h_v = constitutive._latent_heat_vapor(theta)
         w = constitutive._water_content(phi, params)
         c_pp = constitutive._moisture_capacity(phi, params)
-        ice = (None if self.ice_model is None
+        ice = ((np.zeros(np.broadcast_shapes(theta.shape, w.shape)),) * 2
+               if self.ice_model is None
                else self.ice_model.ice_content(theta, w))
         c_tt, dc_tt = constitutive._effective_heat_capacity(
             theta, w, params, ice, theta_ref, frozen_ref)
@@ -193,11 +195,12 @@ class ConstantCoefficients:
 
     Used by verification problems (manufactured solutions, conservation
     checks) where the exact behavior of the scheme matters more than the
-    material model.
+    material model. Meets the contract ``TransportProblem`` states with
+    neutral values: unbounded ranges, no step reference and a zero
+    capacity derivative.
     """
 
-    theta_range = None
-    phi_range = None
+    theta_range = phi_range = (-math.inf, math.inf)
 
     def __init__(self, k_tt=1.0, k_tp=0.0, k_pt=0.0, k_pp=1.0,
                  c_tt=1.0, c_pp=1.0):
@@ -205,9 +208,14 @@ class ConstantCoefficients:
 
     def evaluate(self, theta: np.ndarray, phi: np.ndarray) -> CoefficientFields:
         shape = np.broadcast_shapes(np.shape(theta), np.shape(phi))
-        k_tt, k_tp, k_pt, k_pp, c_tt, c_pp = (
-            np.full(shape, v) for v in self._values)
-        return CoefficientFields(k_tt, k_tp, k_pt, k_pp, c_tt, c_pp)
+        return CoefficientFields(*(np.full(shape, v) for v in self._values),
+                                 dc_tt=np.zeros(shape))
+
+    def step_reference(self, theta_ref):
+        return None
+
+    def evaluate_step(self, theta, phi, reference) -> CoefficientFields:
+        return self.evaluate(theta, phi)
 
 
 @dataclass(frozen=True)
@@ -311,7 +319,7 @@ def _gmres(A, lu: SparseLU, rhs: np.ndarray,
 
 def nonlinear_iterate(system_builder, r_guess: np.ndarray, *,
                       tol: float = 1e-6, max_iter: int = 50,
-                      relax: float = 0.7, blocks=None,
+                      relax: float = 1.0, blocks=None,
                       project=None, lu: SparseLU | None = None
                       ) -> NonlinearResult:
     """Safeguarded Picard iteration on A(r) r = b(r), with a Newton term.
@@ -410,10 +418,13 @@ class TransportProblem:
     ----------
     mesh : Mesh
     coefficients : object
-        Provides ``evaluate(theta, phi) -> CoefficientFields`` per element,
-        e.g. KunzelCoefficients or ConstantCoefficients, and the admissible
-        centroid ranges ``theta_range`` and ``phi_range`` (None for no
-        bound). ``step`` clips its phi iterates to ``phi_range``.
+        KunzelCoefficients, ConstantCoefficients or any model with the
+        admissible centroid ranges ``theta_range`` and ``phi_range``
+        (infinite for no bound; ``step`` clips its phi iterates to
+        ``phi_range``), ``evaluate(theta, phi) -> CoefficientFields`` per
+        element, ``step_reference(theta_ref)`` for a step from centroid
+        temperatures theta_ref and ``evaluate_step(theta, phi, reference)``
+        for its iterates; ``dc_tt`` is 0 where c_tt does not vary.
     robin : mapping BoundaryTag -> RobinBC, optional
     flux : mapping BoundaryTag -> BoundaryFlux, optional
     dirichlet_theta, dirichlet_phi : sequence of (node_ids, value), optional
@@ -515,8 +526,6 @@ class TransportProblem:
         phi_c = self.mesh.element_mean(phi)
         for field_c, rng, label in ((theta_c, self.coefficients.theta_range, "theta"),
                                     (phi_c, self.coefficients.phi_range, "phi")):
-            if rng is None:
-                continue
             bad = np.nonzero((field_c < rng[0]) | (field_c > rng[1]))[0]
             if len(bad):
                 e = int(bad[0])
@@ -596,33 +605,29 @@ class TransportProblem:
                 areas * (history[n:][conn] @ self._unit_mass))
 
     def _step_operator(self, r, gdt, exchange, load, rain, mass_hist,
-                       suppressed, reference=None, newton=False):
+                       suppressed, reference, newton=False):
         """Update matrix, b = gdt F + C history and residual A r - b of one
         Picard iterate at r = [theta, phi], with A = [C + gdt K].
 
         ``exchange`` is gdt times the exchange diagonal. ``mass_hist`` comes
         from ``_mass_history``; multiplying it by the storage coefficients
         and scattering gives C @ history without forming C. ``reference``
-        comes from the coefficient model's ``step_reference`` for models
-        that use chord capacities. The update matrix is A, or, with
-        ``newton`` and a model that gives dc_tt, A plus the derivative of
-        each element's storage c_e M_e (theta_e - h_e) through its centroid
-        temperature, dc_e M_e (theta_e - h_e) (1, 1, 1) / 3.
+        comes from the coefficient model's ``step_reference``. The update
+        matrix is A, or, with ``newton`` and some dc_tt not 0, A plus the
+        derivative of each element's storage c_e M_e (theta_e - h_e)
+        through its centroid temperature, dc_e M_e (theta_e - h_e)
+        (1, 1, 1) / 3.
         """
         n = self.mesh.num_nodes
         theta_c, phi_c = self._centroid_state(r[:n], r[n:])
-        if reference is not None:
-            cf = self.coefficients.evaluate_step(theta_c, phi_c, reference)
-        else:
-            cf = self.coefficients.evaluate(theta_c, phi_c)
+        cf = self.coefficients.evaluate_step(theta_c, phi_c, reference)
         mh_t, mh_p = mass_hist
         b = gdt * self._with_rain(load, rain, suppressed)
         b[:n] += np.bincount(self._conn_flat,
                              (cf.c_tt[:, None] * mh_t).ravel(), minlength=n)
         b[n:] += np.bincount(self._conn_flat,
                              (cf.c_pp[:, None] * mh_p).ravel(), minlength=n)
-        active = (np.flatnonzero(cf.dc_tt)
-                  if newton and cf.dc_tt is not None else ())
+        active = np.flatnonzero(cf.dc_tt) if newton else ()
         if not len(active):
             A = self._fill(cf, 1.0, gdt, exchange)
             return A, b, A @ r - b
@@ -662,8 +667,9 @@ class TransportProblem:
         n = self.mesh.num_nodes
         sys = self.assemble(r[:n], r[n:], t, suppressed_nodes=suppressed)
         rhs = sys.F - sys.K @ r
-        dt = 1e-6
-        rates = (self._dirichlet_at(t + dt) - self._dirichlet_at(t)) / dt
+        # the step that t + 1e-6 takes in floating point
+        h = (t + 1e-6) - t
+        rates = (self._dirichlet_at(t + h) - self._dirichlet_at(t)) / h
         rdot = np.empty(len(rhs))
         rdot[self._fixed] = rates
         rdot[self._free] = solve_sparse(*apply_dirichlet(
@@ -672,7 +678,7 @@ class TransportProblem:
 
     def step(self, state: TransportState, dt: float, *, gamma: float = 0.5,
              tol: float = 1e-6, max_iter: int = 50,
-             relax: float = 0.7) -> TransportState:
+             relax: float = 1.0) -> TransportState:
         """Advance one time step; raises StepFailureError on non-convergence."""
         if dt <= 0.0:
             raise InvalidParametersError("dt must be positive")
@@ -688,9 +694,8 @@ class TransportProblem:
         exchange, load, rain = self._boundary(t_new)
         exchange = gdt * exchange
         mass_hist = self._mass_history(history)
-        step_reference = getattr(self.coefficients, "step_reference", None)
-        reference = (None if step_reference is None
-                     else step_reference(self.mesh.element_mean(state.theta)))
+        reference = self.coefficients.step_reference(
+            self.mesh.element_mean(state.theta))
         # Picard runs on the free dofs; r_new is the full iterate with the
         # prescribed values in place, theta dofs ahead of phi in both
         fixed, free = self._fixed, self._free
@@ -713,11 +718,8 @@ class TransportProblem:
                 res = res[free]
             return M, b, res
 
-        phi_range = self.coefficients.phi_range
-
         def project(x):
-            if phi_range is not None:
-                np.clip(x[n_t:], *phi_range, out=x[n_t:])
+            np.clip(x[n_t:], *self.coefficients.phi_range, out=x[n_t:])
             return x
 
         # the kept factor is handed over, not referenced from here, so a

@@ -51,15 +51,19 @@ def spec01_model(ice_params) -> IceModel:
 def heat_capacity():
     """Effective heat capacity at (theta, phi) from its kernel, the
     isotherm and the ice model's lookups, as the transport coefficients
-    evaluate it."""
+    evaluate it: a step from theta_ref, or from theta itself, and zero
+    ice without an ice model."""
     def evaluate(theta, phi, params, ice_model=None, theta_ref=None):
         theta = np.asarray(theta, dtype=float)
         w = constitutive.water_content(phi, params)
-        ice = frozen_ref = None
-        if ice_model is not None:
+        if theta_ref is None:
+            theta_ref = theta
+        if ice_model is None:
+            ice = (np.zeros(np.broadcast_shapes(theta.shape, w.shape)),) * 2
+            frozen_ref = np.zeros(np.shape(theta_ref))
+        else:
             ice = ice_model.ice_content(theta, w)
-            if theta_ref is not None:
-                frozen_ref = ice_model.frozen_fraction(theta_ref)
+            frozen_ref = ice_model.frozen_fraction(theta_ref)
         return constitutive._effective_heat_capacity(theta, w, params, ice,
                                                      theta_ref, frozen_ref)[0]
     return evaluate

@@ -64,3 +64,47 @@ def test_single_pair_has_degenerate_quartiles():
     # a tie is not a win
     assert out["metrics"]["run_s"]["pairs_won"] == 0
     assert out["metrics"]["sim_h_per_s"]["pairs_won"] == 1
+
+
+def verdicts(base, change, better="lower", bound=0.25):
+    """The verdict summarise gives run_s on pairs of canned medians."""
+    runs = {"base": [record(b, 1.0) for b in base],
+            "change": [record(c, 1.0) for c in change]}
+    entry = bench_pairs.summarise(runs, {"run_s": better},
+                                  {"run_s": bound})["metrics"]["run_s"]
+    return entry["gain_resolved"], entry["regression"]
+
+
+BASE = [1.0, 1.02, 0.98, 1.01, 0.99, 1.0, 1.03, 0.97, 1.0, 1.01]
+WIDE = [0.5, 1.5, 0.6, 1.4, 0.7, 1.3, 0.8, 1.2, 0.9, 1.1]
+
+
+@pytest.mark.parametrize("base, change, better, want", [
+    # won 10 of 10 by 0.2, beyond the base's quartile distance of 0.03
+    (BASE, [0.8 * b for b in BASE], "lower", (True, "none")),
+    # won 10 of 10, but by 0.01, inside that distance
+    (BASE, [b - 0.01 for b in BASE], "lower", (False, "none")),
+    # won 8 of 10 by far
+    (BASE, [0.5] * 8 + [2.0, 2.0], "lower", (False, "none")),
+    # worse by 30 % against a bound of 25 %, in either direction
+    (BASE, [1.3 * b for b in BASE], "lower", (False, "beyond bound")),
+    (BASE, [0.7 * b for b in BASE], "higher", (False, "beyond bound")),
+    # the base spreads by 0.6 of its median, more than the bound, and the
+    # runs overlap: a 5 % change cannot be told either way
+    (WIDE, [1.05 * b for b in WIDE], "lower", (False, "unresolved")),
+    (WIDE, [0.95 * b for b in WIDE], "lower", (False, "unresolved")),
+    # every change run beats every base run, so the spread is no excuse
+    (WIDE, [0.2] * 10, "lower", (True, "none")),
+    (WIDE, [2.0] * 10, "higher", (True, "none")),
+], ids=["gain", "inside-spread", "eight-of-ten", "worse", "worse-higher",
+        "wide-worse", "wide-better", "wide-separated", "wide-higher"])
+def test_verdict(base, change, better, want):
+    assert verdicts(base, change, better) == want
+
+
+def test_verdict_needs_a_bound():
+    runs = {"base": [record(b, 1.0) for b in BASE],
+            "change": [record(b, 1.0) for b in BASE]}
+    entry = bench_pairs.summarise(runs, {"run_s": "lower"})["metrics"]["run_s"]
+    assert "gain_resolved" not in entry and "regression" not in entry
+    assert verdicts(BASE, BASE) == (False, "none")

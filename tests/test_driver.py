@@ -1,4 +1,5 @@
 import copy
+import inspect
 import json
 import math
 import os
@@ -112,6 +113,29 @@ class TestDefaultConfig:
         for name, section in driver.DEFAULT_CONFIG.items():
             if isinstance(section, dict):
                 assert set(section) == set(props[name]["properties"]), name
+
+    def test_library_defaults_are_the_config_defaults(self):
+        # a library caller gets the time and numerics settings that
+        # `frostsim run` takes from the default config
+        time = driver.DEFAULT_CONFIG["time"]
+        numerics = driver.DEFAULT_CONFIG["numerics"]
+        picard = {"tol": numerics["picard_tol"],
+                  "max_iter": numerics["picard_max_iter"],
+                  "relax": numerics["relax"]}
+        problem = transport_solver.TransportProblem
+        expect = {
+            problem.__init__: {"lumped_capacity": numerics["lumped_capacity"]},
+            problem.step: {"gamma": time["gamma"], **picard},
+            problem.advance: {"max_halvings": numerics["max_halvings"]},
+            transport_solver.nonlinear_iterate: picard,
+            mechanics.MechanicsProblem.solve: {
+                "tol": numerics["damage_tol"],
+                "max_iter": numerics["damage_max_iter"]},
+        }
+        for function, values in expect.items():
+            params = inspect.signature(function).parameters
+            got = {name: params[name].default for name in values}
+            assert got == values, function.__qualname__
 
     @pytest.mark.parametrize("section", ["initial", "interior"])
     def test_set_up_temperature_within_the_fits(self, section):

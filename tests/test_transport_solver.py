@@ -256,6 +256,57 @@ class TestUncheckedEvaluation:
         assert min(calls.values()) > 0
 
 
+class TestCoefficientContract:
+    """Every coefficient model offers the ranges, step_reference,
+    evaluate_step and dc_tt that TransportProblem relies on."""
+
+    FIELDS = ("k_tt", "k_tp", "k_pt", "k_pp", "c_tt", "c_pp", "dc_tt")
+
+    def same(self, got, want):
+        for name in self.FIELDS:
+            assert (getattr(got, name).tobytes()
+                    == getattr(want, name).tobytes()), name
+
+    @pytest.mark.parametrize("with_ice", [False, True])
+    def test_evaluate_is_a_step_from_its_own_state(self, mortar,
+                                                   spec01_model, with_ice):
+        # above 0 degC, in the freezing band and deep below it; a step
+        # reference within the chord floor takes the same tangent
+        theta = np.concatenate([np.linspace(0.0, 25.0, 11),
+                                np.linspace(-1.0, -1e-3, 11),
+                                [-12.0, -40.0]])
+        phi = np.linspace(0.2, 1.0, len(theta))
+        coef = ts.KunzelCoefficients(
+            mortar, ice_model=spec01_model if with_ice else None)
+        got = coef.evaluate(theta, phi)
+        self.same(got, coef.evaluate_step(theta, phi,
+                                          coef.step_reference(theta)))
+        for share in (0.5, -0.99):
+            near = coef.step_reference(theta + share * con._CHORD_FLOOR)
+            self.same(got, coef.evaluate_step(theta, phi, near))
+        assert np.any(got.dc_tt) == with_ice
+
+    def test_constant_coefficients_meet_the_contract(self, lshape_coarse):
+        coef = ts.ConstantCoefficients(k_tt=2.0, c_tt=3.0)
+        assert coef.theta_range == coef.phi_range == (-math.inf, math.inf)
+        theta, phi = np.linspace(-50.0, 80.0, 7), np.linspace(-0.5, 2.0, 7)
+        assert coef.step_reference(theta) is None
+        got = coef.evaluate_step(theta, phi, coef.step_reference(theta))
+        self.same(got, coef.evaluate(theta, phi))
+        assert got.dc_tt.tobytes() == np.zeros(7).tobytes()
+        # so the update matrix asked for a Newton term is the Picard one
+        prob = ts.TransportProblem(lshape_coarse, coef)
+        n = lshape_coarse.num_nodes
+        r = np.random.default_rng(3).normal(size=2 * n)
+        exchange, load, rain = prob._boundary(0.0)
+        ops = [prob._step_operator(r, 10.0, exchange, load, rain,
+                                   prob._mass_history(r), np.zeros(n, bool),
+                                   None, newton)
+               for newton in (False, True)]
+        assert (ops[0][0] != ops[1][0]).nnz == 0
+        assert ops[0][2].tobytes() == ops[1][2].tobytes()
+
+
 class TestBoundary:
     """The boundary terms of each tag, lumped to nodal weights at set-up,
     against a scatter of every tagged edge. At h = 0.15 the L-shape's
@@ -415,9 +466,10 @@ class TestStepOperator:
 
         exchange, load, rain = prob._boundary(t)
         r = np.concatenate([theta, phi])
-        A, b, res = prob._step_operator(r, gdt, gdt * exchange, load, rain,
-                                        prob._mass_history(history),
-                                        suppressed)
+        A, b, res = prob._step_operator(
+            r, gdt, gdt * exchange, load, rain, prob._mass_history(history),
+            suppressed,
+            prob.coefficients.step_reference(mesh.element_mean(theta)))
         assert res.tobytes() == (A @ r - b).tobytes()
         sys = prob.assemble(theta, phi, t, suppressed_nodes=suppressed)
         expect_A = (sys.C + gdt * sys.K).toarray()
@@ -455,7 +507,7 @@ class TestStepOperator:
         state = ts.TransportState.uniform(lshape_coarse, 14.0, 0.5)
         state.rdot = prob.consistent_rates(state)
         dt, gamma, tol = 3600.0, 0.5, 1e-6
-        out = prob.step(state, dt, gamma=gamma, tol=tol)
+        out = prob.step(state, dt, gamma=gamma, tol=tol, relax=0.7)
         assert out.picard_iterations > 2
 
         sys = prob.assemble(out.theta, out.phi, out.t)
@@ -624,6 +676,21 @@ class TestDirichlet:
         state.rdot = prob.consistent_rates(state)
         out = prob.step(state, 0.5, gamma=0.0, relax=1.0, tol=1e-12)
         np.testing.assert_allclose(out.rdot[bnd], 1.0, rtol=1e-5)
+
+    def test_month_end_rates_divide_by_the_step_taken(self):
+        # at t = 2.6784e6 s, the end of the 744 h month, t + 1e-6 lies
+        # 9.9977e-7 s past t; a power-of-two slope keeps the prescribed
+        # values and their differences exact
+        mesh = generate_rectangle(1.0, 1.0, 3, 3)
+        bnd = boundary_nodes(mesh)
+        t0, dt, slope = 2.6784e6 - 3600.0, 3600.0, 2.0 ** -10
+        prob = ts.TransportProblem(
+            mesh, ts.ConstantCoefficients(),
+            dirichlet_theta=[(bnd, lambda t: slope * (t - t0))])
+        state = ts.TransportState.uniform(mesh, 0.0, 0.5, t=t0)
+        out = prob.step(state, dt, gamma=0.0, tol=1e-12)
+        assert out.t == 2.6784e6
+        np.testing.assert_allclose(out.rdot[bnd], slope, rtol=1e-12)
 
     def test_consistent_rates_solve_and_boundary_slope(self):
         mesh = generate_rectangle(1.0, 1.0, 3, 3)
@@ -1210,7 +1277,7 @@ class TestStepping:
         prob = self.make_problem(lshape_coarse, mortar)
         state = ts.TransportState.uniform(lshape_coarse, 14.0, 0.5)
         with pytest.raises(StepFailureError) as info:
-            prob.step(state, 3600.0, max_iter=2)
+            prob.step(state, 3600.0, max_iter=2, relax=0.7)
         assert info.value.residual_norm is not None
         assert info.value.residual_norm > 0.0
 
