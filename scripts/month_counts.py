@@ -12,9 +12,10 @@ OpenMP thread counts pinned to 1, and prints one JSON object:
 - ``halvings`` and ``factorisations``: the sums of ``RunSummary.halvings``
   and of ``RunSummary.factorisations``, the transport LU factorisations
   of the substeps that succeeded;
-- ``mechanics_factorisations``: the sum of
-  ``RunSummary.mechanics_factorisations``, the LU factorisations of the
-  reduced mechanics stiffness;
+- ``mechanics_factorisations`` and ``damage_iterations``: the sums of
+  ``RunSummary.mechanics_factorisations``, the factorisations of the
+  reduced mechanics stiffness, and of ``RunSummary.damage_iterations``,
+  the damage iterations of the mechanics solves;
 - ``transport_solves``: the calls of ``transport_solver.solve_sparse``,
   counted by wrapping that module attribute, as the traced benchmark
   does; failed substeps included;
@@ -115,6 +116,7 @@ def counts(config: dict | str | Path) -> dict:
         "factorisations": int(summary.factorisations.sum()),
         "mechanics_factorisations":
             int(summary.mechanics_factorisations.sum()),
+        "damage_iterations": int(summary.damage_iterations.sum()),
         "transport_solves": len(solves),
         "wall_s": round(wall, 2),
         "sha256": sha,

@@ -1,11 +1,13 @@
 """Shared sparse helpers: fixed-pattern assembly, Dirichlet reduction to
-the free dofs and a guarded direct solve."""
+the free dofs, a bandwidth order with its band storage, and guarded
+direct solves."""
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .errors import SingularSystemError
 
@@ -87,6 +89,74 @@ def apply_dirichlet(A: sp.csr_matrix, b: np.ndarray, free: np.ndarray,
     return A_f[:, free], b[free] - A_f[:, fixed] @ values
 
 
+def bandwidth_order(A: sp.csr_matrix, skip: np.ndarray) -> np.ndarray:
+    """Reverse Cuthill-McKee order (Cuthill and McKee, 1969) of the
+    vertices of A's symmetric graph that are not in ``skip``, on the
+    graph they induce, which is what ``apply_dirichlet`` leaves with the
+    ``skip`` dofs fixed. Each connected part starts from a vertex found as
+    George and Liu (1981) find a pseudo-peripheral one; each
+    breadth-first level lists its vertices by their first neighbour in
+    the level before, then by degree, then by number."""
+    n = A.shape[0]
+    seen = np.zeros(n + 1, dtype=bool)      # vertex n pads the table
+    seen[skip] = seen[n] = True
+    rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(A.indptr))
+    inside = ~seen[A.indices]
+    rows, cols = rows[inside], A.indices[inside]
+    degree = np.bincount(rows, minlength=n)
+    width = int(degree.max(initial=1))
+    # row v of the table: v's neighbours by degree, then number
+    cols = cols[np.argsort(rows * np.int32(width + 1) + degree[cols],
+                           kind="stable")]
+    table = np.full((n + 1, width), n, dtype=np.int32)
+    table.ravel()[rows * width + np.arange(len(rows))
+                  - np.repeat(np.cumsum(degree) - degree, degree)] = cols
+
+    def levels(start):
+        done, first = seen.copy(), np.full(n + 1, table.size)
+        done[start] = True
+        found = [np.array([start])]
+        while True:
+            near = table[found[-1]].ravel()
+            near = near[~done[near]]
+            if not len(near):
+                return found
+            at = np.arange(len(near))
+            np.minimum.at(first, near, at)
+            found.append(near[first[near] == at])
+            done[found[-1]] = True
+
+    order = []
+    while not seen.all():
+        rest = np.flatnonzero(~seen)
+        found = levels(rest[np.argmin(degree[rest])])
+        while len(deeper := levels(
+                found[-1][np.argmin(degree[found[-1]])])) > len(found):
+            found = deeper
+        order.extend(found)
+        seen[np.concatenate(found)] = True
+    return np.concatenate(order)[::-1]
+
+
+class BandLayout:
+    """Fixed map from the data of CSR matrices of one symmetric structure
+    and entry order to LAPACK's lower band storage: entry (i, j), j <= i,
+    goes to ``band[i - j, j]`` of a Fortran (kd + 1, n) array."""
+
+    def __init__(self, A: sp.csr_matrix):
+        rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+        lower = rows >= A.indices
+        depth = rows[lower] - A.indices[lower]
+        self.shape = (int(depth.max(initial=0)) + 1, A.shape[0])
+        self._take = np.flatnonzero(lower).astype(np.int32)
+        self._put = (A.indices[lower] * self.shape[0] + depth).astype(np.int32)
+
+    def band(self, A: sp.csr_matrix) -> np.ndarray:
+        band = np.zeros(self.shape[0] * self.shape[1])
+        band[self._put] = A.data[self._take]
+        return band.reshape(self.shape, order="F")
+
+
 def _splu(A: sp.spmatrix):
     try:
         return spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A",
@@ -139,11 +209,39 @@ class SparseLU:
         return x
 
 
-def solve_sparse(A: sp.spmatrix | SparseLU, b: np.ndarray) -> np.ndarray:
+class BandedCholesky:
+    """Band Cholesky factor (LAPACK dpbtrf, dpbtrs) of a symmetric positive
+    definite matrix, given as a ``BandLayout`` band, which it factorises
+    in place at the first solve and keeps, as SparseLU does; ``solve``
+    takes b as SparseLU's does. A pivot that is not positive raises
+    SingularSystemError, as does a solution that is not finite."""
+
+    def __init__(self, band: np.ndarray):
+        self._band, self._factored = band, False
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        if not self._factored:
+            self._band, info = lapack.dpbtrf(self._band, lower=1,
+                                             overwrite_ab=1)
+            if info != 0:
+                raise SingularSystemError(
+                    f"matrix not positive definite at pivot {info}")
+            self._factored = True
+        x = lapack.dpbtrs(self._band, np.reshape(b, (len(b), -1)),
+                          lower=1)[0].reshape(np.shape(b))
+        if not np.all(np.isfinite(x)):
+            raise SingularSystemError("linear solve produced non-finite values")
+        return x
+
+
+def solve_sparse(A: sp.spmatrix | SparseLU | BandedCholesky,
+                 b: np.ndarray) -> np.ndarray:
     """Direct sparse solve; raises SingularSystemError on a singular matrix
     or on a solution with a value that is not finite.
 
-    ``A`` is a sparse matrix, or a SparseLU whose factor is reused. ``b``
-    has shape (n,), or (n, k) for k right-hand sides at once.
+    ``A`` is a sparse matrix, or a SparseLU or BandedCholesky whose factor
+    is reused. ``b`` has shape (n,), or (n, k) for k right-hand sides at
+    once.
     """
-    return (A if isinstance(A, SparseLU) else SparseLU(A)).solve(b)
+    return (A if isinstance(A, (SparseLU, BandedCholesky))
+            else SparseLU(A)).solve(b)

@@ -375,7 +375,8 @@ class RunSummary:
     pore_pressure_history: np.ndarray   # (steps + 1, E), Pa
     picard_iterations: np.ndarray   # (steps,)
     factorisations: np.ndarray      # (steps,) transport LU factorisations
-    mechanics_factorisations: np.ndarray    # (steps,) mechanics LU factorisations
+    mechanics_factorisations: np.ndarray    # (steps,) stiffness factorisations
+    damage_iterations: np.ndarray   # (steps,) mechanics damage iterations
     halvings: np.ndarray            # (steps,) failed substeps halved
     nonlocal_pairs: int             # centroid pairs within 3 l_intl
     outputs: list[Path] = field(default_factory=list)
@@ -424,6 +425,7 @@ def run(config: dict | str | Path | None = None,
     picard = np.zeros(steps, dtype=np.int64)
     factorisations = np.zeros(steps, dtype=np.int64)
     mech_factorisations = np.zeros(steps, dtype=np.int64)
+    damage_iterations = np.zeros(steps, dtype=np.int64)
     halvings = np.zeros(steps, dtype=np.int64)
     averager = _node_averager(mesh)
     probe_rows = averager[probe_nodes]
@@ -460,6 +462,7 @@ def run(config: dict | str | Path | None = None,
         picard[k - 1] = state.picard_iterations
         factorisations[k - 1] = state.factorisations
         mech_factorisations[k - 1] = mstate.factorisations
+        damage_iterations[k - 1] = mstate.iterations
         halvings[k - 1] = state.halvings
 
         if k % outcfg["probe_every"] == 0 or k == steps:
@@ -488,7 +491,8 @@ def run(config: dict | str | Path | None = None,
         outputs.append(probe_path)
     return RunSummary(cfg, mesh, state, mstate, probe_nodes, records,
                       damage_history, kappa_history, pressure_history,
-                      picard, factorisations, mech_factorisations, halvings,
+                      picard, factorisations, mech_factorisations,
+                      damage_iterations, halvings,
                       mechanics.averager.num_pairs, outputs)
 
 

@@ -21,23 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import lapack, lu_factor, lu_solve
 
-from ._linalg import SparseLU, SparsePattern, apply_dirichlet, solve_sparse
+from ._linalg import (BandedCholesky, BandLayout, SparsePattern,
+                      apply_dirichlet, bandwidth_order, solve_sparse)
 from .errors import InvalidParametersError
 from .mesh import BoundaryTag, Mesh
 
 # Voigt vector of an isotropic unit strain or stress in 2-D
 _IDENTITY = np.array([1.0, 1.0, 0.0])
-
-# free dofs the capacitance correction may span before the stiffness is
-# factorised afresh; the damage of the 744 h reference month stays
-# within it
-MAX_CORRECTED_DOFS = 96
-# reciprocal 1-norm condition estimate of the capacitance matrix below
-# which the correction, whose relative error grows as eps / rcond, is
-# dropped and the stiffness factorised afresh
-MIN_CAPACITANCE_RCOND = 1e-10
 
 
 def biot_coefficient(n: float) -> float:
@@ -207,7 +198,7 @@ class MechState:
     d_w: np.ndarray             # (E,) damage in [0, 1]
     converged: bool = True
     iterations: int = 0
-    factorisations: int = 0     # LU factorisations of the reduced stiffness
+    factorisations: int = 0     # factorisations of the reduced stiffness
 
     @classmethod
     def zero(cls, mesh: Mesh) -> "MechState":
@@ -221,30 +212,15 @@ class MechanicsProblem:
 
     ``constraints`` overrides the tag-derived supports with explicit
     (dof ids, values); dof 2i is u_x of node i, dof 2i + 1 is u_y. A dof
-    listed twice keeps its first value.
+    listed twice keeps its first value. The constraints must hold all
+    three rigid body modes.
 
-    The problem keeps one LU factor of the reduced stiffness K_b = K(f_b),
-    where f_b is the per-element stiffness factor of the first solve, for
-    as long as it can. Let M be the elements whose factor f differs from
-    f_b, S the free dofs of M, P_S the matrix that selects them and D the
-    S block of K(f) - K(f_b), which the stiffness map gives from f - f_b.
-    Then the capacitance (Sherman-Morrison-Woodbury) identity gives
-
-        u = x0 - Z (I + D Z_S)^-1 D x0_S,  x0 = K_b^-1 b,  Z = K_b^-1 P_S,
-
-    and prescribed displacements that are not zero lift the load through
-    the constrained columns of the same S rows. Damage never decreases, so
-    S only grows: each column of Z is solved once, when its dof joins S,
-    in the same multi-column solve as that iteration's load, and every
-    damage iteration makes one ``solve_sparse`` call. The small LU of
-    I + D Z_S is kept with the factor array it is for, so an iteration
-    whose factor equals the last one's costs one sparse solve. The
-    stiffness is factorised afresh, and S emptied, when S would pass
-    ``MAX_CORRECTED_DOFS`` dofs or the capacitance matrix is
-    ill-conditioned; the latter finds out after its solve and makes a
-    second one. Solves with f equal to f_b build neither the stiffness
-    nor its reduction, and give bitwise the displacements of a fresh
-    factorisation.
+    The free dofs are held in a bandwidth order of the undamaged reduced
+    stiffness, which is symmetric positive definite and, the wall being
+    thin, has a small half-bandwidth; each damage state's reduced
+    stiffness goes into a band Cholesky factor through a layout fixed at
+    set-up. The factor is kept while the element stiffness factors stay
+    the same; every damage iteration makes one ``solve_sparse`` call.
     """
 
     def __init__(self, mesh: Mesh, params: MechParams,
@@ -285,25 +261,27 @@ class MechanicsProblem:
         self.constraint_dofs, first = np.unique(
             np.asarray(constraints[0], dtype=np.int64), return_index=True)
         self.constraint_values = np.asarray(constraints[1], dtype=float)[first]
-        if len(self.constraint_dofs) < 3:
+        # the x and y translations and the rotation about the centroid
+        x, y = (mesh.nodes - mesh.nodes.mean(axis=0)).T
+        one, zero = np.ones_like(x), np.zeros_like(x)
+        modes = np.stack([one, zero, -y, zero, one, x], axis=1).reshape(-1, 3)
+        held = np.linalg.matrix_rank(modes[self.constraint_dofs])
+        if held < 3:
             raise InvalidParametersError(
-                "mechanics needs at least 3 constrained dofs to fix rigid "
-                "body motion")
-        self._free = np.setdiff1d(np.arange(2 * mesh.num_nodes),
-                                  self.constraint_dofs)
-        free_index = np.full(2 * mesh.num_nodes, -1, dtype=np.int64)
-        free_index[self._free] = np.arange(len(self._free))
-        self._element_free = free_index[dofs]     # (E, 6), -1 if constrained
-        self._prescribed = np.zeros(2 * mesh.num_nodes)
-        self._prescribed[self.constraint_dofs] = self.constraint_values
-        # set by the first solve: the LU of the base reduced stiffness, the
-        # stiffness factor f_b it is for, the reduced load of the
-        # prescribed displacements, S as free indices in the order they
-        # joined, Z = K_b^-1 P_S, and (factor, D, lift, LU of I + D Z_S) of
-        # the last correction
-        self._lu: SparseLU | None = None
-        self._base = self._offset = self._s = self._z = None
-        self._capacitance = None
+                f"the constraints hold {held} of the 3 rigid body modes; "
+                "mechanics needs all 3 constrained")
+
+        # the free dofs in a bandwidth order of the undamaged reduced
+        # stiffness, and the band layout of the reduction in that order
+        K = self._pattern.matrix(np.ones(e))
+        self._free = bandwidth_order(K, self.constraint_dofs)
+        self._layout = BandLayout(apply_dirichlet(
+            K, np.zeros(2 * mesh.num_nodes), self._free, self.constraint_dofs,
+            self.constraint_values)[0])
+        # set by each factorisation: the factor, the stiffness factor it
+        # is for and the reduced load of the prescribed displacements
+        self._factor: BandedCholesky | None = None
+        self._base = self._offset = None
 
     # -- pieces -------------------------------------------------------------
 
@@ -311,66 +289,17 @@ class MechanicsProblem:
         """Element Voigt strains (E, 3) from nodal displacements."""
         return np.einsum("eij,ej->ei", self.B, u[self.dofs])
 
-    # -- kept factor and its correction ------------------------------------
+    # -- kept factor --------------------------------------------------------
 
     def _factorise(self, factor: np.ndarray) -> None:
-        """Make ``factor`` the base: factorise its reduced stiffness, keep
-        the reduced load of the prescribed displacements, and empty S."""
+        """Keep the band Cholesky factor of the reduced stiffness under
+        ``factor`` and the reduced load of the prescribed displacements."""
+        self._factor = None         # freed before its successor is built
         A, self._offset = apply_dirichlet(
             self._pattern.matrix(factor), np.zeros(2 * self.mesh.num_nodes),
             self._free, self.constraint_dofs, self.constraint_values)
-        self._lu, self._base = SparseLU(A), factor
-        self._s = np.zeros(0, dtype=np.int64)
-        self._z = np.zeros((len(self._free), 0))
-        self._capacitance = None
-
-    def _corrected_solve(self, factor: np.ndarray,
-                         F: np.ndarray) -> np.ndarray | None:
-        """Free displacements under ``factor`` from the kept LU and the
-        capacitance correction of the elements whose factor moved off the
-        base; None when the stiffness must be factorised afresh."""
-        b = F[self._free] + self._offset
-        moved = factor != self._base
-        if not moved.any():
-            return solve_sparse(self._lu, b)
-        kept = self._capacitance
-        if kept is not None and np.array_equal(factor, kept[0]):
-            s, new = self._s, ()
-            _, D, lift, lu = kept
-        else:
-            lu = None
-            local = self._element_free[moved]
-            new = np.setdiff1d(local[local >= 0], self._s)
-            s = np.concatenate([self._s, new])
-            if not len(s):      # no free dof moved: the correction is I
-                return solve_sparse(self._lu, b)
-            if len(s) > MAX_CORRECTED_DOFS:
-                return None
-            # the S rows of K(f) - K(f_b): D is their S columns, and their
-            # constrained columns lift the load
-            at = self._free[s]
-            rows = self._pattern.matrix(factor - self._base)[at]
-            D = rows[:, at].toarray()
-            lift = rows @ self._prescribed
-        b[s] -= lift
-        if len(new):
-            rhs = np.zeros((len(b), 1 + len(new)), order="F")
-            rhs[:, 0] = b
-            rhs[new, np.arange(1, 1 + len(new))] = 1.0
-            x = solve_sparse(self._lu, rhs)
-            self._z = np.concatenate([self._z, x[:, 1:]], axis=1)
-            self._s = s
-            x = x[:, 0]
-        else:
-            x = solve_sparse(self._lu, b)
-        if lu is None:
-            C = np.eye(len(s)) + D @ self._z[s]
-            lu = lu_factor(C, check_finite=False)
-            rcond, _ = lapack.dgecon(lu[0], np.abs(C).sum(axis=0).max())
-            if rcond < MIN_CAPACITANCE_RCOND:
-                return None
-            self._capacitance = (factor, D, lift, lu)
-        return x - self._z @ lu_solve(lu, D @ x[s], check_finite=False)
+        self._factor = BandedCholesky(self._layout.band(A))
+        self._base = factor
 
     # -- equilibrium --------------------------------------------------------
 
@@ -417,13 +346,11 @@ class MechanicsProblem:
             F = fixed + np.bincount(
                 dofs, ((factor * thermal)[:, None] * unit_th).ravel(),
                 minlength=n)
-            u_free = None if self._lu is None \
-                else self._corrected_solve(factor, F)
-            if u_free is None:
+            if self._factor is None or not np.array_equal(factor, self._base):
                 self._factorise(factor)
-                u_free = self._corrected_solve(factor, F)
                 factorisations += 1
-            u[self._free] = u_free
+            u[self._free] = solve_sparse(self._factor,
+                                         F[self._free] + self._offset)
             u[self.constraint_dofs] = self.constraint_values
             eq = mazars_equivalent_strain(self.strains(u))
             kappa = np.maximum(kappa_floor, self.averager(eq))

@@ -700,10 +700,16 @@ class TransportProblem:
         # prescribed values in place, theta dofs ahead of phi in both
         fixed, free = self._fixed, self._free
         vals = self._dirichlet_at(t_new)
-        # forward Euler predictor; a good guess lets mild steps converge
-        # in one or two solves
-        r_new = r_old + dt * rdot_old
-        r_new[fixed] = vals
+        # forward Euler predictor, or the step start where the predictor
+        # (phi clipped) leaves the model's ranges, as a cold start can
+        phi_range = self.coefficients.phi_range
+        for r_new in (r_old + dt * rdot_old, r_old.copy()):
+            r_new[fixed] = vals
+            try:
+                self._centroid_state(r_new[:n], np.clip(r_new[n:], *phi_range))
+                break
+            except DomainError:
+                pass
         r_free = r_new[free]
         n_t = n - int(np.count_nonzero(fixed < n))
 
@@ -719,7 +725,7 @@ class TransportProblem:
             return M, b, res
 
         def project(x):
-            np.clip(x[n_t:], *self.coefficients.phi_range, out=x[n_t:])
+            np.clip(x[n_t:], *phi_range, out=x[n_t:])
             return x
 
         # the kept factor is handed over, not referenced from here, so a

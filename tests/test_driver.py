@@ -20,7 +20,8 @@ from frostsim.errors import (ConfigError, DegenerateElementError,
                              MeshFormatError, StepFailureError)
 from frostsim.ice import IceParams
 from frostsim.mechanics import MechParams, neighbour_pairs
-from frostsim.mesh import generate_lshape, generate_rectangle, load_mesh
+from frostsim.mesh import (BoundaryTag, Mesh, generate_lshape,
+                           generate_rectangle, load_mesh, write_mesh)
 
 CLIMATE_HEADER = "time_h,theta_ext_C,phi_ext,rain_kg_m2_s,swr_W_m2"
 ROOT = Path(__file__).resolve().parents[1]
@@ -673,18 +674,35 @@ class TestRun:
     def test_mechanics_factorisations_per_step(self, tmp_path, monkeypatch):
         made = []
 
-        class CountingLU(mechanics.SparseLU):
-            def __init__(self, A):
-                super().__init__(A)
+        class CountingCholesky(mechanics.BandedCholesky):
+            def __init__(self, band):
+                super().__init__(band)
                 made.append(self)
 
-        monkeypatch.setattr(mechanics, "SparseLU", CountingLU)
+        monkeypatch.setattr(mechanics, "BandedCholesky", CountingCholesky)
         summary = driver.run(small_run_config(tmp_path, steps=3))
         per_step = summary.mechanics_factorisations
         assert per_step.shape == (3,)
         assert per_step.sum() == len(made)
         # the undamaged stiffness of the first step is kept
         assert per_step[0] == 1
+
+    def test_damage_iterations_per_step(self, tmp_path, monkeypatch):
+        iterations = []
+        solve = mechanics.MechanicsProblem.solve
+
+        def recording(self, *args, **kwargs):
+            state = solve(self, *args, **kwargs)
+            iterations.append(state.iterations)
+            return state
+
+        monkeypatch.setattr(mechanics.MechanicsProblem, "solve", recording)
+        summary = driver.run(small_run_config(tmp_path, steps=3))
+        assert summary.damage_iterations.shape == (3,)
+        assert summary.damage_iterations.tolist() == iterations
+        assert np.all(summary.damage_iterations >= 1)
+        assert np.all(summary.mechanics_factorisations
+                      <= summary.damage_iterations)
 
     def test_halvings_per_step(self, tmp_path, monkeypatch):
         step = transport_solver.TransportProblem.step
@@ -861,6 +879,26 @@ class TestCli:
                       "--out", str(tmp_path / "out")]):
             assert cli.main(argv) == 2
             assert capsys.readouterr().err == f"config error: {exc.value}\n"
+
+    def test_mesh_tags_that_free_a_rigid_body_mode(self, tmp_path, capsys):
+        # B edges retagged EXT leave only face A's u_x held: the y
+        # translation is free, which is a config fault, not a solve
+        mesh = generate_lshape(1.0, 0.4, 0.1)
+        tags = np.where(mesh.bedge_tag == BoundaryTag.B, BoundaryTag.EXT,
+                        mesh.bedge_tag)
+        mesh_path = tmp_path / "a_only.mesh"
+        write_mesh(Mesh(mesh.nodes, mesh.elements,
+                        np.column_stack([mesh.bedge_elem, mesh.bedge_local,
+                                         tags])), mesh_path)
+        path = write_config(tmp_path, {"mesh": {"file": str(mesh_path)},
+                                       "time": {"steps": 1}})
+        for argv in (["check-config", str(path)],
+                     ["run", "--config", str(path),
+                      "--out", str(tmp_path / "out")]):
+            assert cli.main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ")
+            assert "2 of the 3 rigid body modes" in err
 
     def test_config_not_utf8_stops_both_commands(self, tmp_path, capsys):
         # the byte is counted from the start of the file, mark included

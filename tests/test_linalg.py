@@ -4,7 +4,8 @@ import scipy.sparse as sp
 
 from frostsim import _linalg
 from frostsim import transport_solver as ts
-from frostsim._linalg import SparseLU, SparsePattern, solve_sparse
+from frostsim._linalg import (BandedCholesky, BandLayout, SparseLU,
+                              SparsePattern, bandwidth_order, solve_sparse)
 from frostsim.errors import SingularSystemError
 
 
@@ -190,3 +191,122 @@ class TestSplitFactor:
                                     [0.0, 1.0, 1.0]]))
         with pytest.raises(SingularSystemError):
             SparseLU(A, split=1).solve(np.ones(3))
+
+
+def grid_laplacian(nx, ny, rng):
+    """Five-point Laplacian plus identity of an nx by ny grid, its vertices
+    numbered at random: symmetric positive definite, with no band."""
+    grid = np.arange(nx * ny).reshape(ny, nx)
+    pairs = np.concatenate([np.stack([grid[:, :-1].ravel(),
+                                      grid[:, 1:].ravel()], axis=1),
+                            np.stack([grid[:-1].ravel(),
+                                      grid[1:].ravel()], axis=1)])
+    label = rng.permutation(nx * ny)
+    i, j = label[pairs].T
+    n = nx * ny
+    off = sp.coo_matrix((-np.ones(len(i)), (i, j)), shape=(n, n))
+    A = off + off.T
+    return (A + sp.diags(1.0 - np.asarray(A.sum(axis=1)).ravel())).tocsr()
+
+
+class TestBandwidthOrder:
+    def test_long_grid_gets_the_band_of_its_width(self):
+        # a 40 by 5 grid numbered at random: the levels from a corner
+        # are its diagonals, so the band is as wide as the grid plus one,
+        # not as long
+        A = grid_laplacian(40, 5, np.random.default_rng(3))
+        order = bandwidth_order(A, np.zeros(0, dtype=int))
+        np.testing.assert_array_equal(np.sort(order), np.arange(200))
+        P = A[order][:, order].tocoo()
+        assert np.abs(P.row - P.col).max() <= 6
+        A = A.tocoo()
+        assert np.abs(A.row - A.col).max() > 100
+
+    def test_skipped_vertices_and_separate_parts(self):
+        # skipping a column of the grid cuts it in two parts; each gets
+        # its own levels, and the skipped vertices stay out of the order
+        rng = np.random.default_rng(8)
+        A = grid_laplacian(21, 4, rng)
+        label = np.random.default_rng(8).permutation(84)
+        skip = label[np.arange(10, 84, 21)]     # grid column 10
+        order = bandwidth_order(A, skip)
+        np.testing.assert_array_equal(np.sort(order),
+                                      np.setdiff1d(np.arange(84), skip))
+        # the parts are the ten columns either side; each is one run of
+        # the order, and inside it the band stays narrow
+        column = np.empty(84, dtype=int)
+        column[label] = np.tile(np.arange(21), 4)
+        left = column[order] < 10
+        assert np.count_nonzero(np.diff(left)) == 1
+        P = A[order][:, order].tocoo()
+        assert np.abs(P.row - P.col).max() <= 5
+
+    def test_band_of_the_order_holds_the_matrix(self):
+        rng = np.random.default_rng(9)
+        A = grid_laplacian(12, 4, rng)
+        order = bandwidth_order(A, np.zeros(0, dtype=int))
+        P = A[order][:, order].tocsr()
+        layout = BandLayout(P)
+        band = layout.band(P)
+        dense = P.toarray()
+        kd = layout.shape[0] - 1
+        assert layout.shape == (kd + 1, 48) and band.flags.f_contiguous
+        for d in range(kd + 1):
+            np.testing.assert_array_equal(band[d, :48 - d],
+                                          np.diagonal(dense, -d))
+            np.testing.assert_array_equal(band[d, 48 - d:], 0.0)
+        assert not np.tril(dense, -kd - 1).any()
+
+
+class TestBandedCholesky:
+    @pytest.fixture()
+    def system(self):
+        rng = np.random.default_rng(12)
+        A = grid_laplacian(15, 3, rng)
+        order = bandwidth_order(A, np.zeros(0, dtype=int))
+        A = A[order][:, order].tocsr()
+        return A, BandLayout(A), rng
+
+    def test_solves_like_a_dense_solve(self, system):
+        A, layout, rng = system
+        factor = BandedCholesky(layout.band(A))
+        dense = A.toarray()
+        for b in (rng.normal(size=45), rng.normal(size=(45, 3))):
+            x = solve_sparse(factor, b)
+            assert x.shape == b.shape
+            np.testing.assert_allclose(x, np.linalg.solve(dense, b),
+                                       rtol=1e-12, atol=1e-14)
+
+    def test_factorises_in_place_at_the_first_solve(self, system,
+                                                    monkeypatch):
+        A, layout, _ = system
+        calls = []
+        dpbtrf = _linalg.lapack.dpbtrf
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return dpbtrf(*args, **kwargs)
+
+        monkeypatch.setattr(_linalg.lapack, "dpbtrf", counting)
+        band = layout.band(A)
+        factor = BandedCholesky(band)
+        assert calls == []
+        b = np.ones(45)
+        np.testing.assert_array_equal(factor.solve(b), factor.solve(b))
+        assert calls == [1]
+        assert not np.array_equal(band, layout.band(A))
+
+    def test_indefinite_matrix_raises(self, system):
+        A, layout, _ = system
+        A = A.copy()
+        A.data[A.indices == np.repeat(np.arange(45), np.diff(A.indptr))] \
+            -= 3.0
+        with pytest.raises(SingularSystemError, match="not positive"):
+            solve_sparse(BandedCholesky(layout.band(A)), np.ones(45))
+
+    def test_non_finite_solution_raises(self, system):
+        A, layout, _ = system
+        b = np.ones(45)
+        b[7] = np.inf
+        with pytest.raises(SingularSystemError, match="non-finite"):
+            BandedCholesky(layout.band(A)).solve(b)

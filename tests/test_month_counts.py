@@ -38,6 +38,11 @@ def test_counts_transport_solves(monkeypatch):
     summary = driver.run(CONFIG)
     assert counts["picard"] == summary.picard_iterations.sum()
     assert counts["factorisations"] == summary.factorisations.sum()
+    assert counts["mechanics_factorisations"] \
+        == summary.mechanics_factorisations.sum()
+    # every step solves the mechanics at least once
+    assert counts["damage_iterations"] == summary.damage_iterations.sum() \
+        >= max(counts["mechanics_factorisations"], 3)
     assert counts["halvings"] == 0
     assert counts["failed_substeps"] == []
 
