@@ -1,12 +1,11 @@
 """Shared sparse helpers: fixed-pattern assembly, Dirichlet reduction to
-the free dofs, a bandwidth order with its band storage, and guarded
-direct solves."""
+the free dofs, a bandwidth order, and guarded direct solves in LAPACK band
+storage through layouts fixed at set-up."""
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 from .errors import SingularSystemError
@@ -89,6 +88,19 @@ def apply_dirichlet(A: sp.csr_matrix, b: np.ndarray, free: np.ndarray,
     return A_f[:, free], b[free] - A_f[:, fixed] @ values
 
 
+def positions(A: sp.csr_matrix) -> sp.csr_matrix:
+    """A's structure holding each entry's position in A.data as its value.
+
+    A selection made from it once, such as a block, a reordering or the
+    reduction of ``apply_dirichlet``, tells where each of its entries sits
+    in the data of every matrix of A's structure; ``Gather`` and
+    ``BandLayout`` repeat it on each matrix as one gather, which copies
+    the values the selection would.
+    """
+    return sp.csr_matrix((np.arange(A.nnz), A.indices, A.indptr),
+                         shape=A.shape)
+
+
 def bandwidth_order(A: sp.csr_matrix, skip: np.ndarray) -> np.ndarray:
     """Reverse Cuthill-McKee order (Cuthill and McKee, 1969) of the
     vertices of A's symmetric graph that are not in ``skip``, on the
@@ -138,18 +150,44 @@ def bandwidth_order(A: sp.csr_matrix, skip: np.ndarray) -> np.ndarray:
     return np.concatenate(order)[::-1]
 
 
-class BandLayout:
-    """Fixed map from the data of CSR matrices of one symmetric structure
-    and entry order to LAPACK's lower band storage: entry (i, j), j <= i,
-    goes to ``band[i - j, j]`` of a Fortran (kd + 1, n) array."""
+class Gather:
+    """Fixed map from the data of CSR matrices of one structure to a CSR
+    matrix of the structure of ``where``, a selection made once from their
+    ``positions``: each matrix gives the values that selection would."""
 
-    def __init__(self, A: sp.csr_matrix):
-        rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
-        lower = rows >= A.indices
-        depth = rows[lower] - A.indices[lower]
-        self.shape = (int(depth.max(initial=0)) + 1, A.shape[0])
-        self._take = np.flatnonzero(lower).astype(np.int32)
-        self._put = (A.indices[lower] * self.shape[0] + depth).astype(np.int32)
+    def __init__(self, where: sp.csr_matrix):
+        self._take = where.data.astype(np.int32)
+        self._indices = where.indices.astype(np.int32)
+        self._indptr = where.indptr.astype(np.int32)
+        self.shape = where.shape
+
+    def matrix(self, A: sp.csr_matrix) -> sp.csr_matrix:
+        return sp.csr_matrix((A.data[self._take], self._indices,
+                              self._indptr), shape=self.shape)
+
+
+class BandLayout:
+    """Fixed map from the data of CSR matrices of one structure to LAPACK
+    band storage of the square matrix that ``where``, a selection made once
+    from their ``positions``, lays out. ``kl`` and ``ku`` count its sub-
+    and super-diagonals. With ``symmetric`` it is the lower storage of
+    dpbtrf: entry (i, j), j <= i, at ``band[i - j, j]`` of a Fortran
+    (kl + 1, n) array. Otherwise it is the general storage of dgbtrf:
+    entry (i, j) at ``band[kl + ku + i - j, j]`` of a (2 kl + ku + 1, n)
+    array, whose first kl rows take the fill of the pivoting."""
+
+    def __init__(self, where: sp.csr_matrix, symmetric: bool = False):
+        rows = np.repeat(np.arange(where.shape[0]), np.diff(where.indptr))
+        cols, take = where.indices, where.data
+        if symmetric:
+            lower = rows >= cols
+            rows, cols, take = rows[lower], cols[lower], take[lower]
+        self.kl = int((rows - cols).max(initial=0))
+        self.ku = 0 if symmetric else int((cols - rows).max(initial=0))
+        top = 0 if symmetric else self.kl + self.ku
+        self.shape = (top + self.kl + 1, where.shape[0])
+        self._take = take.astype(np.int32)
+        self._put = (cols * self.shape[0] + top + rows - cols).astype(np.int32)
 
     def band(self, A: sp.csr_matrix) -> np.ndarray:
         band = np.zeros(self.shape[0] * self.shape[1])
@@ -157,63 +195,18 @@ class BandLayout:
         return band.reshape(self.shape, order="F")
 
 
-def _splu(A: sp.spmatrix):
-    try:
-        return spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A",
-                         diag_pivot_thresh=0.01,
-                         options={"SymmetricMode": True})
-    except RuntimeError as exc:
-        raise SingularSystemError(str(exc)) from None
-
-
-class SparseLU:
-    """Direct solver for one sparse matrix that keeps its LU factor.
-
-    The factorisation runs at the first solve and later solves reuse it,
-    so a fresh SparseLU costs what a one-off solve does. ``solve`` takes
-    one right-hand side of shape (n,), or several as the columns of an
-    (n, r) array, solved in one call. The matrices of this package are
-    structurally symmetric, so the fill-reducing order is minimum degree
-    on A + A^T with pivots kept on the diagonal where they are within 1 %
-    of the column's largest entry.
-
-    With ``split=k`` only the diagonal blocks A[:k, :k] and A[k:, k:] are
-    factorised, and A[:k, k:] is kept: a solve is block back-substitution,
-    x[k:] from the lower block, then x[:k] from the upper one with
-    A[:k, k:] x[k:] moved to the right. It is exact for the block
-    upper-triangular part of A, which drops A[k:, :k].
-    """
-
-    def __init__(self, A: sp.spmatrix, split: int | None = None):
-        self._matrix = A
-        self._split = split
-        self._lu = None
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        k = self._split
-        if self._lu is None:
-            if k is None:
-                self._lu = _splu(self._matrix)
-            else:
-                A = sp.csr_matrix(self._matrix)
-                self._lu = (_splu(A[:k, :k]), _splu(A[k:, k:]), A[:k, k:])
-            self._matrix = None
-        if k is None:
-            x = self._lu.solve(b)
-        else:
-            upper, lower, coupling = self._lu
-            x_k = lower.solve(b[k:])
-            x = np.concatenate([upper.solve(b[:k] - coupling @ x_k), x_k])
-        if not np.all(np.isfinite(x)):
-            raise SingularSystemError("linear solve produced non-finite values")
-        return x
+def _finite(x: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(x)):
+        raise SingularSystemError("linear solve produced non-finite values")
+    return x
 
 
 class BandedCholesky:
     """Band Cholesky factor (LAPACK dpbtrf, dpbtrs) of a symmetric positive
-    definite matrix, given as a ``BandLayout`` band, which it factorises
-    in place at the first solve and keeps, as SparseLU does; ``solve``
-    takes b as SparseLU's does. A pivot that is not positive raises
+    definite matrix, given as a symmetric ``BandLayout`` band, which it
+    factorises in place at the first solve and keeps. ``solve`` takes one
+    right-hand side of shape (n,), or several as the columns of an (n, r)
+    array, solved in one call. A pivot that is not positive raises
     SingularSystemError, as does a solution that is not finite."""
 
     def __init__(self, band: np.ndarray):
@@ -227,21 +220,101 @@ class BandedCholesky:
                 raise SingularSystemError(
                     f"matrix not positive definite at pivot {info}")
             self._factored = True
-        x = lapack.dpbtrs(self._band, np.reshape(b, (len(b), -1)),
-                          lower=1)[0].reshape(np.shape(b))
-        if not np.all(np.isfinite(x)):
-            raise SingularSystemError("linear solve produced non-finite values")
-        return x
+        return _finite(lapack.dpbtrs(self._band, np.reshape(b, (len(b), -1)),
+                                     lower=1)[0].reshape(np.shape(b)))
 
 
-def solve_sparse(A: sp.spmatrix | SparseLU | BandedCholesky,
-                 b: np.ndarray) -> np.ndarray:
-    """Direct sparse solve; raises SingularSystemError on a singular matrix
-    or on a solution with a value that is not finite.
+class BandLU:
+    """LU factor with partial pivoting (LAPACK dgbtrf, dgbtrs) of a matrix
+    whose rows and columns ``order`` lists, given as a general
+    ``BandLayout`` band of A[order][:, order] with ``kl`` sub-diagonals. It
+    factorises the band in place at the first solve and keeps it, as
+    BandedCholesky does; ``solve`` takes and gives vectors in A's
+    numbering. A zero pivot raises SingularSystemError naming it, as does
+    a solution that is not finite."""
 
-    ``A`` is a sparse matrix, or a SparseLU or BandedCholesky whose factor
-    is reused. ``b`` has shape (n,), or (n, k) for k right-hand sides at
-    once.
+    def __init__(self, band: np.ndarray, kl: int, order: np.ndarray):
+        self._band, self._kl, self._order = band, kl, order
+        self._pivots = None
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        kl, order = self._kl, self._order
+        ku = self._band.shape[0] - 2 * kl - 1
+        if self._pivots is None:
+            self._band, self._pivots, info = lapack.dgbtrf(
+                self._band, kl, ku, overwrite_ab=1)
+            if info != 0:
+                raise SingularSystemError(
+                    f"matrix singular: zero pivot {info} of {len(order)}")
+        x = np.empty(np.shape(b))
+        x[order] = lapack.dgbtrs(self._band, kl, ku,
+                                 np.reshape(b[order], (len(order), -1)),
+                                 self._pivots)[0].reshape(np.shape(b))
+        return _finite(x)
+
+
+class SplitLU:
+    """Block back-substitution on LU factors of the diagonal blocks of a
+    matrix A split at k, with its block A[:k, k:] kept: x[k:] from the
+    lower block, then x[:k] from the upper one with A[:k, k:] x[k:] moved
+    to the right. It is exact for the block upper-triangular part of A,
+    which drops A[k:, :k]."""
+
+    def __init__(self, upper: BandLU, lower: BandLU,
+                 coupling: sp.csr_matrix):
+        self._upper, self._lower, self._coupling = upper, lower, coupling
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        k = self._coupling.shape[0]
+        x_k = self._lower.solve(b[k:])
+        return np.concatenate([self._upper.solve(b[:k] - self._coupling @ x_k),
+                               x_k])
+
+
+class BandFactors:
+    """Band LU factors of square matrices of the structure of A, through
+    layouts built from it once.
+
+    ``factor(M)`` splits M at ``split`` into a SplitLU: each diagonal block
+    goes into band storage in its order of ``orders``, a permutation of the
+    block's own rows, and A[:k, k:] is gathered. With ``whole``, or without
+    ``split``, it is a BandLU of all of M in the order ``orders[2]``, whose
+    layout is built at its first use. Without ``orders`` each order is the
+    natural one.
     """
-    return (A if isinstance(A, (SparseLU, BandedCholesky))
-            else SparseLU(A)).solve(b)
+
+    def __init__(self, A: sp.csr_matrix, split: int | None = None,
+                 orders: tuple[np.ndarray, ...] | None = None):
+        m = A.shape[0]
+        k = m if split is None else split
+        self._orders = orders or (np.arange(k), np.arange(m - k),
+                                  np.arange(m))
+        self._split = None
+        if split is not None:
+            upper, lower = self._orders[0], self._orders[1] + k
+            where = positions(A)
+            self._split = (BandLayout(where[upper][:, upper]),
+                           BandLayout(where[lower][:, lower]),
+                           Gather(where[:k, k:]))
+        self._whole = None
+
+    def factor(self, M: sp.csr_matrix,
+               whole: bool = False) -> SplitLU | BandLU:
+        upper_order, lower_order, order = self._orders
+        if self._split is not None and not whole:
+            upper, lower, coupling = self._split
+            return SplitLU(BandLU(upper.band(M), upper.kl, upper_order),
+                           BandLU(lower.band(M), lower.kl, lower_order),
+                           coupling.matrix(M))
+        if self._whole is None:
+            self._whole = BandLayout(positions(M)[order][:, order])
+        return BandLU(self._whole.band(M), self._whole.kl, order)
+
+
+def solve_sparse(factor: BandedCholesky | BandLU | SplitLU,
+                 b: np.ndarray) -> np.ndarray:
+    """Direct solve on a kept factor of A; raises SingularSystemError on a
+    solution with a value that is not finite, or at the factor's first
+    solve on a singular matrix. ``b`` has shape (n,), or (n, k) for k
+    right-hand sides at once."""
+    return factor.solve(b)

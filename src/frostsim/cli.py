@@ -19,21 +19,18 @@ from .errors import (
     ClimateFormatError,
     ConfigError,
     DegenerateElementError,
-    DomainError,
     FrostsimError,
     InvalidGeometryError,
     InvalidParametersError,
     InvalidPsdError,
     MeshFormatError,
-    SingularSystemError,
-    StepFailureError,
+    SOLVER_ERRORS,
 )
 from .mesh import generate_lshape, write_mesh
 
 _CONFIG_ERRORS = (ConfigError, InvalidParametersError, InvalidPsdError,
                   MeshFormatError, ClimateFormatError, InvalidGeometryError,
                   DegenerateElementError)
-_SOLVER_ERRORS = (StepFailureError, SingularSystemError, DomainError)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -144,7 +141,7 @@ def main(argv=None) -> int:
     except _CONFIG_ERRORS as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except _SOLVER_ERRORS as err:
+    except SOLVER_ERRORS as err:
         print(f"solver failure: {err}", file=sys.stderr)
         return 3
     except OSError as err:

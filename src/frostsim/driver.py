@@ -29,7 +29,7 @@ import scipy.sparse as sp
 from ._table import read_table, read_text, write_table
 from .climate_io import load_climate
 from .constitutive import TransportParams
-from .errors import ConfigError, StepFailureError
+from .errors import SOLVER_ERRORS, ConfigError, StepFailureError
 from .ice import IceModel, IceParams, load_psd_csv
 from .mechanics import MechanicsProblem, MechParams, MechState
 from .mesh import BoundaryTag, Mesh, generate_lshape, load_mesh
@@ -389,7 +389,9 @@ def run(config: dict | str | Path | None = None,
     ``config`` may be a path to a JSON file, a (partial) config dict, or
     None for the built-in reference scenario. ``out_dir`` overrides the
     configured output directory; with neither set, nothing is written
-    and the results live only on the returned summary.
+    and the results live only on the returned summary. A solver error of
+    a step (``errors.SOLVER_ERRORS``) is raised again as its own type,
+    its message led by the stage, the step and the step's start hour.
     """
     if config is None:
         cfg = validate_config({})
@@ -436,25 +438,25 @@ def run(config: dict | str | Path | None = None,
                         max_iter=numerics["picard_max_iter"],
                         relax=numerics["relax"])
     for k in range(1, steps + 1):
+        when = f"at step {k} (t = {state.t / 3600.0:g} h + {dt:g} s)"
+        stage = "transport"
         try:
             state = problem.advance(state, dt,
                                     max_halvings=numerics["max_halvings"],
                                     **step_options)
-        except StepFailureError as err:
-            raise StepFailureError(
-                f"transport failed at step {k} (t = {state.t / 3600.0:g} h "
-                f"+ {dt:g} s) after retries: {err}",
-                residual_norm=err.residual_norm,
-                iterations=err.iterations, residuals=err.residuals) from err
-        p_p = ice.pore_pressure(mesh.element_mean(state.theta))
-        mstate = mechanics.solve(theta=state.theta, theta_ref=theta_ref,
-                                 p_p=p_p, prev=mstate,
-                                 tol=numerics["damage_tol"],
-                                 max_iter=numerics["damage_max_iter"])
+            stage = "ice"
+            p_p = ice.pore_pressure(mesh.element_mean(state.theta))
+            stage = "mechanics"
+            mstate = mechanics.solve(theta=state.theta, theta_ref=theta_ref,
+                                     p_p=p_p, prev=mstate,
+                                     tol=numerics["damage_tol"],
+                                     max_iter=numerics["damage_max_iter"])
+        except SOLVER_ERRORS as err:
+            raise _located(err, f"{stage} failed {when}") from err
         if not mstate.converged:
             raise StepFailureError(
-                f"mechanics failed at step {k} (t = {state.t / 3600.0:g} h): "
-                f"damage still moving after {mstate.iterations} iterations",
+                f"mechanics failed {when}: damage still moving after "
+                f"{mstate.iterations} iterations",
                 iterations=mstate.iterations)
         damage_history[k] = mstate.d_w
         kappa_history[k] = mstate.kappa
@@ -494,6 +496,17 @@ def run(config: dict | str | Path | None = None,
                       picard, factorisations, mech_factorisations,
                       damage_iterations, halvings,
                       mechanics.averager.num_pairs, outputs)
+
+
+def _located(err: Exception, where: str) -> Exception:
+    """A solver error of err's type whose message starts with ``where``; a
+    StepFailureError keeps its residual history."""
+    if isinstance(err, StepFailureError):
+        return StepFailureError(f"{where}: {err}",
+                                residual_norm=err.residual_norm,
+                                iterations=err.iterations,
+                                residuals=err.residuals)
+    return type(err)(f"{where}: {err}")
 
 
 def write_probe_csv(records: list[ProbeRecord], path: str | Path) -> None:

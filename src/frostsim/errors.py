@@ -61,3 +61,7 @@ class StepFailureError(FrostsimError):
 
 class ConfigError(FrostsimError, ValueError):
     """A run configuration failed validation."""
+
+
+# what a solver raises on its inputs: a run stops on them with exit code 3
+SOLVER_ERRORS = (StepFailureError, SingularSystemError, DomainError)

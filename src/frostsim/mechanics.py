@@ -23,7 +23,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._linalg import (BandedCholesky, BandLayout, SparsePattern,
-                      apply_dirichlet, bandwidth_order, solve_sparse)
+                      apply_dirichlet, bandwidth_order, positions,
+                      solve_sparse)
 from .errors import InvalidParametersError
 from .mesh import BoundaryTag, Mesh
 
@@ -217,10 +218,11 @@ class MechanicsProblem:
 
     The free dofs are held in a bandwidth order of the undamaged reduced
     stiffness, which is symmetric positive definite and, the wall being
-    thin, has a small half-bandwidth; each damage state's reduced
-    stiffness goes into a band Cholesky factor through a layout fixed at
-    set-up. The factor is kept while the element stiffness factors stay
-    the same; every damage iteration makes one ``solve_sparse`` call.
+    thin, has a small half-bandwidth. The reduction to the free dofs is
+    made once, at set-up, into a layout that takes each damage state's
+    band Cholesky factor straight from the stiffness data. The factor is
+    kept while the element stiffness factors stay the same; every damage
+    iteration makes one ``solve_sparse`` call.
     """
 
     def __init__(self, mesh: Mesh, params: MechParams,
@@ -272,16 +274,23 @@ class MechanicsProblem:
                 "mechanics needs all 3 constrained")
 
         # the free dofs in a bandwidth order of the undamaged reduced
-        # stiffness, and the band layout of the reduction in that order
+        # stiffness; the reduction in that order, made once on the
+        # positions of the stiffness entries, lays out each stiffness's
+        # band straight from its data
         K = self._pattern.matrix(np.ones(e))
+        n = 2 * mesh.num_nodes
         self._free = bandwidth_order(K, self.constraint_dofs)
         self._layout = BandLayout(apply_dirichlet(
-            K, np.zeros(2 * mesh.num_nodes), self._free, self.constraint_dofs,
-            self.constraint_values)[0])
+            positions(K), np.zeros(n), self._free, self.constraint_dofs,
+            self.constraint_values)[0], symmetric=True)
+        # the prescribed displacements, zero on the free dofs: a stiffness
+        # times them, on the free rows, is the load they move to the right
+        self._prescribed = np.zeros(n)
+        self._prescribed[self.constraint_dofs] = self.constraint_values
         # set by each factorisation: the factor, the stiffness factor it
-        # is for and the reduced load of the prescribed displacements
+        # is for and the load of the prescribed displacements
         self._factor: BandedCholesky | None = None
-        self._base = self._offset = None
+        self._base = self._held = None
 
     # -- pieces -------------------------------------------------------------
 
@@ -295,10 +304,11 @@ class MechanicsProblem:
         """Keep the band Cholesky factor of the reduced stiffness under
         ``factor`` and the reduced load of the prescribed displacements."""
         self._factor = None         # freed before its successor is built
-        A, self._offset = apply_dirichlet(
-            self._pattern.matrix(factor), np.zeros(2 * self.mesh.num_nodes),
-            self._free, self.constraint_dofs, self.constraint_values)
-        self._factor = BandedCholesky(self._layout.band(A))
+        K = self._pattern.matrix(factor)
+        # bitwise the load apply_dirichlet gives: the products with the
+        # zeros on the free dofs add nothing to the row sums
+        self._held = (K @ self._prescribed)[self._free]
+        self._factor = BandedCholesky(self._layout.band(K))
         self._base = factor
 
     # -- equilibrium --------------------------------------------------------
@@ -350,7 +360,7 @@ class MechanicsProblem:
                 self._factorise(factor)
                 factorisations += 1
             u[self._free] = solve_sparse(self._factor,
-                                         F[self._free] + self._offset)
+                                         F[self._free] - self._held)
             u[self.constraint_dofs] = self.constraint_values
             eq = mazars_equivalent_strain(self.strains(u))
             kappa = np.maximum(kappa_floor, self.averager(eq))

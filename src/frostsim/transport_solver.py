@@ -27,9 +27,12 @@ when those fail too. A fresh factor covers only its diagonal blocks
 [theta, theta] and [phi, phi] and keeps its [theta, phi] block, so it
 solves the block upper-triangular part exactly: in the mortar model the
 [phi, theta] block, the vapor flux that temperature drives, is some six
-orders of magnitude below the [phi, phi] block, and dropping it halves
-the fill. Only where that factor's GMRES misses too is the whole matrix
-factorised.
+orders of magnitude below the [phi, phi] block. The nodes are held in one
+bandwidth order, fixed at construction with the band layouts of both
+blocks, so a fresh factor is a gather from the matrix values and two
+LAPACK band LU factorisations. Only where that factor's GMRES misses too
+is the whole matrix factorised, in band storage too, with each node's
+theta and phi side by side.
 
 Boundary terms: Robin exchange adds alpha L/2 to the diagonal of the
 matching block and alpha ambient L/2 to the load (edge-lumped); prescribed
@@ -49,7 +52,9 @@ import scipy.sparse as sp
 from scipy.linalg import solve_triangular
 
 from . import constitutive
-from ._linalg import SparseLU, SparsePattern, apply_dirichlet, solve_sparse
+from ._linalg import (BandFactors, BandLU, Gather, SparsePattern, SplitLU,
+                      apply_dirichlet, bandwidth_order, positions,
+                      solve_sparse)
 from .errors import (
     DomainError,
     InvalidParametersError,
@@ -264,12 +269,12 @@ class NonlinearResult:
     r: np.ndarray
     iterations: int
     residuals: list[float] = field(default_factory=list)
-    lu: SparseLU | None = None      # the factor the last update used
+    lu: SplitLU | BandLU | None = None      # the last update's factor
     factorisations: int = 0
     fallback: bool = False          # the Newton term was dropped
 
 
-def _gmres(A, lu: SparseLU, rhs: np.ndarray,
+def _gmres(A, lu: SplitLU | BandLU, rhs: np.ndarray,
            weights: np.ndarray) -> np.ndarray | None:
     """Solve A x = rhs on the LU factor of another matrix.
 
@@ -320,8 +325,8 @@ def _gmres(A, lu: SparseLU, rhs: np.ndarray,
 def nonlinear_iterate(system_builder, r_guess: np.ndarray, *,
                       tol: float = 1e-6, max_iter: int = 50,
                       relax: float = 1.0, blocks=None,
-                      project=None, lu: SparseLU | None = None
-                      ) -> NonlinearResult:
+                      project=None, lu: SplitLU | BandLU | None = None,
+                      factors: BandFactors | None = None) -> NonlinearResult:
     """Safeguarded Picard iteration on A(r) r = b(r), with a Newton term.
 
     ``system_builder(r, newton)`` returns the update matrix M, b(r) and
@@ -336,7 +341,8 @@ def nonlinear_iterate(system_builder, r_guess: np.ndarray, *,
     for instead restarts the mixing factor at ``relax`` and drops the
     factor in hand; later iterates are plain Picard, and the result's
     ``fallback`` is set. Divergence (residual growing tenfold over five
-    iterations) and exceeding ``max_iter`` solves raise
+    iterations), exceeding ``max_iter`` solves and an iterate after the
+    first that the builder rejects with DomainError raise
     StepFailureError, which carries the residual history.
 
     Each update is r - omega delta with M delta = R solved on an LU
@@ -345,13 +351,15 @@ def nonlinear_iterate(system_builder, r_guess: np.ndarray, *,
     its residual, scaled per block by 1 / ||b_block|| as in the
     convergence test, is within _ETA of the scaled right-hand side; else
     up to _KRYLOV_MAX GMRES iterations on the factor correct it. When
-    that misses _ETA, or there is no factor, M is factorised afresh. With
+    that misses _ETA, or there is no factor, M is factorised afresh
+    through ``factors``, band layouts of M's structure; without them they
+    are built from the first M to factorise, in its own numbering. With
     two non-empty ``blocks`` the fresh factor is split at their boundary
-    (``SparseLU(M, split)``, exact for M without its lower-left block) and
-    passes the same test; only if it misses _ETA too is the whole M
-    factorised and solved exactly. The old factor is released before a
-    new one is built. The result carries the last factor and the count
-    of factorisations made, one per factor.
+    (a SplitLU, exact for M without its lower-left block) and passes the
+    same test; only if it misses _ETA too is the whole M factorised and
+    solved exactly. The old factor is released before a new one is built.
+    The result carries the last factor and the count of factorisations
+    made, one per factor.
     """
     if not 0.0 < relax <= 1.0:
         raise InvalidParametersError("relaxation factor must lie in (0, 1]")
@@ -370,7 +378,15 @@ def nonlinear_iterate(system_builder, r_guess: np.ndarray, *,
     made = 0
     newton, grown = True, False
     for k in range(max_iter + 1):
-        M, b, mismatch = system_builder(r, newton)
+        try:
+            M, b, mismatch = system_builder(r, newton)
+        except DomainError as err:
+            if not k:
+                raise
+            raise StepFailureError(
+                f"Picard iterate {k} outside the model's range: {err}",
+                residual_norm=residuals[-1], iterations=k,
+                residuals=residuals) from err
         res = 0.0
         for lo, hi in blocks:
             scale = max(float(np.linalg.norm(b[lo:hi])), 1e-30)
@@ -395,14 +411,17 @@ def nonlinear_iterate(system_builder, r_guess: np.ndarray, *,
             else:
                 grown, omega = grown or newton, max(0.5 * omega, 0.25 * relax)
         delta = None if lu is None else _gmres(M, lu, mismatch, weights)
-        # SparseLU factorises at its first solve, so the old factor is
-        # released before a new one takes memory
+        if delta is None and factors is None:
+            factors = BandFactors(M, split)
+        # the old factor is released before a new one takes memory
         if delta is None and split is not None:
-            lu = SparseLU(M, split)
+            lu = None
+            lu = factors.factor(M)
             made += 1
             delta = _gmres(M, lu, mismatch, weights)
         if delta is None:
-            lu = SparseLU(M)
+            lu = None
+            lu = factors.factor(M, whole=True)
             made += 1
             delta = solve_sparse(lu, mismatch)
         r = r - omega * delta
@@ -456,7 +475,7 @@ class TransportProblem:
         self.source_moist = source_moist
         self.lumped_capacity = lumped_capacity
         # (gamma dt, LU) of the last step's operator, passed on to the next
-        self._kept: tuple[float, SparseLU | None] | None = None
+        self._kept: tuple[float, SplitLU | BandLU | None] | None = None
 
         n = mesh.num_nodes
         # each prescribed dof once, and the complement; without any, the
@@ -469,6 +488,8 @@ class TransportProblem:
             return_index=True)
         self._free = (np.setdiff1d(np.arange(2 * n), self._fixed)
                       if len(self._fixed) else slice(None))
+        # the free theta dofs, which the free phi dofs follow
+        self._n_t = n - int(np.count_nonzero(self._fixed < n))
         conn = mesh.elements
         e = len(conn)
         # storage matrix of a unit-capacity element over its area
@@ -519,6 +540,27 @@ class TransportProblem:
             nodes = np.flatnonzero(w)
             self._weights[tag] = nodes, w[nodes]
 
+        # the update matrices on the free dofs through gathers fixed here:
+        # the reduction, made once on the positions of the entries, and
+        # the band layouts of a fresh factor's two diagonal blocks, the
+        # nodes in one bandwidth order in both, and of the whole matrix,
+        # that order with each node's theta and phi side by side
+        M = self._pattern.matrix(np.zeros(len(blocks) * e + 2 * n))
+        nodes = bandwidth_order(M, np.arange(n, 2 * n))
+        if len(self._fixed):
+            self._reduced = Gather(apply_dirichlet(
+                positions(M), np.zeros(2 * n), self._free, self._fixed,
+                np.zeros(len(self._fixed)))[0])
+            M = self._reduced.matrix(M)
+        at = np.full(2 * n, -1)
+        at[self._free] = np.arange(M.shape[0])
+        theta, phi = at[nodes], at[nodes + n]
+        whole = np.stack([theta, phi], axis=1).ravel()
+        k = self._n_t
+        self._factors = BandFactors(
+            M, k if 0 < k < M.shape[0] else None,
+            (theta[theta >= 0], phi[phi >= 0] - k, whole[whole >= 0]))
+
     # -- assembly ----------------------------------------------------------
 
     def _centroid_state(self, theta: np.ndarray, phi: np.ndarray):
@@ -537,18 +579,23 @@ class TransportProblem:
     def assemble(self, theta: np.ndarray, phi: np.ndarray, t: float,
                  suppressed_nodes: np.ndarray | None = None) -> AssembledSystem:
         """Build K, C and F at the given nodal state and time."""
-        n = self.mesh.num_nodes
-        theta_c, phi_c = self._centroid_state(theta, phi)
-        cf = self.coefficients.evaluate(theta_c, phi_c)
-
-        exchange, load, rain = self._boundary(t)
-        K = self._fill(cf, 0.0, 1.0, exchange)
+        K, C, F = self._system(theta, phi, t, suppressed_nodes)
         # C keeps only its storage blocks; pruned on a copy, since the map's
         # index arrays are read-only
-        C = self._fill(cf, 1.0, 0.0, np.zeros(2 * n)).copy()
+        C = C.copy()
         C.eliminate_zeros()
+        return AssembledSystem(K, C, F, self.mesh.num_nodes)
+
+    def _system(self, theta, phi, t, suppressed_nodes=None):
+        """K, C and F as ``assemble`` gives them, K and C in the structure
+        of the update matrices."""
+        theta_c, phi_c = self._centroid_state(theta, phi)
+        cf = self.coefficients.evaluate(theta_c, phi_c)
+        exchange, load, rain = self._boundary(t)
         suppressed = False if suppressed_nodes is None else suppressed_nodes
-        return AssembledSystem(K, C, self._with_rain(load, rain, suppressed), n)
+        return (self._fill(cf, 0.0, 1.0, exchange),
+                self._fill(cf, 1.0, 0.0, np.zeros(len(exchange))),
+                self._with_rain(load, rain, suppressed))
 
     def _boundary(self, t: float):
         """Exchange diagonal per dof, the load fixed within a step and the
@@ -652,6 +699,17 @@ class TransportProblem:
                 for nodes, value in self.dirichlet_theta + self.dirichlet_phi]
         return np.concatenate([np.zeros(0)] + vals)[self._first]
 
+    def _reduce(self, A, b, values):
+        """Bitwise what apply_dirichlet(A, b, free, fixed, values) gives,
+        for A of the update matrices' structure, through the gather fixed
+        at set-up: the products with the zeros on the free dofs add
+        nothing to the row sums of A times the prescribed values."""
+        if not len(self._fixed):
+            return A, b
+        held = np.zeros(len(b))
+        held[self._fixed] = values
+        return self._reduced.matrix(A), b[self._free] - (A @ held)[self._free]
+
     # -- time stepping -----------------------------------------------------
 
     def consistent_rates(self, state: TransportState) -> np.ndarray:
@@ -665,15 +723,15 @@ class TransportProblem:
     def _rates(self, r, t, suppressed=None):
         """rdot at the full state r and time t, as in consistent_rates."""
         n = self.mesh.num_nodes
-        sys = self.assemble(r[:n], r[n:], t, suppressed_nodes=suppressed)
-        rhs = sys.F - sys.K @ r
+        K, C, F = self._system(r[:n], r[n:], t, suppressed)
         # the step that t + 1e-6 takes in floating point
         h = (t + 1e-6) - t
         rates = (self._dirichlet_at(t + h) - self._dirichlet_at(t)) / h
-        rdot = np.empty(len(rhs))
+        C, rhs = self._reduce(C, F - K @ r, rates)
+        rdot = np.empty(2 * n)
         rdot[self._fixed] = rates
-        rdot[self._free] = solve_sparse(*apply_dirichlet(
-            sys.C, rhs, self._free, self._fixed, rates))
+        # C has no off-diagonal blocks, so the split factor solves it exactly
+        rdot[self._free] = solve_sparse(self._factors.factor(C), rhs)
         return rdot
 
     def step(self, state: TransportState, dt: float, *, gamma: float = 0.5,
@@ -711,7 +769,7 @@ class TransportProblem:
             except DomainError:
                 pass
         r_free = r_new[free]
-        n_t = n - int(np.count_nonzero(fixed < n))
+        n_t = self._n_t
 
         def builder(x, newton):
             r_new[free] = x
@@ -719,10 +777,8 @@ class TransportProblem:
             M, b, res = self._step_operator(r_new, gdt, exchange, load, rain,
                                             mass_hist, suppressed, reference,
                                             newton)
-            if len(fixed):
-                M, b = apply_dirichlet(M, b, free, fixed, vals)
-                res = res[free]
-            return M, b, res
+            M, b = self._reduce(M, b, vals)
+            return M, b, res[free]
 
         def project(x):
             np.clip(x[n_t:], *phi_range, out=x[n_t:])
@@ -733,7 +789,8 @@ class TransportProblem:
         result = nonlinear_iterate(builder, r_free, tol=tol,
                                    max_iter=max_iter, relax=relax,
                                    blocks=[(0, n_t), (n_t, len(r_free))],
-                                   project=project, lu=self._take_factor(gdt))
+                                   project=project, lu=self._take_factor(gdt),
+                                   factors=self._factors)
         self._kept = (gdt, result.lu)
         r_new[free] = result.r
         if gamma > 0.0:
@@ -744,7 +801,7 @@ class TransportProblem:
                               rdot_new, picard_iterations=result.iterations,
                               factorisations=result.factorisations)
 
-    def _take_factor(self, gdt: float) -> SparseLU | None:
+    def _take_factor(self, gdt: float) -> SplitLU | BandLU | None:
         """Release the kept factor; return it if it was built for gdt."""
         kept, self._kept = self._kept, None
         return kept[1] if kept is not None and kept[0] == gdt else None

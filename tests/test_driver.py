@@ -16,9 +16,10 @@ import pytest
 
 from frostsim import cli, driver, mechanics, transport_solver
 from frostsim.constitutive import THETA_MAX, THETA_MIN, TransportParams
-from frostsim.errors import (ConfigError, DegenerateElementError,
-                             MeshFormatError, StepFailureError)
-from frostsim.ice import IceParams
+from frostsim.errors import (ConfigError, DegenerateElementError, DomainError,
+                             MeshFormatError, SingularSystemError,
+                             StepFailureError)
+from frostsim.ice import IceModel, IceParams
 from frostsim.mechanics import MechParams, neighbour_pairs
 from frostsim.mesh import (BoundaryTag, Mesh, generate_lshape,
                            generate_rectangle, load_mesh, write_mesh)
@@ -341,21 +342,23 @@ class TestSchemaWalker:
 
 
 def test_import_adds_only_stdlib():
-    # numpy and scipy are the set-up floor; the driver and the CLI may add
-    # nothing to it beyond frostsim and the standard library
+    # numpy, scipy.sparse and scipy.linalg are the set-up floor; the
+    # driver and the CLI may add nothing to it beyond frostsim and the
+    # standard library, and scipy.sparse.linalg stays out
     script = (
         "import sys\n"
-        "import numpy, scipy.sparse.linalg\n"
+        "import numpy, scipy.sparse, scipy.linalg\n"
         "before = set(sys.modules)\n"
         "import frostsim.driver, frostsim.cli\n"
         "allowed = sys.stdlib_module_names | {'frostsim'}\n"
         "print(sorted(name for name in set(sys.modules) - before\n"
-        "             if name.split('.')[0] not in allowed))\n")
+        "             if name.split('.')[0] not in allowed))\n"
+        "print('scipy.sparse.linalg' in sys.modules)\n")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.split("\n")[:2] == ["[]", "False"]
 
 
 class TestLoadConfig:
@@ -654,17 +657,18 @@ class TestRun:
 
     def test_factorisations_per_step(self, tmp_path, monkeypatch):
         made = []
+        iterate = transport_solver.nonlinear_iterate
 
-        class CountingLU(transport_solver.SparseLU):
-            def __init__(self, A, split=None):
-                super().__init__(A, split)
-                made.append(self)
+        def recording(*args, **kwargs):
+            result = iterate(*args, **kwargs)
+            made.append(result.factorisations)
+            return result
 
-        monkeypatch.setattr(transport_solver, "SparseLU", CountingLU)
+        monkeypatch.setattr(transport_solver, "nonlinear_iterate", recording)
         summary = driver.run(small_run_config(tmp_path, steps=4))
         per_step = summary.factorisations
         assert per_step.shape == summary.picard_iterations.shape == (4,)
-        assert per_step.sum() == len(made)
+        assert per_step.sum() == sum(made)
         # the first step factorises, the steps after it start from its
         # factor, and no update makes more than one
         assert per_step[0] >= 1
@@ -762,6 +766,63 @@ class TestRun:
         assert ice.params.n == mech.n == 0.13
         assert mech.f_t == 1.5e6
         assert mech.body_force == (0.0, -1.0)
+
+
+class TestSolverFailures:
+    """Every solver error of a step, from transport, ice or mechanics,
+    reaches the caller as its own type, named by its stage, its step and
+    the step's start hour, and the CLI exits 3 on it."""
+
+    STAGES = [("transport", transport_solver.TransportProblem, "advance"),
+              ("ice", IceModel, "pore_pressure"),
+              ("mechanics", mechanics.MechanicsProblem, "solve")]
+    KINDS = [StepFailureError, DomainError, SingularSystemError]
+
+    @staticmethod
+    def fail_second_call(monkeypatch, owner, attr, kind):
+        """Make ``owner.attr`` raise a ``kind`` at its second call, and
+        return that error."""
+        error = (StepFailureError("synthetic fault", residual_norm=2.0,
+                                  iterations=3, residuals=[1.0, 3.0, 2.0])
+                 if kind is StepFailureError else kind("synthetic fault"))
+        original = getattr(owner, attr)
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise error
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, failing)
+        return error
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("stage, owner, attr", STAGES)
+    def test_run_names_the_step_and_stage(self, tmp_path, monkeypatch,
+                                          stage, owner, attr, kind):
+        error = self.fail_second_call(monkeypatch, owner, attr, kind)
+        with pytest.raises(kind) as info:
+            driver.run(small_run_config(tmp_path, steps=3))
+        assert str(info.value) == (f"{stage} failed at step 2 "
+                                   "(t = 1 h + 3600 s): synthetic fault")
+        assert info.value.__cause__ is error
+        if kind is StepFailureError:
+            assert info.value.residuals == [1.0, 3.0, 2.0]
+            assert (info.value.residual_norm, info.value.iterations) \
+                == (2.0, 3)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("stage, owner, attr", STAGES)
+    def test_cli_exits_3_naming_the_step_and_stage(
+            self, tmp_path, monkeypatch, capsys, stage, owner, attr, kind):
+        self.fail_second_call(monkeypatch, owner, attr, kind)
+        path = write_config(tmp_path, small_run_config(tmp_path, steps=3))
+        assert cli.main(["run", "--config", str(path),
+                         "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err.strip() == (
+            f"solver failure: {stage} failed at step 2 (t = 1 h + 3600 s): "
+            "synthetic fault")
 
 
 class TestCli:

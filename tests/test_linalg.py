@@ -3,10 +3,13 @@ import pytest
 import scipy.sparse as sp
 
 from frostsim import _linalg
+from frostsim import mechanics as mech
 from frostsim import transport_solver as ts
-from frostsim._linalg import (BandedCholesky, BandLayout, SparseLU,
-                              SparsePattern, bandwidth_order, solve_sparse)
+from frostsim._linalg import (BandedCholesky, BandFactors, BandLayout, BandLU,
+                              SparsePattern, apply_dirichlet, bandwidth_order,
+                              positions, solve_sparse)
 from frostsim.errors import SingularSystemError
+from frostsim.mesh import BoundaryTag, generate_rectangle
 
 
 def index_arrays(pattern):
@@ -125,6 +128,11 @@ class TestSparsePattern:
         assert after.nnz == 4
 
 
+def whole(A):
+    """A band LU factor of all of A in its own numbering."""
+    return BandFactors(A).factor(A)
+
+
 class TestMatrixRightHandSide:
     @pytest.fixture()
     def system(self):
@@ -136,18 +144,17 @@ class TestMatrixRightHandSide:
 
     def test_columns_match_single_solves(self, system):
         A, B = system
-        lu = SparseLU(A)
-        X = solve_sparse(lu, B)
+        X = solve_sparse(whole(A), B)
         assert X.shape == B.shape
         for j in range(B.shape[1]):
-            x = solve_sparse(A, B[:, j])
+            x = solve_sparse(whole(A), B[:, j])
             np.testing.assert_allclose(X[:, j], x, rtol=1e-14, atol=1e-14)
 
     def test_non_finite_column_raises(self, system):
         A, B = system
         B[3, 2] = np.nan
         with pytest.raises(SingularSystemError):
-            solve_sparse(SparseLU(A), B)
+            solve_sparse(whole(A), B)
 
 
 class TestSplitFactor:
@@ -165,32 +172,39 @@ class TestSplitFactor:
         assert np.abs(A.toarray()[k:, :k]).max() > 0.0
         n = A.shape[0]
         for b in (rng.normal(size=n), rng.normal(size=(n, 3))):
-            x = solve_sparse(SparseLU(A, split=k), b)
+            x = solve_sparse(BandFactors(A, k).factor(A), b)
             want = np.linalg.solve(upper, b)
             np.testing.assert_allclose(x, want, rtol=0.0,
                                        atol=1e-12 * np.abs(want).max())
 
-    def test_factorises_both_blocks_at_the_first_solve(self, monkeypatch):
-        shapes = []
-        splu = _linalg.spla.splu
-
-        def counting(A, **options):
-            shapes.append(A.shape)
-            return splu(A, **options)
-
-        monkeypatch.setattr(_linalg.spla, "splu", counting)
+    def test_factorises_both_blocks_at_the_first_solve(self):
+        # a singular block raises at the first solve, not before; a factor
+        # solves repeatably, and the layouts of one matrix serve another of
+        # its structure: twice its values give bitwise half the solution
         A, k = self.blocks(np.random.default_rng(5))
-        lu = SparseLU(A, split=k)
-        assert shapes == []
+        factors = BandFactors(A, k)
         b = np.ones(A.shape[0])
-        np.testing.assert_array_equal(lu.solve(b), lu.solve(b))
-        assert shapes == [(k, k), (A.shape[0] - k, A.shape[0] - k)]
+        for block in (slice(0, k), slice(k, None)):
+            singular = A.copy()
+            rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+            singular.data[(rows >= block.start)
+                          & (rows < (block.stop or A.shape[0]))] = 0.0
+            lu = factors.factor(singular)
+            with pytest.raises(SingularSystemError, match="zero pivot"):
+                lu.solve(b)
+        lu = factors.factor(A)
+        x = lu.solve(b)
+        assert lu.solve(b).tobytes() == x.tobytes()
+        twice = A.copy()
+        twice.data *= 2.0
+        assert factors.factor(twice).solve(b).tobytes() \
+            == (0.5 * x).tobytes()
 
     def test_singular_block_raises(self):
         A = sp.csr_matrix(np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 0.0],
                                     [0.0, 1.0, 1.0]]))
         with pytest.raises(SingularSystemError):
-            SparseLU(A, split=1).solve(np.ones(3))
+            BandFactors(A, 1).factor(A).solve(np.ones(3))
 
 
 def grid_laplacian(nx, ny, rng):
@@ -245,10 +259,11 @@ class TestBandwidthOrder:
         rng = np.random.default_rng(9)
         A = grid_laplacian(12, 4, rng)
         order = bandwidth_order(A, np.zeros(0, dtype=int))
-        P = A[order][:, order].tocsr()
-        layout = BandLayout(P)
-        band = layout.band(P)
-        dense = P.toarray()
+        # the layout gathers the band of the reordered matrix straight from
+        # the data of A
+        layout = BandLayout(positions(A)[order][:, order], symmetric=True)
+        band = layout.band(A)
+        dense = A[order][:, order].toarray()
         kd = layout.shape[0] - 1
         assert layout.shape == (kd + 1, 48) and band.flags.f_contiguous
         for d in range(kd + 1):
@@ -265,7 +280,7 @@ class TestBandedCholesky:
         A = grid_laplacian(15, 3, rng)
         order = bandwidth_order(A, np.zeros(0, dtype=int))
         A = A[order][:, order].tocsr()
-        return A, BandLayout(A), rng
+        return A, BandLayout(positions(A), symmetric=True), rng
 
     def test_solves_like_a_dense_solve(self, system):
         A, layout, rng = system
@@ -310,3 +325,95 @@ class TestBandedCholesky:
         b[7] = np.inf
         with pytest.raises(SingularSystemError, match="non-finite"):
             BandedCholesky(layout.band(A)).solve(b)
+
+
+class TestBandLU:
+    @pytest.fixture()
+    def system(self):
+        # the grid's structure, which is symmetric, with random values,
+        # which are not, made nonsingular by a heavy diagonal; the band of
+        # a bandwidth order is narrow, the band of the labels wide
+        rng = np.random.default_rng(13)
+        A = grid_laplacian(15, 3, rng)
+        A.data = rng.normal(size=A.nnz)
+        A.setdiag(8.0 + rng.uniform(size=45))
+        assert abs(A - A.T).max() > 0.0
+        order = bandwidth_order(A, np.zeros(0, dtype=int))
+        return A, order, rng
+
+    def test_solves_like_a_dense_solve(self, system):
+        A, order, rng = system
+        layout = BandLayout(positions(A)[order][:, order])
+        P = A[order][:, order].tocoo()
+        assert layout.kl == np.max(P.row - P.col) <= 4
+        assert layout.ku == np.max(P.col - P.row)
+        assert layout.shape == (2 * layout.kl + layout.ku + 1, 45)
+        lu = BandLU(layout.band(A), layout.kl, order)
+        dense = A.toarray()
+        for b in (rng.normal(size=45), rng.normal(size=(45, 3))):
+            x = solve_sparse(lu, b)
+            assert x.shape == b.shape
+            np.testing.assert_allclose(x, np.linalg.solve(dense, b),
+                                       rtol=1e-12, atol=1e-14)
+
+    def test_zero_pivot_raises(self):
+        # the third pivot of a diagonal matrix is exactly zero
+        A = sp.diags([1.0, 2.0, 0.0, 4.0], format="csr")
+        with pytest.raises(SingularSystemError, match="zero pivot 3 of 4"):
+            solve_sparse(whole(A), np.ones(4))
+
+    def test_non_finite_solution_raises(self, system):
+        A, order, _ = system
+        layout = BandLayout(positions(A)[order][:, order])
+        b = np.ones(45)
+        b[7] = np.inf
+        with pytest.raises(SingularSystemError, match="non-finite"):
+            BandLU(layout.band(A), layout.kl, order).solve(b)
+
+
+class TestDirichletGather:
+    """The reductions made once at set-up give bitwise what
+    apply_dirichlet gives on every matrix."""
+
+    def test_mechanics_stiffness(self, lshape_coarse):
+        mesh = lshape_coarse
+        rng = np.random.default_rng(3)
+        bnd = mesh.nodes_with_tag(BoundaryTag.A)
+        dofs = np.concatenate([2 * bnd, 2 * bnd + 1])
+        prob = mech.MechanicsProblem(
+            mesh, mech.MechParams(),
+            constraints=(dofs, rng.normal(scale=1e-6, size=len(dofs))))
+        factor = rng.uniform(1e-6, 1.0, mesh.num_elements)
+        K = prob._pattern.matrix(factor)
+        F = rng.normal(size=2 * mesh.num_nodes)
+        A, b = apply_dirichlet(K, F, prob._free, prob.constraint_dofs,
+                               prob.constraint_values)
+        want = BandLayout(positions(A), symmetric=True).band(A)
+        assert prob._layout.band(K).tobytes() == want.tobytes()
+        held = (K @ prob._prescribed)[prob._free]
+        assert (F[prob._free] - held).tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("values", ["prescribed", "random"])
+    def test_transport_with_dirichlet_dofs(self, values):
+        # criterion 04's problem: the boundary nodes of both fields fixed
+        mesh = generate_rectangle(1.0, 1.0, 12, 12)
+        prob = ts.TransportProblem(
+            mesh, ts.ConstantCoefficients(k_tp=0.3, k_pt=0.1),
+            dirichlet_theta=[(np.unique(mesh.boundary_edge_nodes()), 0.0)],
+            dirichlet_phi=[(np.unique(mesh.boundary_edge_nodes()), 0.0)])
+        rng = np.random.default_rng(9)
+        n = mesh.num_nodes
+        r = rng.uniform(0.1, 0.9, 2 * n)
+        exchange, load, rain = prob._boundary(0.5)
+        M, b, _ = prob._step_operator(
+            r, 0.25, exchange, load, rain, prob._mass_history(r),
+            np.zeros(n, dtype=bool), None)
+        vals = (prob._dirichlet_at(0.5) if values == "prescribed"
+                else rng.normal(size=len(prob._fixed)))
+        (A, b_f), (want_A, want_b) = (
+            prob._reduce(M, b, vals),
+            apply_dirichlet(M, b, prob._free, prob._fixed, vals))
+        np.testing.assert_array_equal(A.indices, want_A.indices)
+        np.testing.assert_array_equal(A.indptr, want_A.indptr)
+        assert A.data.tobytes() == want_A.data.tobytes()
+        assert b_f.tobytes() == want_b.tobytes()

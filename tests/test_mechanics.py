@@ -579,23 +579,22 @@ class TestCapacitance:
         return np.where(r < radius, p, 0.0)
 
     @staticmethod
-    def solved_systems(monkeypatch):
-        """(A, b, x) of each solve from here on: the reduced stiffness of
-        the latest ``apply_dirichlet`` call, the load and the solution."""
-        systems, latest = [], []
-        apply, solve = mech.apply_dirichlet, mech.solve_sparse
+    def solved_systems(prob, monkeypatch):
+        """(A, b, x) of each solve of ``prob`` from here on: the reduced
+        stiffness that apply_dirichlet gives for the stiffness factor the
+        kept factor is for, the load and the solution."""
+        systems = []
+        solve = mech.solve_sparse
 
-        def recording_apply(*args):
-            out = apply(*args)
-            latest[:] = [out[0]]
-            return out
-
-        def recording_solve(A, b):
-            x = solve(A, b)
-            systems.append((latest[0], b.copy(), x))
+        def recording_solve(factor, b):
+            x = solve(factor, b)
+            A, _ = mech.apply_dirichlet(
+                prob._pattern.matrix(prob._base),
+                np.zeros(2 * prob.mesh.num_nodes),
+                prob._free, prob.constraint_dofs, prob.constraint_values)
+            systems.append((A, b.copy(), x))
             return x
 
-        monkeypatch.setattr(mech, "apply_dirichlet", recording_apply)
         monkeypatch.setattr(mech, "solve_sparse", recording_solve)
         return systems
 
@@ -614,7 +613,7 @@ class TestCapacitance:
         vals = np.concatenate([np.zeros(len(bnd)), 1e-7 * mesh.nodes[bnd, 1]])
         params = mech.MechParams(body_force=(3e3, -2e4))
         prob = mech.MechanicsProblem(mesh, params, constraints=(dofs, vals))
-        systems = self.solved_systems(monkeypatch)
+        systems = self.solved_systems(prob, monkeypatch)
         theta = np.linspace(12.0, 18.0, mesh.num_nodes)
         # pore pressure at the supported end of the x leg: the lift runs
         # through damaged elements on the edge
