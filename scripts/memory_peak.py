@@ -9,15 +9,20 @@ BLAS and OpenMP thread counts pinned to 1, it runs
 ``frostsim.driver.run`` twice on them:
 
 - untraced, then reads ``ru_maxrss``, the peak resident memory of the
-  process so far;
+  process so far, and from ``/proc/self/smaps_rollup`` the process's
+  current ``Pss_File`` and ``Pss_Anon``, its proportional share of
+  file-backed pages (library code and data among them) and of anonymous
+  pages (the heap), or null for each where that file cannot be read;
 - under ``tracemalloc``, then reads the traced peak and the size still
   traced at the end, which includes the returned summary.
 
-``ru_maxrss`` moves by about 1.5 % with heap placement alone; the
-tracemalloc figures count only what Python and numpy allocate, so they
-show a new set-up array that the process peak may hide. ``--smoke``
-simulates two steps, as the benchmark's ``--smoke`` does. Prints one
-JSON line with the workload, the seed, the step count, ``ru_maxrss_mb``,
+``ru_maxrss`` moves by about 1.5 % with heap placement alone; the two
+proportional sizes tell library pages that a run first touches from
+heap placement, and the tracemalloc figures count only what Python and
+numpy allocate, so they show a new set-up array that the process peak
+may hide. ``--smoke`` simulates two steps, as the benchmark's
+``--smoke`` does. Prints one JSON line with the workload, the seed, the
+step count, ``ru_maxrss_mb``, ``pss_file_mb``, ``pss_anon_mb``,
 ``tracemalloc_peak_mb`` and ``tracemalloc_final_mb`` (MB = 2**20 bytes).
 
 Run from the repository root.
@@ -61,6 +66,23 @@ def _workloads():
     return module
 
 
+def proportional_sizes() -> dict:
+    """``Pss_File`` and ``Pss_Anon`` of this process in MB, each None where
+    /proc/self/smaps_rollup cannot be read or lacks it."""
+    sizes = dict.fromkeys(("Pss_File", "Pss_Anon"))
+    try:
+        with open("/proc/self/smaps_rollup", encoding="ascii") as rollup:
+            for line in rollup:
+                key, _, value = line.partition(":")
+                if key in sizes:
+                    # in kB
+                    sizes[key] = round(int(value.split()[0]) * 1024 / MB, 2)
+    except OSError:
+        pass
+    return {"pss_file_mb": sizes["Pss_File"],
+            "pss_anon_mb": sizes["Pss_Anon"]}
+
+
 def peaks(workload: str, seed: int, smoke: bool = False) -> dict:
     """The object ``main`` prints."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -69,6 +91,7 @@ def peaks(workload: str, seed: int, smoke: bool = False) -> dict:
         out = tmp / "out" if spec["write_output"] else None
         driver.run(spec["config"], out_dir=out)
         rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        shares = proportional_sizes()
         tracemalloc.start()
         try:
             summary = driver.run(spec["config"], out_dir=out)
@@ -78,7 +101,7 @@ def peaks(workload: str, seed: int, smoke: bool = False) -> dict:
     return {"workload": workload, "seed": seed,
             "steps": len(summary.picard_iterations),
             # ru_maxrss is in KiB on Linux
-            "ru_maxrss_mb": round(rss * 1024 / MB, 2),
+            "ru_maxrss_mb": round(rss * 1024 / MB, 2), **shares,
             "tracemalloc_peak_mb": round(peak / MB, 3),
             "tracemalloc_final_mb": round(final / MB, 3)}
 

@@ -14,54 +14,33 @@ from .errors import SingularSystemError
 class SparsePattern:
     """Fixed linear map from a coefficient vector to a square CSR matrix.
 
-    Entry k of the lists lies at ``(rows[k], cols[k])`` and adds
-    ``weights[k]`` times its coefficient there; entries at one position
-    sum. The entries are listed by coefficient: the first ``counts[0]``
-    scale ``coefs[0]``, the next ``counts[1]`` scale ``coefs[1]``, and so
-    on. With ``take``, the position lists are indexed by it instead:
-    entry k lies at ``(rows[take[k]], cols[take[k]])``, so blocks of
-    entries that repeat one set of positions list and sort it once. The
-    map is a CSC matrix with a row per CSR slot and a column per
-    coefficient; its columns hold the entries in the listed order and its
-    column pointers are the running counts, so only the pattern itself
-    needs a sort. ``weights`` is held as the map's data, not copied.
-    ``matrix(coefs)`` is one sparse mat-vec, and each slot sums its
-    entries in the listed order; a shorter ``coefs`` leaves the last
+    The matrices have the CSR structure ``(indptr, indices)``. Entry k of
+    the lists adds ``weights[k]`` times its coefficient to slot
+    ``slots[k]`` of their data; entries at one slot sum. The entries are
+    listed by coefficient: the first ``counts[0]`` scale ``coefs[0]``, the
+    next ``counts[1]`` scale ``coefs[1]``, and so on. The map is a CSC
+    matrix with a row per CSR slot and a column per coefficient; its
+    columns hold the entries in the listed order and its column pointers
+    are the running counts. ``weights`` is held as the map's data, not
+    copied. ``matrix(coefs)`` is one sparse mat-vec, and each slot sums
+    its entries in the listed order; a shorter ``coefs`` leaves the last
     coefficients, and their entries, out. Every matrix it returns shares
     the map's index arrays, which are read-only: an in-place change of
     structure, such as ``eliminate_zeros``, raises ValueError instead of
     rewriting the map; make it on a copy.
     """
 
-    def __init__(self, rows: np.ndarray, cols: np.ndarray,
-                 counts: np.ndarray, weights: np.ndarray, n: int,
-                 take: np.ndarray | None = None):
-        # what np.unique(keys, return_inverse=True) gives, with fewer int64
-        # copies of the position list alive at once and int32 slots
-        keys = rows * n + cols
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        first = np.empty(len(keys), dtype=bool)
-        first[:1] = True
-        np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        pattern = keys[first]
-        del keys
-        slots = np.empty(len(order), dtype=np.int32)
-        slots[order] = np.cumsum(first, dtype=np.int32)
-        slots -= 1
-        del order, first
-        if take is not None:
-            slots = slots[take]
-        self._indices = (pattern % n).astype(np.int32)
-        self._indptr = np.searchsorted(pattern,
-                                       np.arange(n + 1) * n).astype(np.int32)
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray,
+                 slots: np.ndarray, counts: np.ndarray, weights: np.ndarray):
+        self._indices = indices.astype(np.int32)
+        self._indptr = indptr.astype(np.int32)
         self._indices.setflags(write=False)
         self._indptr.setflags(write=False)
         self._scatter = sp.csc_matrix(
-            (weights, slots,
+            (weights, np.asarray(slots, dtype=np.int32),
              np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)),
-            shape=(len(pattern), len(counts)))
-        self._n = n
+            shape=(len(indices), len(counts)))
+        self._n = len(indptr) - 1
         self._head = self._scatter      # a view of its leading columns
 
     def matrix(self, coefs: np.ndarray) -> sp.csr_matrix:
@@ -101,25 +80,21 @@ def positions(A: sp.csr_matrix) -> sp.csr_matrix:
                          shape=A.shape)
 
 
-def bandwidth_order(A: sp.csr_matrix, skip: np.ndarray) -> np.ndarray:
+def bandwidth_order(A: sp.csr_matrix) -> np.ndarray:
     """Reverse Cuthill-McKee order (Cuthill and McKee, 1969) of the
-    vertices of A's symmetric graph that are not in ``skip``, on the
-    graph they induce, which is what ``apply_dirichlet`` leaves with the
-    ``skip`` dofs fixed. Each connected part starts from a vertex found as
-    George and Liu (1981) find a pseudo-peripheral one; each
-    breadth-first level lists its vertices by their first neighbour in
-    the level before, then by degree, then by number."""
+    vertices of A's symmetric graph. Each connected part starts from a
+    vertex found as George and Liu (1981) find a pseudo-peripheral one;
+    each breadth-first level lists its vertices by their first neighbour
+    in the level before, then by degree, then by number."""
     n = A.shape[0]
     seen = np.zeros(n + 1, dtype=bool)      # vertex n pads the table
-    seen[skip] = seen[n] = True
+    seen[n] = True
     rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(A.indptr))
-    inside = ~seen[A.indices]
-    rows, cols = rows[inside], A.indices[inside]
     degree = np.bincount(rows, minlength=n)
     width = int(degree.max(initial=1))
     # row v of the table: v's neighbours by degree, then number
-    cols = cols[np.argsort(rows * np.int32(width + 1) + degree[cols],
-                           kind="stable")]
+    cols = A.indices[np.argsort(rows * np.int32(width + 1)
+                                + degree[A.indices], kind="stable")]
     table = np.full((n + 1, width), n, dtype=np.int32)
     table.ravel()[rows * width + np.arange(len(rows))
                   - np.repeat(np.cumsum(degree) - degree, degree)] = cols
@@ -148,6 +123,63 @@ def bandwidth_order(A: sp.csr_matrix, skip: np.ndarray) -> np.ndarray:
         order.extend(found)
         seen[np.concatenate(found)] = True
     return np.concatenate(order)[::-1]
+
+
+class NodeGraph:
+    """Node adjacency of a mesh of linear triangles, which every operator
+    on it shares, built once.
+
+    ``indptr`` and ``indices`` are its int32 CSR structure, the diagonal
+    included and the columns of each row ascending; ``slots[e, 3 a + b]``
+    is the position in it of element e's local node pair (a, b) and
+    ``diagonal[i]`` that of (i, i). ``order`` is a ``bandwidth_order`` of
+    the nodes. ``blocks`` lays out an operator with two dofs per node on
+    it by index arithmetic alone.
+    """
+
+    def __init__(self, elements: np.ndarray, n: int):
+        # the element pairs, then a diagonal key per node
+        keys = np.concatenate([np.repeat(elements, 3, axis=1).ravel() * n
+                               + np.tile(elements, (1, 3)).ravel(),
+                               np.arange(n) * (n + 1)])
+        pattern = np.unique(keys)
+        slots = np.searchsorted(pattern, keys).astype(np.int32)
+        self.slots = slots[:-n].reshape(-1, 9)
+        self.diagonal = slots[-n:]
+        self.indices = (pattern % n).astype(np.int32)
+        self.indptr = np.searchsorted(pattern,
+                                      np.arange(n + 1) * n).astype(np.int32)
+        self.order = bandwidth_order(
+            sp.csr_matrix((np.ones(len(pattern)), self.indices, self.indptr),
+                          shape=(n, n)))
+        for arr in (self.slots, self.diagonal, self.indices, self.indptr,
+                    self.order):
+            arr.setflags(write=False)
+
+    def blocks(self, interleaved: bool):
+        """CSR structure ``(indptr, indices)`` of an operator with dofs I = 0,
+        1 at each node, whose node pairs of the graph are its 2 x 2 blocks,
+        and ``at``, where ``at[I, J, p]`` is the position in it of dof pair
+        (I, J) of the graph's entry p. Dof I of node i is I n + i, or with
+        ``interleaved`` 2 i + I; either way each row's columns ascend."""
+        n, nnz = len(self.indptr) - 1, len(self.indices)
+        degree = np.diff(self.indptr)
+        start = np.repeat(self.indptr[:-1], degree)     # of each entry's row
+        inside = np.arange(nnz, dtype=np.int32) - start  # place in its row
+        width = np.repeat(degree, degree)
+        two = np.arange(2, dtype=np.int32)
+        I, J = two[:, None, None], two[None, :, None]
+        if interleaved:
+            rows = 4 * self.indptr[:-1, None] + 2 * degree[:, None] * two
+            at = 4 * start + 2 * I * width + 2 * inside + J
+            cols = 2 * self.indices + J
+        else:
+            rows = 2 * nnz * two[:, None] + 2 * self.indptr[:-1]
+            at = 2 * nnz * I + 2 * start + J * width + inside
+            cols = self.indices + n * J
+        indices = np.empty(4 * nnz, dtype=np.int32)
+        indices[at] = cols
+        return np.append(rows.ravel(), 4 * nnz), indices, at
 
 
 class Gather:

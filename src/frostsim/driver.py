@@ -323,16 +323,19 @@ def build_problems(cfg: dict) -> tuple[TransportProblem, MechanicsProblem,
     return problem, MechanicsProblem(mesh, mech_params), probe_nodes
 
 
-def _node_averager(mesh: Mesh) -> sp.csr_matrix:
-    """Area-weighted element-to-node averaging matrix (N x E)."""
-    e = mesh.num_elements
-    rows = mesh.elements.ravel()
-    cols = np.repeat(np.arange(e), 3)
-    vals = np.repeat(mesh.areas, 3)
-    M = sp.coo_matrix((vals, (rows, cols)),
-                      shape=(mesh.num_nodes, e)).tocsr()
-    norm = np.asarray(M.sum(axis=1)).ravel()
-    return sp.diags(1.0 / norm) @ M
+def _probe_rows(mesh: Mesh, probes: np.ndarray) -> sp.csr_matrix:
+    """Area-weighted element-to-node averages at the probe nodes, as the
+    rows (probes x E) of a CSR matrix: row k weights each element around
+    node probes[k] by its area over their sum. The areas sum as scipy sums
+    a row, from the first element up, and each row lists its elements from
+    the last down; that order fixes the round-off of every probe value."""
+    row, elem, _ = np.nonzero(probes[:, None, None] == mesh.elements)
+    areas = mesh.areas[elem]
+    indptr = np.searchsorted(row, np.arange(len(probes) + 1))
+    total = np.add.reduceat(areas, indptr[:-1])
+    flip = indptr[row] + indptr[row + 1] - 1 - np.arange(len(row))
+    return sp.csr_matrix((((1.0 / total)[row] * areas)[flip], elem[flip],
+                          indptr), shape=(len(probes), mesh.num_elements))
 
 
 @dataclass
@@ -429,8 +432,7 @@ def run(config: dict | str | Path | None = None,
     mech_factorisations = np.zeros(steps, dtype=np.int64)
     damage_iterations = np.zeros(steps, dtype=np.int64)
     halvings = np.zeros(steps, dtype=np.int64)
-    averager = _node_averager(mesh)
-    probe_rows = averager[probe_nodes]
+    probe_rows = _probe_rows(mesh, probe_nodes)
     records: list[ProbeRecord] = []
     outputs: list[Path] = []
 

@@ -23,8 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._linalg import (BandedCholesky, BandLayout, SparsePattern,
-                      apply_dirichlet, bandwidth_order, positions,
-                      solve_sparse)
+                      apply_dirichlet, positions, solve_sparse)
 from .errors import InvalidParametersError
 from .mesh import BoundaryTag, Mesh
 
@@ -80,6 +79,21 @@ def damage_function(kappa, eps_0: float, eps_f: float):
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def _column_rank(A: np.ndarray) -> int:
+    """Rank of the few columns of A, by Gram-Schmidt orthogonalisation: a
+    column adds to it when its part outside the span of the columns before
+    it exceeds 1e-10 of its norm."""
+    basis = []
+    for column in A.T:
+        rest = column.copy()
+        for q in basis:
+            rest -= (q @ rest) * q
+        norm = np.linalg.norm(rest)
+        if norm > 1e-10 * np.linalg.norm(column):
+            basis.append(rest / norm)
+    return len(basis)
 
 
 def _compact(cells: np.ndarray) -> np.ndarray:
@@ -216,13 +230,14 @@ class MechanicsProblem:
     listed twice keeps its first value. The constraints must hold all
     three rigid body modes.
 
-    The free dofs are held in a bandwidth order of the undamaged reduced
-    stiffness, which is symmetric positive definite and, the wall being
-    thin, has a small half-bandwidth. The reduction to the free dofs is
-    made once, at set-up, into a layout that takes each damage state's
-    band Cholesky factor straight from the stiffness data. The factor is
-    kept while the element stiffness factors stay the same; every damage
-    iteration makes one ``solve_sparse`` call.
+    The free dofs are held in the bandwidth order of the mesh's nodes that
+    transport uses too, each node's u_x and u_y side by side; the
+    undamaged reduced stiffness is symmetric positive definite and, the
+    wall being thin, has a small half-bandwidth in it. The reduction to
+    the free dofs is made once, at set-up, into a layout that takes each
+    damage state's band Cholesky factor straight from the stiffness data.
+    The factor is kept while the element stiffness factors stay the same;
+    every damage iteration makes one ``solve_sparse`` call.
     """
 
     def __init__(self, mesh: Mesh, params: MechParams,
@@ -249,11 +264,15 @@ class MechanicsProblem:
         dofs[:, 1::2] = 2 * conn + 1
         self.dofs = dofs
         # the stiffness as a fixed map from the per-element damage factor,
-        # weighted by KE, whose memory it shares
-        self._pattern = SparsePattern(np.repeat(dofs, 6, axis=1).ravel(),
-                                      np.tile(dofs, (1, 6)).ravel(),
-                                      np.full(e, 36),
-                                      self.KE.ravel(), 2 * mesh.num_nodes)
+        # weighted by KE, whose memory it shares; entry (2 a + x, 2 b + y)
+        # of an element lies in the (x, y) block of the mesh's node graph,
+        # the dofs interleaved, at the graph slot of its node pair (a, b)
+        graph = mesh.graph
+        indptr, indices, slot_of = graph.blocks(interleaved=True)
+        slots = slot_of[:, :, graph.slots.reshape(e, 3, 3)]
+        self._pattern = SparsePattern(indptr, indices,
+                                      slots.transpose(2, 3, 0, 4, 1).ravel(),
+                                      np.full(e, 36), self.KE.ravel())
 
         if constraints is None:
             fixed = np.concatenate([
@@ -267,19 +286,20 @@ class MechanicsProblem:
         x, y = (mesh.nodes - mesh.nodes.mean(axis=0)).T
         one, zero = np.ones_like(x), np.zeros_like(x)
         modes = np.stack([one, zero, -y, zero, one, x], axis=1).reshape(-1, 3)
-        held = np.linalg.matrix_rank(modes[self.constraint_dofs])
+        held = _column_rank(modes[self.constraint_dofs])
         if held < 3:
             raise InvalidParametersError(
                 f"the constraints hold {held} of the 3 rigid body modes; "
                 "mechanics needs all 3 constrained")
 
-        # the free dofs in a bandwidth order of the undamaged reduced
-        # stiffness; the reduction in that order, made once on the
-        # positions of the stiffness entries, lays out each stiffness's
-        # band straight from its data
+        # the free dofs in the graph's bandwidth order of the nodes, each
+        # node's u_x and u_y side by side; the reduction in that order,
+        # made once on the positions of the stiffness entries, lays out
+        # each stiffness's band straight from its data
         K = self._pattern.matrix(np.ones(e))
         n = 2 * mesh.num_nodes
-        self._free = bandwidth_order(K, self.constraint_dofs)
+        free = (2 * graph.order[:, None] + np.arange(2)).ravel()
+        self._free = free[~np.isin(free, self.constraint_dofs, kind="table")]
         self._layout = BandLayout(apply_dirichlet(
             positions(K), np.zeros(n), self._free, self.constraint_dofs,
             self.constraint_values)[0], symmetric=True)

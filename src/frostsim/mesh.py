@@ -14,11 +14,13 @@ the cut faces that act as roller supports.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from pathlib import Path
 
 import numpy as np
 
+from ._linalg import NodeGraph
 from ._table import read_text
 from .errors import (
     DegenerateElementError,
@@ -115,6 +117,12 @@ class Mesh:
     @property
     def num_elements(self) -> int:
         return len(self.elements)
+
+    @functools.cached_property
+    def graph(self) -> NodeGraph:
+        """The node adjacency that the transport and mechanics operators
+        share, with its bandwidth order, built at first use."""
+        return NodeGraph(self.elements, self.num_nodes)
 
     def edges_with_tag(self, tag: BoundaryTag) -> np.ndarray:
         """Indices into the boundary edge arrays carrying the given tag."""

@@ -49,12 +49,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import solve_triangular
 
 from . import constitutive
 from ._linalg import (BandFactors, BandLU, Gather, SparsePattern, SplitLU,
-                      apply_dirichlet, bandwidth_order, positions,
-                      solve_sparse)
+                      apply_dirichlet, positions, solve_sparse)
 from .errors import (
     DomainError,
     InvalidParametersError,
@@ -77,10 +75,6 @@ _SATURATED = 1.0 - 1e-9
 # otherwise factorises A afresh
 _ETA = 1e-2
 _KRYLOV_MAX = 4
-
-# (row field, column field) of the element blocks of K, in the order
-# their positions are listed; 0 is theta, 1 is phi
-_K_BLOCKS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 Value = float | Callable[[float], float]
 
@@ -316,7 +310,11 @@ def _gmres(A, lu: SplitLU | BandLU, rhs: np.ndarray,
         h[j] = rho
         g[j], g[j + 1] = c * g[j], -s * g[j]
         if abs(g[j + 1]) <= tol:
-            y = solve_triangular(hess[:j + 1, :j + 1], g[:j + 1])
+            # back-substitution from the last row, each row's sum one dot
+            # product
+            y = g[:j + 1]
+            for i in range(j, -1, -1):
+                y[i] = (y[i] - hess[i, i + 1:j + 1] @ y[i + 1:]) / hess[i, i]
             return x + np.stack(directions, axis=1) @ y
         basis.append(v / norm_v)
     return None
@@ -509,24 +507,20 @@ class TransportProblem:
         M9 = (self._unit_mass[None, :, :] * areas[:, None, None]).reshape(-1, 9)
         blocks = ((0, 0, M9), (0, 0, S9), (0, 1, S9), (1, 0, S9),
                   (1, 1, M9), (1, 1, S9))
-        # the six blocks lie on the four positions of _K_BLOCKS, so only
-        # those are listed and sorted, and each block, and the Newton
-        # columns on the theta-theta block, take their own
-        r_ = np.repeat(conn, 3, axis=1).ravel()     # (E, 9) i i i j j j ...
-        c_ = np.tile(conn, (1, 3)).ravel()          # (E, 9) i j k i j k ...
-        diag = np.arange(2 * n)
-        nine = np.arange(9 * e, dtype=np.int32)
-        take = np.concatenate(
-            [nine + 9 * e * _K_BLOCKS.index(block[:2]) for block in blocks]
-            + [36 * e + diag.astype(np.int32), nine])
+        # every entry's slot from the blocks of the mesh's node graph, the
+        # dofs [theta; phi] by field; the Newton columns take the slots of
+        # the first block, theta-theta
+        graph = mesh.graph
+        indptr, indices, slot_of = graph.blocks(interleaved=False)
+        slots = [slot_of[i, j][graph.slots].ravel() for i, j, _ in blocks]
         self._pattern = SparsePattern(
-            np.concatenate([r_ + i * n for i, _ in _K_BLOCKS] + [diag]),
-            np.concatenate([c_ + j * n for _, j in _K_BLOCKS] + [diag]),
+            indptr, indices,
+            np.concatenate(slots + [slot_of[0, 0][graph.diagonal],
+                                    slot_of[1, 1][graph.diagonal], slots[0]]),
             np.concatenate([np.full(len(blocks) * e, 9), np.ones(2 * n, int),
                             np.full(3 * e, 3)]),
             np.concatenate([unit.ravel() for _, _, unit in blocks]
-                           + [np.ones(2 * n), np.full(9 * e, 1.0 / 3.0)]),
-            2 * n, take)
+                           + [np.ones(2 * n), np.full(9 * e, 1.0 / 3.0)]))
 
         # per tag, its distinct nodes and their weights, the sums of half
         # of each tagged edge's length; the condition values are read live
@@ -546,7 +540,6 @@ class TransportProblem:
         # nodes in one bandwidth order in both, and of the whole matrix,
         # that order with each node's theta and phi side by side
         M = self._pattern.matrix(np.zeros(len(blocks) * e + 2 * n))
-        nodes = bandwidth_order(M, np.arange(n, 2 * n))
         if len(self._fixed):
             self._reduced = Gather(apply_dirichlet(
                 positions(M), np.zeros(2 * n), self._free, self._fixed,
@@ -554,7 +547,7 @@ class TransportProblem:
             M = self._reduced.matrix(M)
         at = np.full(2 * n, -1)
         at[self._free] = np.arange(M.shape[0])
-        theta, phi = at[nodes], at[nodes + n]
+        theta, phi = at[graph.order], at[graph.order + n]
         whole = np.stack([theta, phi], axis=1).ravel()
         k = self._n_t
         self._factors = BandFactors(

@@ -400,17 +400,33 @@ class TestDefaultProbes:
 
 
 class TestNodeAverager:
+    @staticmethod
+    def dense(mesh):
+        """The area-weighted element-to-node average, (N x E) dense."""
+        W = np.zeros((mesh.num_nodes, mesh.num_elements))
+        for e, corners in enumerate(mesh.elements):
+            W[corners, e] = mesh.areas[e]
+        return W / W.sum(axis=1, keepdims=True)
+
     def test_shared_node_gets_area_weighted_mean(self):
         mesh = generate_rectangle(1.0, 1.0, 1, 1)
-        avg = driver._node_averager(mesh)
+        rows = driver._probe_rows(mesh, np.arange(mesh.num_nodes))
         vals = np.array([2.0, 10.0])
-        out = avg @ vals
+        out = rows @ vals
         counts = np.bincount(mesh.elements.ravel(),
                              minlength=mesh.num_nodes)
         shared = counts == 2
         # equal element areas: shared nodes average, others copy
         np.testing.assert_allclose(out[shared], 6.0, rtol=1e-14)
         assert set(np.round(out[~shared], 12)) <= {2.0, 10.0}
+
+    def test_probe_rows_of_the_dense_average(self, lshape_coarse):
+        mesh = lshape_coarse
+        probes = np.array([7, 0, mesh.num_nodes - 1, 7])
+        rows = driver._probe_rows(mesh, probes)
+        assert rows.shape == (4, mesh.num_elements)
+        np.testing.assert_allclose(rows.toarray(), self.dense(mesh)[probes],
+                                   rtol=1e-15, atol=0.0)
 
 
 class TestProbeCsv:

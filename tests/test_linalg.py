@@ -18,6 +18,17 @@ def index_arrays(pattern):
     return held + [scatter.indices, scatter.indptr]
 
 
+def listed(rows, cols, n):
+    """The CSR structure (indptr, indices) of the listed positions in an
+    n by n matrix and the slot of each in it, through scipy's COO sum of
+    duplicates."""
+    A = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    A.sum_duplicates()
+    A = A.tocsr()
+    keys = np.repeat(np.arange(n), np.diff(A.indptr)) * n + A.indices
+    return A.indptr, A.indices, np.searchsorted(keys, rows * n + cols)
+
+
 class TestSparsePattern:
     def test_map_sums_weighted_coefficients(self):
         rng = np.random.default_rng(4)
@@ -27,7 +38,7 @@ class TestSparsePattern:
         cols = rng.integers(0, n, len(coef))
         rows[:2], cols[:2] = 3, 5                   # a repeated position
         weights = rng.normal(size=len(coef))
-        pattern = SparsePattern(rows, cols, per_coef, weights, n)
+        pattern = SparsePattern(*listed(rows, cols, n), per_coef, weights)
         coefs = rng.normal(size=len(per_coef))
         expect = np.zeros((n, n))
         np.add.at(expect, (rows, cols), weights * coefs[coef])
@@ -46,8 +57,8 @@ class TestSparsePattern:
         n, per_coef = 6, np.array([5, 4, 2, 1])
         rows = rng.integers(0, n, per_coef.sum())
         cols = rng.integers(0, n, per_coef.sum())
-        pattern = SparsePattern(rows, cols, per_coef,
-                                rng.normal(size=per_coef.sum()), n)
+        pattern = SparsePattern(*listed(rows, cols, n), per_coef,
+                                rng.normal(size=per_coef.sum()))
         coefs = rng.normal(size=len(per_coef))
         padded = pattern.matrix(np.concatenate([coefs[:2], np.zeros(2)]))
         for _ in range(2):
@@ -75,11 +86,11 @@ class TestSparsePattern:
         assert pattern._scatter.nnz == 63 * e + 2 * n
         assert not hasattr(prob, "_S9")
 
-    def test_step_operator_map_sorts_distinct_positions_once(
-            self, lshape_coarse, mortar):
+    def test_step_operator_map_is_the_listed_map(self, lshape_coarse,
+                                                 mortar):
         # the map listing all six blocks and the Newton rows with their own
-        # positions, as the pattern once was built, is bitwise the one
-        # built from the four distinct positions
+        # positions, its structure and slots from scipy, is bitwise the one
+        # laid out on the node graph
         mesh = lshape_coarse
         prob = ts.TransportProblem(mesh, ts.KunzelCoefficients(mortar))
         grads, areas = mesh.grads, mesh.areas
@@ -95,26 +106,40 @@ class TestSparsePattern:
         rows = np.concatenate([r_ + i * n for i, _, _ in blocks])
         cols = np.concatenate([c_ + j * n for _, j, _ in blocks])
         diag = np.arange(2 * n)
-        listed = SparsePattern(
-            np.concatenate([rows, diag, r_]), np.concatenate([cols, diag, c_]),
+        want = SparsePattern(
+            *listed(np.concatenate([rows, diag, r_]),
+                    np.concatenate([cols, diag, c_]), 2 * n),
             np.concatenate([np.full(6 * e, 9), np.ones(2 * n, int),
                             np.full(3 * e, 3)]),
             np.concatenate([unit.ravel() for _, _, unit in blocks]
-                           + [np.ones(2 * n), np.full(9 * e, 1.0 / 3.0)]),
-            2 * n)
-        for got, want in zip(index_arrays(prob._pattern),
-                             index_arrays(listed)):
-            assert got.dtype == want.dtype
-            assert got.tobytes() == want.tobytes()
+                           + [np.ones(2 * n), np.full(9 * e, 1.0 / 3.0)]))
+        for got, expect in zip(index_arrays(prob._pattern),
+                               index_arrays(want)):
+            assert got.dtype == expect.dtype
+            assert got.tobytes() == expect.tobytes()
         assert prob._pattern._scatter.data.tobytes() \
-            == listed._scatter.data.tobytes()
+            == want._scatter.data.tobytes()
 
+    def test_stiffness_map_is_the_listed_map(self, lshape_coarse):
+        # the mechanics map, each element's 36 entries listed row by row,
+        # is bitwise the one laid out on the node graph
+        prob = mech.MechanicsProblem(lshape_coarse, mech.MechParams())
+        dofs = prob.dofs
+        want = SparsePattern(
+            *listed(np.repeat(dofs, 6, axis=1).ravel(),
+                    np.tile(dofs, (1, 6)).ravel(),
+                    2 * lshape_coarse.num_nodes),
+            np.full(len(dofs), 36), prob.KE.ravel())
+        for got, expect in zip(index_arrays(prob._pattern),
+                               index_arrays(want)):
+            assert got.dtype == expect.dtype
+            assert got.tobytes() == expect.tobytes()
 
     def test_matrices_cannot_rewrite_the_map(self):
         # the returned matrices share the map's index arrays, so an
         # in-place change of structure must fail, not reach later matrices
-        pattern = SparsePattern(np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]),
-                                np.array([2, 2]), np.ones(4), 2)
+        pattern = SparsePattern(np.array([0, 2, 4]), np.array([0, 1, 0, 1]),
+                                np.arange(4), np.array([2, 2]), np.ones(4))
         coefs = np.array([0.0, 1.0])
         before = pattern.matrix(coefs)
         want = (before.data.copy(), before.indices.copy(),
@@ -126,6 +151,45 @@ class TestSparsePattern:
                                want):
             np.testing.assert_array_equal(got, expect)
         assert after.nnz == 4
+
+
+class TestNodeGraph:
+    def test_adjacency_and_slots(self, lshape_coarse):
+        mesh = lshape_coarse
+        graph = mesh.graph
+        assert mesh.graph is graph
+        n, conn = mesh.num_nodes, mesh.elements
+        rows = np.concatenate([np.repeat(conn, 3, axis=1).ravel(),
+                               np.arange(n)])
+        cols = np.concatenate([np.tile(conn, (1, 3)).ravel(), np.arange(n)])
+        indptr, indices, slots = listed(rows, cols, n)
+        for got, want in ((graph.indptr, indptr), (graph.indices, indices),
+                          (graph.slots.ravel(), slots[:-n]),
+                          (graph.diagonal, slots[-n:])):
+            assert got.dtype == np.int32
+            np.testing.assert_array_equal(got, want)
+        assert graph.slots.shape == (mesh.num_elements, 9)
+        np.testing.assert_array_equal(np.sort(graph.order), np.arange(n))
+
+    @pytest.mark.parametrize("interleaved", [False, True])
+    def test_blocks_lay_out_two_dofs_per_node(self, lshape_coarse,
+                                              interleaved):
+        graph = lshape_coarse.graph
+        n = lshape_coarse.num_nodes
+        rows = np.repeat(np.arange(n), np.diff(graph.indptr))
+
+        def dof(node, field):
+            return 2 * node + field if interleaved else field * n + node
+
+        indptr, indices, at = graph.blocks(interleaved)
+        pairs = [(dof(rows, i), dof(graph.indices, j))
+                 for i in (0, 1) for j in (0, 1)]
+        want_indptr, want_indices, want_at = listed(
+            np.concatenate([r for r, _ in pairs]),
+            np.concatenate([c for _, c in pairs]), 2 * n)
+        np.testing.assert_array_equal(indptr, want_indptr)
+        np.testing.assert_array_equal(indices, want_indices)
+        np.testing.assert_array_equal(at.ravel(), want_at)
 
 
 def whole(A):
@@ -229,7 +293,7 @@ class TestBandwidthOrder:
         # are its diagonals, so the band is as wide as the grid plus one,
         # not as long
         A = grid_laplacian(40, 5, np.random.default_rng(3))
-        order = bandwidth_order(A, np.zeros(0, dtype=int))
+        order = bandwidth_order(A)
         np.testing.assert_array_equal(np.sort(order), np.arange(200))
         P = A[order][:, order].tocoo()
         assert np.abs(P.row - P.col).max() <= 6
@@ -237,20 +301,20 @@ class TestBandwidthOrder:
         assert np.abs(A.row - A.col).max() > 100
 
     def test_skipped_vertices_and_separate_parts(self):
-        # skipping a column of the grid cuts it in two parts; each gets
-        # its own levels, and the skipped vertices stay out of the order
+        # taking a column of the grid out cuts it in two parts; each gets
+        # its own levels
         rng = np.random.default_rng(8)
         A = grid_laplacian(21, 4, rng)
         label = np.random.default_rng(8).permutation(84)
-        skip = label[np.arange(10, 84, 21)]     # grid column 10
-        order = bandwidth_order(A, skip)
-        np.testing.assert_array_equal(np.sort(order),
-                                      np.setdiff1d(np.arange(84), skip))
+        keep = np.setdiff1d(np.arange(84), label[np.arange(10, 84, 21)])
+        A = A[keep][:, keep]                    # without grid column 10
+        order = bandwidth_order(A)
+        np.testing.assert_array_equal(np.sort(order), np.arange(80))
         # the parts are the ten columns either side; each is one run of
         # the order, and inside it the band stays narrow
         column = np.empty(84, dtype=int)
         column[label] = np.tile(np.arange(21), 4)
-        left = column[order] < 10
+        left = column[keep][order] < 10
         assert np.count_nonzero(np.diff(left)) == 1
         P = A[order][:, order].tocoo()
         assert np.abs(P.row - P.col).max() <= 5
@@ -258,7 +322,7 @@ class TestBandwidthOrder:
     def test_band_of_the_order_holds_the_matrix(self):
         rng = np.random.default_rng(9)
         A = grid_laplacian(12, 4, rng)
-        order = bandwidth_order(A, np.zeros(0, dtype=int))
+        order = bandwidth_order(A)
         # the layout gathers the band of the reordered matrix straight from
         # the data of A
         layout = BandLayout(positions(A)[order][:, order], symmetric=True)
@@ -278,7 +342,7 @@ class TestBandedCholesky:
     def system(self):
         rng = np.random.default_rng(12)
         A = grid_laplacian(15, 3, rng)
-        order = bandwidth_order(A, np.zeros(0, dtype=int))
+        order = bandwidth_order(A)
         A = A[order][:, order].tocsr()
         return A, BandLayout(positions(A), symmetric=True), rng
 
@@ -338,7 +402,7 @@ class TestBandLU:
         A.data = rng.normal(size=A.nnz)
         A.setdiag(8.0 + rng.uniform(size=45))
         assert abs(A - A.T).max() > 0.0
-        order = bandwidth_order(A, np.zeros(0, dtype=int))
+        order = bandwidth_order(A)
         return A, order, rng
 
     def test_solves_like_a_dense_solve(self, system):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from frostsim import _linalg
 from frostsim import mechanics as mech
+from frostsim import transport_solver as ts
 from frostsim.errors import InvalidParametersError
 from frostsim.mesh import BoundaryTag, generate_lshape, generate_rectangle
 
@@ -279,7 +281,8 @@ class TestProblemSetup:
                                   constraints=(dofs[held],
                                                np.zeros(len(dofs[held]))))
 
-    @pytest.mark.parametrize("h, half_bandwidth", [(0.1, 13), (0.03, 31)])
+    @pytest.mark.parametrize("h, half_bandwidth",
+                             [(0.1, 13), (0.03, 31), (0.015, 59)])
     def test_free_dofs_in_bandwidth_order(self, h, half_bandwidth):
         # the thin wall section gives the reduced stiffness a band of a few
         # dofs across the wall in the reverse Cuthill-McKee order
@@ -294,6 +297,34 @@ class TestProblemSetup:
         A = A.tocoo()
         assert np.abs(A.row - A.col).max() == half_bandwidth
         assert prob._layout.shape == (half_bandwidth + 1, len(prob._free))
+
+    def test_one_bandwidth_order_per_mesh(self, monkeypatch):
+        # transport and mechanics set up from the mesh's one node graph
+        calls = []
+        order = _linalg.bandwidth_order
+        monkeypatch.setattr(_linalg, "bandwidth_order",
+                            lambda *args: calls.append(1) or order(*args))
+        mesh = generate_lshape(1.0, 0.4, 0.1)
+        ts.TransportProblem(mesh, ts.ConstantCoefficients())
+        mech.MechanicsProblem(mesh, mech.MechParams())
+        ts.TransportProblem(mesh, ts.ConstantCoefficients())
+        assert len(calls) == 1
+        mech.MechanicsProblem(generate_lshape(1.0, 0.4, 0.1),
+                              mech.MechParams())
+        assert len(calls) == 2
+
+    def test_free_dofs_follow_the_transport_order(self, lshape_coarse):
+        # the transport's whole-matrix order puts each node's theta and phi
+        # side by side; read as u_x and u_y and without the constrained
+        # dofs, it is the mechanics order of the free dofs
+        mesh = lshape_coarse
+        n = mesh.num_nodes
+        whole = ts.TransportProblem(
+            mesh, ts.ConstantCoefficients())._factors._orders[2]
+        prob = mech.MechanicsProblem(mesh, mech.MechParams())
+        dofs = 2 * (whole % n) + whole // n
+        np.testing.assert_array_equal(
+            prob._free, dofs[~np.isin(dofs, prob.constraint_dofs)])
 
     def test_dof_listed_twice_is_constrained_once(self):
         mesh = generate_rectangle(1.0, 1.0, 4, 4)
