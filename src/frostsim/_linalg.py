@@ -1,6 +1,6 @@
-"""Shared sparse helpers: fixed-pattern assembly, Dirichlet reduction to
-the free dofs, a bandwidth order, and guarded direct solves in LAPACK band
-storage through layouts fixed at set-up."""
+"""Shared sparse helpers: a mesh's node graph, fixed-pattern assembly,
+Dirichlet reduction to the free dofs, a bandwidth order, and guarded
+direct solves in LAPACK band storage through layouts fixed at set-up."""
 
 from __future__ import annotations
 

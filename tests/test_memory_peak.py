@@ -12,6 +12,13 @@ ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "memory_peak.py"
 
 
+def load_script():
+    spec = importlib.util.spec_from_file_location("memory_peak", SCRIPT)
+    memory_peak = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(memory_peak)
+    return memory_peak
+
+
 @pytest.mark.parametrize("workload", ["reference", "fine_mesh_mild"])
 def test_smoke_run_reports_both_peaks(workload):
     # a process of its own, so that ru_maxrss is the run's and not the
@@ -41,13 +48,6 @@ def test_proportional_sizes_without_smaps_rollup(monkeypatch):
     monkeypatch.setattr(memory_peak, "open", unreadable, raising=False)
     assert memory_peak.proportional_sizes() == {"pss_file_mb": None,
                                                 "pss_anon_mb": None}
-
-
-def load_script():
-    spec = importlib.util.spec_from_file_location("memory_peak", SCRIPT)
-    memory_peak = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(memory_peak)
-    return memory_peak
 
 
 def test_unknown_workload_fails():
