@@ -56,6 +56,16 @@ class SparsePattern:
                               self._indptr), shape=(self._n, self._n))
 
 
+def dirichlet_lift(A: sp.csr_matrix, free, fixed: np.ndarray,
+                   values: np.ndarray) -> np.ndarray:
+    """(A x_c)_f, the load that ``values`` prescribed at the dofs ``fixed``
+    move onto the ``free`` rows of A x = b; x_c holds them and zeros. The
+    zeros add nothing to a row sum, which is bitwise A_fc x_fixed."""
+    x_c = np.zeros(A.shape[1])
+    x_c[fixed] = values
+    return (A @ x_c)[free]
+
+
 def apply_dirichlet(A: sp.csr_matrix, b: np.ndarray, free: np.ndarray,
                     fixed: np.ndarray, values: np.ndarray):
     """Restrict A x = b to the free dofs: A_ff and b_f - A_fc x_fixed.
@@ -63,8 +73,7 @@ def apply_dirichlet(A: sp.csr_matrix, b: np.ndarray, free: np.ndarray,
     ``free`` is the complement of ``fixed``, which lists each dof once;
     the reduced system is symmetric when A is.
     """
-    A_f = A[free]
-    return A_f[:, free], b[free] - A_f[:, fixed] @ values
+    return A[free][:, free], b[free] - dirichlet_lift(A, free, fixed, values)
 
 
 def positions(A: sp.csr_matrix) -> sp.csr_matrix:
@@ -307,34 +316,32 @@ class BandFactors:
     """Band LU factors of square matrices of the structure of A, through
     layouts built from it once.
 
-    ``factor(M)`` splits M at ``split`` into a SplitLU: each diagonal block
-    goes into band storage in its order of ``orders``, a permutation of the
-    block's own rows, and A[:k, k:] is gathered. With ``whole``, or without
-    ``split``, it is a BandLU of all of M in the order ``orders[2]``, whose
-    layout is built at its first use. Without ``orders`` each order is the
-    natural one.
+    ``orders`` holds a permutation of the first k rows, one of the other
+    rows counted from k, and one of all rows. When neither block is empty,
+    ``split`` is set and ``factor(M)`` splits M at k into a SplitLU: each
+    diagonal block goes into band storage in its order, and A[:k, k:] is
+    gathered. With ``whole``, or without ``split``, it is a BandLU of all
+    of M in the third order, whose layout is built at its first use.
     """
 
-    def __init__(self, A: sp.csr_matrix, split: int | None = None,
-                 orders: tuple[np.ndarray, ...] | None = None):
-        m = A.shape[0]
-        k = m if split is None else split
-        self._orders = orders or (np.arange(k), np.arange(m - k),
-                                  np.arange(m))
-        self._split = None
-        if split is not None:
-            upper, lower = self._orders[0], self._orders[1] + k
+    def __init__(self, A: sp.csr_matrix,
+                 orders: tuple[np.ndarray, np.ndarray, np.ndarray]):
+        self._orders = orders
+        upper, lower, _ = orders
+        k = len(upper)
+        self.split = bool(k and len(lower))
+        if self.split:
             where = positions(A)
-            self._split = (BandLayout(where[upper][:, upper]),
-                           BandLayout(where[lower][:, lower]),
-                           Gather(where[:k, k:]))
+            self._layouts = (BandLayout(where[upper][:, upper]),
+                             BandLayout(where[lower + k][:, lower + k]),
+                             Gather(where[:k, k:]))
         self._whole = None
 
     def factor(self, M: sp.csr_matrix,
                whole: bool = False) -> SplitLU | BandLU:
         upper_order, lower_order, order = self._orders
-        if self._split is not None and not whole:
-            upper, lower, coupling = self._split
+        if self.split and not whole:
+            upper, lower, coupling = self._layouts
             return SplitLU(BandLU(upper.band(M), upper.kl, upper_order),
                            BandLU(lower.band(M), lower.kl, lower_order),
                            coupling.matrix(M))

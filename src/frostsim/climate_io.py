@@ -51,9 +51,6 @@ class ClimateSeries:
         for arr in (self.times_s, *cols):
             arr.setflags(write=False)
 
-    def __len__(self) -> int:
-        return len(self.times_s)
-
     def sample(self, t_s: float) -> ClimateSample:
         """Piecewise-linear sample at time ``t_s`` seconds; ends are held."""
         return ClimateSample(

@@ -107,11 +107,6 @@ _BOUNDS = (
     ("exclusiveMaximum", operator.ge,
      "greater than or equal to the maximum of"),
 )
-# every keyword _conform acts on, and the annotations it may ignore
-_SCHEMA_KEYWORDS = frozenset(
-    ["type", "enum", "properties", "additionalProperties", "items",
-     "minItems", "maxItems", "$schema", "title", "description"]
-    + [key for key, _, _ in _BOUNDS])
 
 
 def _is_type(value, name: str) -> bool:
@@ -127,8 +122,10 @@ def _conform(value, schema: dict, path: tuple, errors: list):
 
     Appends ``(path, message)`` for each violation and for each NaN or
     infinite number, which Python's json reads but no schema bound
-    rejects. Knows the keywords in _SCHEMA_KEYWORDS, and
-    ``additionalProperties`` only as ``false``. Returns a copy of
+    rejects. Knows ``type``, ``enum``, ``properties``, ``items``, the
+    item counts and the bounds of _BOUNDS, ignores ``$schema``, ``title``
+    and ``description``, and knows ``additionalProperties`` only as
+    ``false``. Returns a copy of
     ``value`` with each schema integer as an ``int``.
     """
     if isinstance(value, float) and not math.isfinite(value):
@@ -320,7 +317,9 @@ def build_problems(cfg: dict) -> tuple[TransportProblem, MechanicsProblem,
         mesh, KunzelCoefficients(transport_params, ice_model=ice),
         robin=robin, flux=flux,
         lumped_capacity=cfg["numerics"]["lumped_capacity"])
-    return problem, MechanicsProblem(mesh, mech_params), probe_nodes
+    mechanics = MechanicsProblem(mesh, mech_params)
+    del mesh.graph          # only set-up reads it; Mesh.graph rebuilds it
+    return problem, mechanics, probe_nodes
 
 
 def _probe_rows(mesh: Mesh, probes: np.ndarray) -> sp.csr_matrix:

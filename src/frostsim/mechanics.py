@@ -23,7 +23,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._linalg import (BandedCholesky, BandLayout, SparsePattern,
-                      apply_dirichlet, positions, solve_sparse)
+                      apply_dirichlet, dirichlet_lift, positions,
+                      solve_sparse)
 from .errors import InvalidParametersError
 from .mesh import BoundaryTag, Mesh
 
@@ -149,7 +150,13 @@ class NonlocalAverager:
         self.length = length
         centroids = mesh.centroids
         areas = mesh.areas
-        pairs = neighbour_pairs(centroids, 3.0 * length)
+        # two triangles with disjoint interiors have centroids at least a
+        # third of each one's smallest altitude apart, so no two lie within
+        # 3 l below two thirds of the mesh's, 1 / max |grad N_i|
+        altitude = 1.0 / np.linalg.norm(mesh.grads, axis=2).max()
+        pairs = (neighbour_pairs(centroids, 3.0 * length)
+                 if 3.0 * length >= 2.0 / 3.0 * altitude
+                 else np.zeros((0, 2), dtype=np.int64))
         e = mesh.num_elements
         d2 = np.sum((centroids[pairs[:, 0]] - centroids[pairs[:, 1]]) ** 2,
                     axis=1)
@@ -297,16 +304,11 @@ class MechanicsProblem:
         # made once on the positions of the stiffness entries, lays out
         # each stiffness's band straight from its data
         K = self._pattern.matrix(np.ones(e))
-        n = 2 * mesh.num_nodes
         free = (2 * graph.order[:, None] + np.arange(2)).ravel()
         self._free = free[~np.isin(free, self.constraint_dofs, kind="table")]
         self._layout = BandLayout(apply_dirichlet(
-            positions(K), np.zeros(n), self._free, self.constraint_dofs,
-            self.constraint_values)[0], symmetric=True)
-        # the prescribed displacements, zero on the free dofs: a stiffness
-        # times them, on the free rows, is the load they move to the right
-        self._prescribed = np.zeros(n)
-        self._prescribed[self.constraint_dofs] = self.constraint_values
+            positions(K), np.zeros(K.shape[0]), self._free,
+            self.constraint_dofs, self.constraint_values)[0], symmetric=True)
         # set by each factorisation: the factor, the stiffness factor it
         # is for and the load of the prescribed displacements
         self._factor: BandedCholesky | None = None
@@ -325,9 +327,8 @@ class MechanicsProblem:
         ``factor`` and the reduced load of the prescribed displacements."""
         self._factor = None         # freed before its successor is built
         K = self._pattern.matrix(factor)
-        # bitwise the load apply_dirichlet gives: the products with the
-        # zeros on the free dofs add nothing to the row sums
-        self._held = (K @ self._prescribed)[self._free]
+        self._held = dirichlet_lift(K, self._free, self.constraint_dofs,
+                                    self.constraint_values)
         self._factor = BandedCholesky(self._layout.band(K))
         self._base = factor
 

@@ -38,9 +38,6 @@ class BoundaryTag(enum.IntEnum):
 
 _TAG_FROM_NAME = {t.name: t for t in BoundaryTag}
 
-# local edge k connects local nodes _EDGE_NODES[k]
-_EDGE_NODES = ((0, 1), (1, 2), (2, 0))
-
 
 def _all_geometry(nodes: np.ndarray, elements: np.ndarray):
     """Constant shape-function gradients (E, 3, 2) and areas (E,) of every

@@ -52,7 +52,8 @@ import scipy.sparse as sp
 
 from . import constitutive
 from ._linalg import (BandFactors, BandLU, Gather, SparsePattern, SplitLU,
-                      apply_dirichlet, positions, solve_sparse)
+                      apply_dirichlet, dirichlet_lift, positions,
+                      solve_sparse)
 from .errors import (
     DomainError,
     InvalidParametersError,
@@ -320,11 +321,11 @@ def _gmres(A, lu: SplitLU | BandLU, rhs: np.ndarray,
     return None
 
 
-def nonlinear_iterate(system_builder, r_guess: np.ndarray, *,
-                      tol: float = 1e-6, max_iter: int = 50,
-                      relax: float = 1.0, blocks=None,
-                      project=None, lu: SplitLU | BandLU | None = None,
-                      factors: BandFactors | None = None) -> NonlinearResult:
+def nonlinear_iterate(system_builder, r_guess: np.ndarray,
+                      factors: BandFactors, *, tol: float = 1e-6,
+                      max_iter: int = 50, relax: float = 1.0, blocks=None,
+                      project=None,
+                      lu: SplitLU | BandLU | None = None) -> NonlinearResult:
     """Safeguarded Picard iteration on A(r) r = b(r), with a Newton term.
 
     ``system_builder(r, newton)`` returns the update matrix M, b(r) and
@@ -350,14 +351,13 @@ def nonlinear_iterate(system_builder, r_guess: np.ndarray, *,
     convergence test, is within _ETA of the scaled right-hand side; else
     up to _KRYLOV_MAX GMRES iterations on the factor correct it. When
     that misses _ETA, or there is no factor, M is factorised afresh
-    through ``factors``, band layouts of M's structure; without them they
-    are built from the first M to factorise, in its own numbering. With
-    two non-empty ``blocks`` the fresh factor is split at their boundary
-    (a SplitLU, exact for M without its lower-left block) and passes the
-    same test; only if it misses _ETA too is the whole M factorised and
-    solved exactly. The old factor is released before a new one is built.
-    The result carries the last factor and the count of factorisations
-    made, one per factor.
+    through ``factors``, the caller's band layouts of M's structure,
+    which alone decide whether a fresh factor is split. A split one is a
+    SplitLU, exact for M without its lower-left block, and passes the
+    same test; only if it misses _ETA too, or without the split, is the
+    whole M factorised and solved exactly. The old factor is released
+    before a new one is built. The result carries the last factor and
+    the count of factorisations made, one per factor.
     """
     if not 0.0 < relax <= 1.0:
         raise InvalidParametersError("relaxation factor must lie in (0, 1]")
@@ -368,8 +368,6 @@ def nonlinear_iterate(system_builder, r_guess: np.ndarray, *,
         r = project(r)
     if blocks is None:
         blocks = [(0, len(r))]
-    split = (blocks[1][0] if len(blocks) == 2
-             and all(lo < hi for lo, hi in blocks) else None)
     residuals: list[float] = []
     weights = np.empty(len(r))
     omega = relax
@@ -409,10 +407,8 @@ def nonlinear_iterate(system_builder, r_guess: np.ndarray, *,
             else:
                 grown, omega = grown or newton, max(0.5 * omega, 0.25 * relax)
         delta = None if lu is None else _gmres(M, lu, mismatch, weights)
-        if delta is None and factors is None:
-            factors = BandFactors(M, split)
         # the old factor is released before a new one takes memory
-        if delta is None and split is not None:
+        if delta is None and factors.split:
             lu = None
             lu = factors.factor(M)
             made += 1
@@ -541,18 +537,15 @@ class TransportProblem:
         # that order with each node's theta and phi side by side
         M = self._pattern.matrix(np.zeros(len(blocks) * e + 2 * n))
         if len(self._fixed):
-            self._reduced = Gather(apply_dirichlet(
-                positions(M), np.zeros(2 * n), self._free, self._fixed,
-                np.zeros(len(self._fixed)))[0])
+            self._reduced = Gather(positions(M)[self._free][:, self._free])
             M = self._reduced.matrix(M)
         at = np.full(2 * n, -1)
         at[self._free] = np.arange(M.shape[0])
         theta, phi = at[graph.order], at[graph.order + n]
         whole = np.stack([theta, phi], axis=1).ravel()
-        k = self._n_t
-        self._factors = BandFactors(
-            M, k if 0 < k < M.shape[0] else None,
-            (theta[theta >= 0], phi[phi >= 0] - k, whole[whole >= 0]))
+        self._factors = BandFactors(M, (theta[theta >= 0],
+                                        phi[phi >= 0] - self._n_t,
+                                        whole[whole >= 0]))
 
     # -- assembly ----------------------------------------------------------
 
@@ -693,15 +686,13 @@ class TransportProblem:
         return np.concatenate([np.zeros(0)] + vals)[self._first]
 
     def _reduce(self, A, b, values):
-        """Bitwise what apply_dirichlet(A, b, free, fixed, values) gives,
-        for A of the update matrices' structure, through the gather fixed
-        at set-up: the products with the zeros on the free dofs add
-        nothing to the row sums of A times the prescribed values."""
+        """A x = b, A of the update matrices' structure, restricted to the
+        free dofs with ``values`` prescribed, through the gather fixed at
+        set-up."""
         if not len(self._fixed):
             return A, b
-        held = np.zeros(len(b))
-        held[self._fixed] = values
-        return self._reduced.matrix(A), b[self._free] - (A @ held)[self._free]
+        return self._reduced.matrix(A), b[self._free] - dirichlet_lift(
+            A, self._free, self._fixed, values)
 
     # -- time stepping -----------------------------------------------------
 
@@ -779,11 +770,10 @@ class TransportProblem:
 
         # the kept factor is handed over, not referenced from here, so a
         # refactorisation frees it before building its successor
-        result = nonlinear_iterate(builder, r_free, tol=tol,
+        result = nonlinear_iterate(builder, r_free, self._factors, tol=tol,
                                    max_iter=max_iter, relax=relax,
                                    blocks=[(0, n_t), (n_t, len(r_free))],
-                                   project=project, lu=self._take_factor(gdt),
-                                   factors=self._factors)
+                                   project=project, lu=self._take_factor(gdt))
         self._kept = (gdt, result.lu)
         r_new[free] = result.r
         if gamma > 0.0:

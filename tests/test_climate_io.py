@@ -18,7 +18,7 @@ class TestLoad:
         write_rows(path, [(0, -5.0, 0.8, 0.0, 0.0),
                           (1, -3.0, 0.9, 1e-5, 150.0)])
         series = climate_io.load_climate(path)
-        assert len(series) == 2
+        assert len(series.times_s) == 2
         np.testing.assert_array_equal(series.times_s, [0.0, 3600.0])
         np.testing.assert_array_equal(series.theta, [-5.0, -3.0])
         np.testing.assert_array_equal(series.phi, [0.8, 0.9])
@@ -70,7 +70,7 @@ class TestLoad:
     def test_bundled_month(self):
         from frostsim.driver import _data_file
         series = climate_io.load_climate(_data_file("climate_winter_744h.csv"))
-        assert len(series) == 745
+        assert len(series.times_s) == 745
         assert series.times_s[-1] == pytest.approx(744.0 * 3600.0)
         assert series.theta.min() < -8.0
         assert series.theta.max() > 0.0
@@ -136,7 +136,7 @@ class TestRoundTrip:
 class TestSyntheticSeries:
     def test_shape_and_bounds(self):
         s = climate_io.synthetic_winter_series(744)
-        assert len(s) == 745
+        assert len(s.times_s) == 745
         assert np.all(s.phi >= 0.55) and np.all(s.phi <= 0.98)
         assert np.all(s.rain >= 0.0)
         assert np.all(s.swr >= 0.0)

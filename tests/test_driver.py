@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from frostsim import cli, driver, mechanics, transport_solver
+from frostsim import _linalg, cli, driver, mechanics, transport_solver
 from frostsim.constitutive import THETA_MAX, THETA_MIN, TransportParams
 from frostsim.errors import (ConfigError, DegenerateElementError, DomainError,
                              MeshFormatError, SingularSystemError,
@@ -321,11 +321,17 @@ class TestSchemaWalker:
             outcomes[bool(want)] += 1
         assert outcomes[True] > 1000 and outcomes[False] > 1000, outcomes
 
+    # every keyword _conform acts on, and the annotations it may ignore
+    KEYWORDS = frozenset(
+        ["type", "enum", "properties", "additionalProperties", "items",
+         "minItems", "maxItems", "$schema", "title", "description"]
+        + [key for key, _, _ in driver._BOUNDS])
+
     def test_schema_uses_only_known_keywords(self):
         # a keyword the walker does not know (say "pattern") would be
         # ignored without a word, so the schema may use none
         schema = driver._schema()
-        assert set().union(*schema_nodes(schema)) <= driver._SCHEMA_KEYWORDS
+        assert set().union(*schema_nodes(schema)) <= self.KEYWORDS
         for node in schema_nodes(schema):
             assert node.get("additionalProperties", False) is False
             kinds = node.get("type", [])
@@ -335,7 +341,7 @@ class TestSchemaWalker:
         edited["properties"]["output"]["properties"]["probe_file"][
             "pattern"] = "[.]csv$"
         assert "pattern" in set().union(*schema_nodes(edited)) \
-            - driver._SCHEMA_KEYWORDS
+            - self.KEYWORDS
 
     def test_schema_parsed_once(self):
         assert driver._schema() is driver._schema()
@@ -609,6 +615,20 @@ class TestRun:
         assert summary.outputs == []
         assert len(summary.records) == 1
         assert summary.records[0].time_h == 1.0
+
+    def test_set_up_drops_the_node_graph(self, monkeypatch):
+        # only set-up reads the mesh's node graph: build_problems drops it
+        # once both problems are set up, and a later reader builds it again
+        calls = []
+        order = _linalg.bandwidth_order
+        monkeypatch.setattr(_linalg, "bandwidth_order",
+                            lambda *args: calls.append(1) or order(*args))
+        transport, mech, _ = driver.build_problems(driver.validate_config({}))
+        mesh = transport.mesh
+        assert mech.mesh is mesh and len(calls) == 1
+        assert "graph" not in vars(mesh)
+        assert len(mesh.graph.order) == mesh.num_nodes
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("l_intl", [None, 0.06])
     def test_nonlocal_pairs_recorded(self, tmp_path, l_intl):

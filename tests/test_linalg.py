@@ -192,9 +192,17 @@ class TestNodeGraph:
         np.testing.assert_array_equal(at.ravel(), want_at)
 
 
+def natural(A, split=None):
+    """Band layouts of A's structure in A's own numbering, split at
+    ``split`` if it is given and leaves both blocks non-empty."""
+    m = A.shape[0]
+    k = m if split is None else split
+    return BandFactors(A, (np.arange(k), np.arange(m - k), np.arange(m)))
+
+
 def whole(A):
     """A band LU factor of all of A in its own numbering."""
-    return BandFactors(A).factor(A)
+    return natural(A).factor(A)
 
 
 class TestMatrixRightHandSide:
@@ -236,7 +244,7 @@ class TestSplitFactor:
         assert np.abs(A.toarray()[k:, :k]).max() > 0.0
         n = A.shape[0]
         for b in (rng.normal(size=n), rng.normal(size=(n, 3))):
-            x = solve_sparse(BandFactors(A, k).factor(A), b)
+            x = solve_sparse(natural(A, k).factor(A), b)
             want = np.linalg.solve(upper, b)
             np.testing.assert_allclose(x, want, rtol=0.0,
                                        atol=1e-12 * np.abs(want).max())
@@ -246,7 +254,7 @@ class TestSplitFactor:
         # solves repeatably, and the layouts of one matrix serve another of
         # its structure: twice its values give bitwise half the solution
         A, k = self.blocks(np.random.default_rng(5))
-        factors = BandFactors(A, k)
+        factors = natural(A, k)
         b = np.ones(A.shape[0])
         for block in (slice(0, k), slice(k, None)):
             singular = A.copy()
@@ -268,7 +276,7 @@ class TestSplitFactor:
         A = sp.csr_matrix(np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 0.0],
                                     [0.0, 1.0, 1.0]]))
         with pytest.raises(SingularSystemError):
-            BandFactors(A, 1).factor(A).solve(np.ones(3))
+            natural(A, 1).factor(A).solve(np.ones(3))
 
 
 def grid_laplacian(nx, ny, rng):
@@ -435,9 +443,26 @@ class TestBandLU:
             BandLU(layout.band(A), layout.kl, order).solve(b)
 
 
+def reduced(A, b, free, fixed, values):
+    """A x = b restricted to the free dofs as written here, apart from the
+    code under test: A_ff and b_f - A_fc x_fixed."""
+    A_f = A[free]
+    return A_f[:, free], b[free] - A_f[:, fixed] @ values
+
+
+def assert_same(got, want):
+    """Bitwise the same reduced matrix and load."""
+    (A, b), (want_A, want_b) = got, want
+    np.testing.assert_array_equal(A.indices, want_A.indices)
+    np.testing.assert_array_equal(A.indptr, want_A.indptr)
+    assert A.data.tobytes() == want_A.data.tobytes()
+    assert b.tobytes() == want_b.tobytes()
+
+
 class TestDirichletGather:
-    """The reductions made once at set-up give bitwise what
-    apply_dirichlet gives on every matrix."""
+    """The reductions made once at set-up, each one's load of the
+    prescribed values and apply_dirichlet give bitwise the reduced system
+    of ``reduced`` on every matrix."""
 
     def test_mechanics_stiffness(self, lshape_coarse):
         mesh = lshape_coarse
@@ -450,12 +475,14 @@ class TestDirichletGather:
         factor = rng.uniform(1e-6, 1.0, mesh.num_elements)
         K = prob._pattern.matrix(factor)
         F = rng.normal(size=2 * mesh.num_nodes)
-        A, b = apply_dirichlet(K, F, prob._free, prob.constraint_dofs,
-                               prob.constraint_values)
+        system = (K, F, prob._free, prob.constraint_dofs,
+                  prob.constraint_values)
+        A, b = reduced(*system)
         want = BandLayout(positions(A), symmetric=True).band(A)
         assert prob._layout.band(K).tobytes() == want.tobytes()
-        held = (K @ prob._prescribed)[prob._free]
-        assert (F[prob._free] - held).tobytes() == b.tobytes()
+        prob._factorise(factor)
+        assert (F[prob._free] - prob._held).tobytes() == b.tobytes()
+        assert_same(apply_dirichlet(*system), (A, b))
 
     @pytest.mark.parametrize("values", ["prescribed", "random"])
     def test_transport_with_dirichlet_dofs(self, values):
@@ -474,10 +501,9 @@ class TestDirichletGather:
             np.zeros(n, dtype=bool), None)
         vals = (prob._dirichlet_at(0.5) if values == "prescribed"
                 else rng.normal(size=len(prob._fixed)))
-        (A, b_f), (want_A, want_b) = (
-            prob._reduce(M, b, vals),
-            apply_dirichlet(M, b, prob._free, prob._fixed, vals))
-        np.testing.assert_array_equal(A.indices, want_A.indices)
-        np.testing.assert_array_equal(A.indptr, want_A.indptr)
-        assert A.data.tobytes() == want_A.data.tobytes()
-        assert b_f.tobytes() == want_b.tobytes()
+        want = reduced(M, b, prob._free, prob._fixed, vals)
+        # the random values move a load onto the free rows
+        assert (values == "random") == np.any(want[1] != b[prob._free])
+        assert_same(prob._reduce(M, b, vals), want)
+        assert_same(apply_dirichlet(M, b, prob._free, prob._fixed, vals),
+                    want)

@@ -11,6 +11,15 @@ from frostsim.errors import InvalidParametersError
 from frostsim.mesh import BoundaryTag, generate_lshape, generate_rectangle
 
 
+def reduced(prob, factor, F):
+    """The reduced system of ``prob`` under the stiffness ``factor`` and
+    the load F, written here apart from the code under test: A_ff,
+    F_f - A_fc u_c and the lift A_fc u_c."""
+    K_f = prob._pattern.matrix(factor)[prob._free]
+    lift = K_f[:, prob.constraint_dofs] @ prob.constraint_values
+    return K_f[:, prob._free], F[prob._free] - lift, lift
+
+
 class TestBiot:
     def test_reference_values(self):
         assert mech.biot_coefficient(0.0) == 0.0
@@ -212,6 +221,27 @@ class TestNeighbourPairs:
         pairs = mech.neighbour_pairs(centroids, 3.0 * mech.MechParams().l_intl)
         assert len(pairs) == 0
 
+    @pytest.mark.parametrize("h, length, pairs", [
+        (0.03, None, None), (0.015, None, None), (0.03, 0.01, 3016)])
+    def test_search_only_above_the_smallest_altitude(self, h, length, pairs,
+                                                     monkeypatch):
+        # with the default l_intl, 3 l lies below two thirds of the
+        # smallest altitude of the reference and the fine mesh, so the
+        # averager skips the search (test_weights_match_kdtree_query
+        # checks its weights); a raised l_intl still searches
+        calls = []
+        search = mech.neighbour_pairs
+
+        def counting(points, radius):
+            calls.append(radius)
+            return search(points, radius)
+
+        monkeypatch.setattr(mech, "neighbour_pairs", counting)
+        mesh = generate_lshape(1.0, 0.4, h)
+        avg = mech.NonlocalAverager(mesh, length or mech.MechParams().l_intl)
+        assert len(calls) == (pairs is not None)
+        assert avg.num_pairs == (pairs or 0)
+
     @pytest.mark.parametrize("h, length", [(0.03, None), (0.015, None),
                                            (0.03, 0.01), (0.1, 0.07)])
     def test_weights_match_kdtree_query(self, h, length):
@@ -291,10 +321,8 @@ class TestProblemSetup:
         np.testing.assert_array_equal(
             np.sort(prob._free),
             np.setdiff1d(np.arange(2 * mesh.num_nodes), prob.constraint_dofs))
-        A, _ = mech.apply_dirichlet(prob._pattern.matrix(
-            np.ones(mesh.num_elements)), np.zeros(2 * mesh.num_nodes),
-            prob._free, prob.constraint_dofs, prob.constraint_values)
-        A = A.tocoo()
+        A = reduced(prob, np.ones(mesh.num_elements),
+                    np.zeros(2 * mesh.num_nodes))[0].tocoo()
         assert np.abs(A.row - A.col).max() == half_bandwidth
         assert prob._layout.shape == (half_bandwidth + 1, len(prob._free))
 
@@ -612,17 +640,17 @@ class TestCapacitance:
     @staticmethod
     def solved_systems(prob, monkeypatch):
         """(A, b, x) of each solve of ``prob`` from here on: the reduced
-        stiffness that apply_dirichlet gives for the stiffness factor the
-        kept factor is for, the load and the solution."""
+        stiffness of ``reduced`` for the stiffness factor the kept factor
+        is for, the load and the solution. Each solve checks that the load
+        of the prescribed displacements is bitwise that of ``reduced``."""
         systems = []
         solve = mech.solve_sparse
 
         def recording_solve(factor, b):
             x = solve(factor, b)
-            A, _ = mech.apply_dirichlet(
-                prob._pattern.matrix(prob._base),
-                np.zeros(2 * prob.mesh.num_nodes),
-                prob._free, prob.constraint_dofs, prob.constraint_values)
+            A, _, lift = reduced(prob, prob._base,
+                                 np.zeros(2 * prob.mesh.num_nodes))
+            assert prob._held.tobytes() == lift.tobytes()
             systems.append((A, b.copy(), x))
             return x
 
@@ -706,9 +734,7 @@ class TestCapacitance:
         fe = np.einsum("eai,ea->ei", prob.B, t_vec) * mesh.areas[:, None]
         F = np.zeros(2 * mesh.num_nodes)
         np.add.at(F, prob.dofs.ravel(), fe.ravel())
-        A, b = mech.apply_dirichlet(prob._pattern.matrix(factor), F,
-                                    prob._free, prob.constraint_dofs,
-                                    prob.constraint_values)
+        A, b, _ = reduced(prob, factor, F)
         assert self.backward_error(A, b, states[1].u[prob._free]) < 1e-14
 
     def test_damage_on_fixed_dofs_only_needs_no_correction(self):

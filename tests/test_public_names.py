@@ -1,14 +1,15 @@
-"""Every public name of the package has a caller outside the unit tests.
+"""Every name of the package has a caller outside the unit tests.
 
 A public top-level function or class of ``src/frostsim``, or a public
 method of a public class, must be referenced from the package itself,
-``scripts/``, ``perfbench/`` or the acceptance tests. A name that only
-unit tests call is a wrapper to delete, with its tests moved to what it
-wraps. A reference is the name as an attribute, an import or an
-identifier string, the last because ``perfbench/spans.py`` wraps its
-seams by attribute name; a top-level name may also be a bare variable.
-A method is never called by a bare name, so a local variable that
-shares its name does not count.
+``scripts/``, ``perfbench/`` or the acceptance tests. So must a private
+top-level function, class or constant. A name that only unit tests
+call is a wrapper to delete, with its tests moved to what it wraps. A
+reference is the name as an attribute, an import or an identifier
+string, the last because ``perfbench/spans.py`` wraps its seams by
+attribute name; a top-level name may also be a bare variable that is
+read, not only assigned. A method is never called by a bare name, so a
+local variable that shares its name does not count.
 """
 
 import ast
@@ -45,7 +46,7 @@ def references(path):
     """The bare variable names and the other references of ``path``."""
     variables, others = set(), set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             variables.add(node.id)
         elif isinstance(node, ast.Attribute):
             others.add(node.attr)
@@ -57,15 +58,48 @@ def references(path):
     return variables, others
 
 
-def test_every_public_name_has_a_caller_outside_unit_tests():
+def private_definitions():
+    """(module, name) of every private top-level function, class and
+    constant, a name that a top-level statement assigns."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names = [leaf.id for target in targets
+                         for leaf in ast.walk(target)
+                         if isinstance(leaf, ast.Name)]
+            else:
+                names = [getattr(node, "name", None)]
+            for name in names:
+                if (name and name.startswith("_")
+                        and not name.startswith("__")):
+                    yield path.stem, name
+
+
+def all_references():
     variables, others = set(), set()
     for path in CALLERS:
         v, o = references(path)
         variables |= v
         others |= o
+    return variables, others
+
+
+def test_every_public_name_has_a_caller_outside_unit_tests():
+    variables, others = all_references()
     found = list(definitions())
     assert len(found) > 50
     orphans = [f"{module}.{qualname}"
                for module, qualname, name, method in found
                if name not in others and (method or name not in variables)]
     assert not orphans, f"only unit tests call {orphans}"
+
+
+def test_every_private_name_has_a_reader():
+    variables, others = all_references()
+    found = list(private_definitions())
+    assert len(found) > 50
+    orphans = [f"{module}.{name}" for module, name in found
+               if name not in variables | others]
+    assert not orphans, f"nothing outside the unit tests reads {orphans}"

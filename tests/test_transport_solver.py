@@ -710,10 +710,19 @@ class TestDirichlet:
         np.testing.assert_allclose(resid[free], 0.0, atol=1e-10)
 
 
+def factors(A, split=None):
+    """Band layouts of A's structure in A's own numbering, which split a
+    fresh factor at ``split`` if it is given and leaves both blocks
+    non-empty."""
+    m = A.shape[0]
+    k = m if split is None else split
+    return BandFactors(A, (np.arange(k), np.arange(m - k), np.arange(m)))
+
+
 def factor(A, split=None):
     """A band LU factor of A, split at ``split`` if given, in A's own
     numbering."""
-    return BandFactors(A, split).factor(A)
+    return factors(A, split).factor(A)
 
 
 def picard(builder):
@@ -732,32 +741,39 @@ class TestPicardIteration:
     def test_linear_system_single_solve(self):
         b = np.array([2.0, -1.0])
         result = ts.nonlinear_iterate(picard(lambda r: (self.eye(2), b)),
-                                      np.zeros(2), relax=1.0)
+                                      np.zeros(2), factors(self.eye(2)),
+                                      relax=1.0)
         assert result.iterations == 1
         np.testing.assert_array_equal(result.r, b)
 
     def test_converged_guess_takes_no_solve(self):
         b = np.array([2.0, -1.0])
         result = ts.nonlinear_iterate(picard(lambda r: (self.eye(2), b)),
-                                      b.copy(), relax=1.0)
+                                      b.copy(), factors(self.eye(2)),
+                                      relax=1.0)
         assert result.iterations == 0
         assert result.residuals == [0.0]
 
     def test_parameter_validation(self):
         builder = picard(lambda r: (self.eye(), np.ones(1)))
+        layouts = factors(self.eye())
         with pytest.raises(InvalidParametersError):
-            ts.nonlinear_iterate(builder, np.zeros(1), relax=0.0)
+            ts.nonlinear_iterate(builder, np.zeros(1), layouts, relax=0.0)
         with pytest.raises(InvalidParametersError):
-            ts.nonlinear_iterate(builder, np.zeros(1), relax=1.5)
+            ts.nonlinear_iterate(builder, np.zeros(1), layouts, relax=1.5)
         with pytest.raises(InvalidParametersError):
-            ts.nonlinear_iterate(builder, np.zeros(1), max_iter=0)
+            ts.nonlinear_iterate(builder, np.zeros(1), layouts, max_iter=0)
+        # the caller's layouts are required: no call builds its own
+        with pytest.raises(TypeError, match="factors"):
+            ts.nonlinear_iterate(builder, np.zeros(1))
 
     def test_max_iter_exhaustion(self):
         # fixed point of r/2 + 1 is approached geometrically, so a tight
         # tolerance cannot be met in three solves
         builder = picard(lambda r: (self.eye(), 0.5 * r + 1.0))
         with pytest.raises(StepFailureError) as info:
-            ts.nonlinear_iterate(builder, np.zeros(1), tol=1e-12,
+            ts.nonlinear_iterate(builder, np.zeros(1), factors(self.eye()),
+                                 tol=1e-12,
                                  max_iter=3, relax=1.0)
         assert info.value.iterations == 3
         assert info.value.residual_norm > 0.0
@@ -773,20 +789,21 @@ class TestPicardIteration:
                 raise DomainError(f"r = {r[0]:g} outside [0, 1.5]")
             return self.eye(), 0.5 * r + 1.0
 
+        layouts = factors(self.eye())
         converged = ts.nonlinear_iterate(picard(
-            lambda r: (self.eye(), 0.5 * r + 1.0)), np.zeros(1), tol=1e-12,
-            relax=1.0).residuals
+            lambda r: (self.eye(), 0.5 * r + 1.0)), np.zeros(1), layouts,
+            tol=1e-12, relax=1.0).residuals
         with pytest.raises(StepFailureError,
                            match="iterate 3 outside the model's range: "
                                  "r = 1.75") as info:
-            ts.nonlinear_iterate(picard(bounded), np.zeros(1), tol=1e-12,
-                                 relax=1.0)
+            ts.nonlinear_iterate(picard(bounded), np.zeros(1), layouts,
+                                 tol=1e-12, relax=1.0)
         assert isinstance(info.value.__cause__, DomainError)
         assert info.value.iterations == 3
         assert info.value.residuals == converged[:3]
         assert info.value.residual_norm == converged[2]
         with pytest.raises(DomainError, match="r = 2"):
-            ts.nonlinear_iterate(picard(bounded), np.full(1, 2.0),
+            ts.nonlinear_iterate(picard(bounded), np.full(1, 2.0), layouts,
                                  relax=1.0)
 
     def test_divergence_detected(self):
@@ -798,7 +815,8 @@ class TestPicardIteration:
             return self.eye(), b
 
         with pytest.raises(StepFailureError, match="diverging") as info:
-            ts.nonlinear_iterate(picard(builder), np.zeros(1), relax=1.0)
+            ts.nonlinear_iterate(picard(builder), np.zeros(1),
+                                 factors(self.eye()), relax=1.0)
         history = info.value.residuals
         assert len(history) == info.value.iterations + 1
         assert history[-1] == info.value.residual_norm > 10.0 * history[-6]
@@ -809,7 +827,8 @@ class TestPicardIteration:
         with pytest.raises(StepFailureError, match="no convergence") as info:
             ts.nonlinear_iterate(picard(lambda r: (self.eye(),
                                                    np.array([2.0]))),
-                                 np.zeros(1), max_iter=6, relax=1.0,
+                                 np.zeros(1), factors(self.eye()),
+                                 max_iter=6, relax=1.0,
                                  project=lambda r: np.minimum(r, 1.0))
         assert info.value.residuals == [1.0] + [0.5] * 6
         assert info.value.iterations == 6
@@ -817,7 +836,8 @@ class TestPicardIteration:
     def test_under_relaxation_converges_geometrically(self):
         b = np.array([4.0])
         result = ts.nonlinear_iterate(picard(lambda r: (self.eye(), b)),
-                                      np.zeros(1), relax=0.5, tol=1e-10)
+                                      np.zeros(1), factors(self.eye()),
+                                      relax=0.5, tol=1e-10)
         # r_k = (1 - 0.5^k) b, so the relative residual halves per solve
         assert result.r[0] == pytest.approx(4.0, rel=1e-9)
         assert result.iterations >= 10
@@ -842,7 +862,8 @@ class TestPicardIteration:
 
     def iterate_stagnating(self, builder=None, max_iter=400, **options):
         return ts.nonlinear_iterate(picard(builder or self.stagnating()),
-                                    np.zeros(5), tol=1e-10, relax=1.0,
+                                    np.zeros(5), factors(self.eye(5), 1),
+                                    tol=1e-10, relax=1.0,
                                     max_iter=max_iter, blocks=self.BLOCKS,
                                     **options)
 
@@ -857,7 +878,8 @@ class TestPicardIteration:
             return self.eye(3), c + 0.05 * np.sin(r)
 
         result = ts.nonlinear_iterate(picard(builder), np.zeros(3),
-                                      tol=1e-13, relax=0.7)
+                                      factors(self.eye(3)), tol=1e-13,
+                                      relax=0.7)
         assert result.iterations == len(seen) - 1 > 20
         r = np.zeros(3)
         for got in seen:
@@ -877,7 +899,8 @@ class TestPicardIteration:
 
         def iterate(**options):
             seen.clear()
-            return ts.nonlinear_iterate(builder, np.zeros(1), tol=1e-10,
+            return ts.nonlinear_iterate(builder, np.zeros(1),
+                                        factors(self.eye()), tol=1e-10,
                                         relax=0.7, lu=kept, **options)
 
         kept = factor(self.eye() / 6.0)
@@ -976,7 +999,8 @@ class TestFactorReuse:
         b = np.sin(np.arange(n, dtype=float))
         wrong = factor(A + shift * sp.diags(np.cos(np.arange(n)) ** 2))
         result = ts.nonlinear_iterate(picard(lambda r: (A, b)), np.zeros(n),
-                                      relax=1.0, tol=1e-10, lu=wrong)
+                                      factors(A), relax=1.0, tol=1e-10,
+                                      lu=wrong)
         assert result.residuals[-1] < 1e-10
         np.testing.assert_allclose(A @ result.r, b, atol=1e-9)
         assert result.factorisations == replaced
@@ -1047,9 +1071,12 @@ class TestSplitFactor:
         A = sp.bmat([[T, B], [coupling * B.T, T]], format="csr")
         return A, rng.normal(size=2 * n)
 
-    def iterate(self, A, b, blocks):
+    def iterate(self, A, b, split):
+        """Picard on A r = b with layouts split at ``split`` and the
+        residual scaled per block on either side of it."""
+        blocks = None if split is None else [(0, split), (split, len(b))]
         return ts.nonlinear_iterate(picard(lambda r: (A, b)),
-                                    np.zeros(len(b)),
+                                    np.zeros(len(b)), factors(A, split),
                                     relax=1.0, tol=1e-10, blocks=blocks)
 
     def test_zero_lower_left_block_converges_in_one_solve(self,
@@ -1063,7 +1090,7 @@ class TestSplitFactor:
 
         monkeypatch.setattr(ts, "solve_sparse", counting)
         A, b = self.system(0.0)
-        result = self.iterate(A, b, [(0, self.N), (self.N, 2 * self.N)])
+        result = self.iterate(A, b, self.N)
         assert result.iterations == 1
         assert len(solves) == 1
         assert isinstance(result.lu, SplitLU)
@@ -1072,11 +1099,10 @@ class TestSplitFactor:
 
     def test_strong_coupling_falls_back_to_the_whole_factor(self):
         A, b = self.system(1.0)
-        blocks = [(0, self.N), (self.N, 2 * self.N)]
         # the split factor's answer and its GMRES correction miss _ETA
         weights = np.ones(2 * self.N)
         assert ts._gmres(A, factor(A, self.N), b, weights) is None
-        result = self.iterate(A, b, blocks)
+        result = self.iterate(A, b, self.N)
         assert isinstance(result.lu, BandLU)
         assert result.factorisations == 2
         assert result.residuals[-1] < 1e-10
@@ -1084,16 +1110,15 @@ class TestSplitFactor:
 
     def test_weak_coupling_keeps_the_split_factor(self):
         A, b = self.system(0.1)
-        result = self.iterate(A, b, [(0, self.N), (self.N, 2 * self.N)])
+        result = self.iterate(A, b, self.N)
         assert isinstance(result.lu, SplitLU)
         assert result.factorisations == 1
         np.testing.assert_allclose(A @ result.r, b, atol=1e-9)
 
-    @pytest.mark.parametrize("blocks", [
-        None, [(0, 0), (0, 60)], [(0, 60), (60, 60)]])
-    def test_one_non_empty_block_uses_the_whole_factor(self, blocks):
+    @pytest.mark.parametrize("split", [None, 0, 60])
+    def test_one_non_empty_block_uses_the_whole_factor(self, split):
         A, b = self.system(0.1)
-        result = self.iterate(A, b, blocks)
+        result = self.iterate(A, b, split)
         assert isinstance(result.lu, BandLU)
         assert result.factorisations == 1
         assert result.iterations == 1
