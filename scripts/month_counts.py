@@ -10,7 +10,7 @@ OpenMP thread counts pinned to 1, and prints one JSON object:
 - ``steps_ge20`` and ``steps_ge30``: the numbers of steps with 20 or more
   and with 30 or more Picard iterations;
 - ``halvings`` and ``factorisations``: the sums of ``RunSummary.halvings``
-  and of ``RunSummary.factorisations``, the transport LU factorisations
+  and of ``RunSummary.factorisations``, the transport factorisations
   of the substeps that succeeded;
 - ``mechanics_factorisations`` and ``damage_iterations``: the sums of
   ``RunSummary.mechanics_factorisations``, the factorisations of the
@@ -26,7 +26,9 @@ OpenMP thread counts pinned to 1, and prints one JSON object:
 - ``fallbacks``: the 1-based numbers of the steps with a substep that
   succeeded after the Picard safeguard dropped its Newton term, found
   from ``NonlinearResult.fallback`` by wrapping
-  ``transport_solver.nonlinear_iterate``.
+  ``transport_solver.nonlinear_iterate``;
+- ``peak_rss_mb``, printed by ``main`` alone: ``ru_maxrss``, the peak
+  resident memory of the process after its one run (MB = 2**20 bytes).
 
 Run from the repository root, for instance on the spec02 month:
 
@@ -44,6 +46,7 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import hashlib
 import json
+import resource
 import sys
 import tempfile
 import time
@@ -131,7 +134,11 @@ def counts(config: dict | str | Path) -> dict:
 def main() -> None:
     if len(sys.argv) > 2:
         sys.exit("usage: month_counts.py [CONFIG.json]")
-    print(json.dumps(counts(sys.argv[1] if len(sys.argv) == 2 else {})))
+    out = counts(sys.argv[1] if len(sys.argv) == 2 else {})
+    # ru_maxrss is in KiB on Linux
+    out["peak_rss_mb"] = round(
+        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 2)
+    print(json.dumps(out))
 
 
 if __name__ == "__main__":

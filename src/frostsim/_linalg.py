@@ -244,16 +244,19 @@ def _finite(x: np.ndarray) -> np.ndarray:
 
 class BandedCholesky:
     """Band Cholesky factor (LAPACK dpbtrf, dpbtrs) of a symmetric positive
-    definite matrix, given as a symmetric ``BandLayout`` band, which it
+    definite matrix whose rows and columns ``order`` lists, given as a
+    symmetric ``BandLayout`` band of A[order][:, order], which it
     factorises in place at the first solve and keeps. ``solve`` takes one
     right-hand side of shape (n,), or several as the columns of an (n, r)
-    array, solved in one call. A pivot that is not positive raises
-    SingularSystemError, as does a solution that is not finite."""
+    array, solved in one call, and gives vectors in A's numbering. A pivot
+    that is not positive raises SingularSystemError, as does a solution
+    that is not finite."""
 
-    def __init__(self, band: np.ndarray):
-        self._band, self._factored = band, False
+    def __init__(self, band: np.ndarray, order: np.ndarray):
+        self._band, self._order, self._factored = band, order, False
 
     def solve(self, b: np.ndarray) -> np.ndarray:
+        order = self._order
         if not self._factored:
             self._band, info = lapack.dpbtrf(self._band, lower=1,
                                              overwrite_ab=1)
@@ -261,8 +264,11 @@ class BandedCholesky:
                 raise SingularSystemError(
                     f"matrix not positive definite at pivot {info}")
             self._factored = True
-        return _finite(lapack.dpbtrs(self._band, np.reshape(b, (len(b), -1)),
-                                     lower=1)[0].reshape(np.shape(b)))
+        x = np.empty(np.shape(b))
+        x[order] = lapack.dpbtrs(self._band,
+                                 np.reshape(b[order], (len(order), -1)),
+                                 lower=1)[0].reshape(np.shape(b))
+        return _finite(x)
 
 
 class BandLU:
@@ -295,13 +301,15 @@ class BandLU:
 
 
 class SplitLU:
-    """Block back-substitution on LU factors of the diagonal blocks of a
+    """Block back-substitution on factors of the diagonal blocks of a
     matrix A split at k, with its block A[:k, k:] kept: x[k:] from the
     lower block, then x[:k] from the upper one with A[:k, k:] x[k:] moved
     to the right. It is exact for the block upper-triangular part of A,
-    which drops A[k:, :k]."""
+    which drops A[k:, :k]. The upper block has an LU factor; the lower
+    one, symmetric positive definite, a Cholesky factor of its lower
+    triangle."""
 
-    def __init__(self, upper: BandLU, lower: BandLU,
+    def __init__(self, upper: BandLU, lower: BandedCholesky,
                  coupling: sp.csr_matrix):
         self._upper, self._lower, self._coupling = upper, lower, coupling
 
@@ -313,13 +321,16 @@ class SplitLU:
 
 
 class BandFactors:
-    """Band LU factors of square matrices of the structure of A, through
+    """Band factors of square matrices of the structure of A, through
     layouts built from it once.
 
     ``orders`` holds a permutation of the first k rows, one of the other
     rows counted from k, and one of all rows. When neither block is empty,
     ``split`` is set and ``factor(M)`` splits M at k into a SplitLU: each
-    diagonal block goes into band storage in its order, and A[:k, k:] is
+    diagonal block goes into band storage in its order, the upper one in
+    the general storage of a BandLU and the lower one, which must be
+    symmetric positive definite, in the symmetric storage of a
+    BandedCholesky, which reads its lower triangle alone; A[:k, k:] is
     gathered. With ``whole``, or without ``split``, it is a BandLU of all
     of M in the third order, whose layout is built at its first use.
     """
@@ -333,7 +344,8 @@ class BandFactors:
         if self.split:
             where = positions(A)
             self._layouts = (BandLayout(where[upper][:, upper]),
-                             BandLayout(where[lower + k][:, lower + k]),
+                             BandLayout(where[lower + k][:, lower + k],
+                                        symmetric=True),
                              Gather(where[:k, k:]))
         self._whole = None
 
@@ -343,7 +355,7 @@ class BandFactors:
         if self.split and not whole:
             upper, lower, coupling = self._layouts
             return SplitLU(BandLU(upper.band(M), upper.kl, upper_order),
-                           BandLU(lower.band(M), lower.kl, lower_order),
+                           BandedCholesky(lower.band(M), lower_order),
                            coupling.matrix(M))
         if self._whole is None:
             self._whole = BandLayout(positions(M)[order][:, order])

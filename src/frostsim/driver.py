@@ -376,7 +376,7 @@ class RunSummary:
     kappa_history: np.ndarray       # (steps + 1, E)
     pore_pressure_history: np.ndarray   # (steps + 1, E), Pa
     picard_iterations: np.ndarray   # (steps,)
-    factorisations: np.ndarray      # (steps,) transport LU factorisations
+    factorisations: np.ndarray      # (steps,) transport factorisations
     mechanics_factorisations: np.ndarray    # (steps,) stiffness factorisations
     damage_iterations: np.ndarray   # (steps,) mechanics damage iterations
     halvings: np.ndarray            # (steps,) failed substeps halved

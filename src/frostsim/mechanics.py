@@ -261,7 +261,6 @@ class MechanicsProblem:
         B[:, 1, 1::2] = grads[:, :, 1]
         B[:, 2, 0::2] = grads[:, :, 1]
         B[:, 2, 1::2] = grads[:, :, 0]
-        self.B = B
         self.KE = (B.transpose(0, 2, 1) @ (self.D @ B)) \
             * mesh.areas[:, None, None]       # undamaged element stiffness
 
@@ -318,7 +317,11 @@ class MechanicsProblem:
 
     def strains(self, u: np.ndarray) -> np.ndarray:
         """Element Voigt strains (E, 3) from nodal displacements."""
-        return np.einsum("eij,ej->ei", self.B, u[self.dofs])
+        # the gradients [d/dx, d/dy] of u_x and of u_y, (E, 2) each
+        grads, local = self.mesh.grads, u[self.dofs].reshape(-1, 3, 2)
+        ux = np.einsum("eai,ea->ei", grads, local[:, :, 0])
+        uy = np.einsum("eai,ea->ei", grads, local[:, :, 1])
+        return np.stack([ux[:, 0], uy[:, 1], ux[:, 1] + uy[:, 0]], axis=1)
 
     # -- kept factor --------------------------------------------------------
 
@@ -329,7 +332,8 @@ class MechanicsProblem:
         K = self._pattern.matrix(factor)
         self._held = dirichlet_lift(K, self._free, self.constraint_dofs,
                                     self.constraint_values)
-        self._factor = BandedCholesky(self._layout.band(K))
+        self._factor = BandedCholesky(self._layout.band(K),
+                                      np.arange(len(self._free)))
         self._base = factor
 
     # -- equilibrium --------------------------------------------------------

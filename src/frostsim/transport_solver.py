@@ -19,20 +19,23 @@ stiff part of the heat balance below freezing; the mixing factor backs
 off when the residual grows, and a second growth drops that Newton term
 for the rest of the step. Every transport matrix is one sparse mat-vec
 of its coefficient fields, through one map from coefficients to matrix
-values fixed at construction. One LU factor serves the iterates of a
-step and the steps after it that share gamma dt: each linear solve uses
-the factor, with a few GMRES iterations on it where its answer alone is
-not accurate enough, and the update matrix is factorised afresh only
-when those fail too. A fresh factor covers only its diagonal blocks
+values fixed at construction. One factor serves the iterates of a step
+and the steps after it that share gamma dt: each linear solve uses the
+factor, with a few GMRES iterations on it where its answer alone is not
+accurate enough, and the update matrix is factorised afresh only when
+those fail too. A fresh factor covers only its diagonal blocks
 [theta, theta] and [phi, phi] and keeps its [theta, phi] block, so it
 solves the block upper-triangular part exactly: in the mortar model the
 [phi, theta] block, the vapor flux that temperature drives, is some six
 orders of magnitude below the [phi, phi] block. The nodes are held in one
 bandwidth order, fixed at construction with the band layouts of both
-blocks, so a fresh factor is a gather from the matrix values and two
-LAPACK band LU factorisations. Only where that factor's GMRES misses too
-is the whole matrix factorised, in band storage too, with each node's
-theta and phi side by side.
+blocks, so a fresh factor is a gather from the matrix values, a LAPACK
+band LU factorisation of the [theta, theta] block, which carries the
+non-symmetric Newton term, and a band Cholesky factorisation of the
+[phi, phi] block, c_pp M + gamma dt k_pp S plus the exchange, which is
+symmetric positive definite since storage and transport are positive.
+Only where that factor's GMRES misses too is the whole matrix
+factorised, by band LU, with each node's theta and phi side by side.
 
 Boundary terms: Robin exchange adds alpha L/2 to the diagonal of the
 matching block and alpha ambient L/2 to the load (edge-lumped); prescribed
@@ -52,8 +55,7 @@ import scipy.sparse as sp
 
 from . import constitutive
 from ._linalg import (BandFactors, BandLU, Gather, SparsePattern, SplitLU,
-                      apply_dirichlet, dirichlet_lift, positions,
-                      solve_sparse)
+                      dirichlet_lift, positions, solve_sparse)
 from .errors import (
     DomainError,
     InvalidParametersError,
@@ -64,8 +66,7 @@ from .mesh import BoundaryTag, Mesh
 __all__ = [
     "TransportState", "CoefficientFields", "KunzelCoefficients",
     "ConstantCoefficients", "RobinBC", "BoundaryFlux", "AssembledSystem",
-    "TransportProblem", "apply_dirichlet", "nonlinear_iterate",
-    "NonlinearResult",
+    "TransportProblem", "nonlinear_iterate", "NonlinearResult",
 ]
 
 _SATURATED = 1.0 - 1e-9
@@ -271,7 +272,7 @@ class NonlinearResult:
 
 def _gmres(A, lu: SplitLU | BandLU, rhs: np.ndarray,
            weights: np.ndarray) -> np.ndarray | None:
-    """Solve A x = rhs on the LU factor of another matrix.
+    """Solve A x = rhs on the band factor of another matrix.
 
     x = LU^-1 rhs stands if ||weights * (rhs - A x)|| is at most _ETA
     ||weights * rhs||; else GMRES, right-preconditioned with LU^-1
@@ -344,7 +345,7 @@ def nonlinear_iterate(system_builder, r_guess: np.ndarray,
     first that the builder rejects with DomainError raise
     StepFailureError, which carries the residual history.
 
-    Each update is r - omega delta with M delta = R solved on an LU
+    Each update is r - omega delta with M delta = R solved on a band
     factor: ``lu``, the factor of an earlier matrix, or one of M made at
     the first update when ``lu`` is None. A factor's delta stands when
     its residual, scaled per block by 1 / ||b_block|| as in the
@@ -353,11 +354,13 @@ def nonlinear_iterate(system_builder, r_guess: np.ndarray,
     that misses _ETA, or there is no factor, M is factorised afresh
     through ``factors``, the caller's band layouts of M's structure,
     which alone decide whether a fresh factor is split. A split one is a
-    SplitLU, exact for M without its lower-left block, and passes the
-    same test; only if it misses _ETA too, or without the split, is the
-    whole M factorised and solved exactly. The old factor is released
-    before a new one is built. The result carries the last factor and
-    the count of factorisations made, one per factor.
+    SplitLU, exact for M without its lower-left block, whose lower block
+    must be symmetric positive definite, and passes the same test; only
+    if it misses _ETA too, or without the split, is the whole M
+    factorised by band LU and solved exactly. The old factor is released
+    before a new one is built, and M and delta before the builder makes
+    the next ones. The result carries the last factor and the count of
+    factorisations made, one per factor.
     """
     if not 0.0 < relax <= 1.0:
         raise InvalidParametersError("relaxation factor must lie in (0, 1]")
@@ -419,6 +422,8 @@ def nonlinear_iterate(system_builder, r_guess: np.ndarray,
             made += 1
             delta = solve_sparse(lu, mismatch)
         r = r - omega * delta
+        # released before the builder makes their successors
+        M = delta = None
         if project is not None:
             r = project(r)
     raise AssertionError("unreachable")
@@ -468,7 +473,7 @@ class TransportProblem:
         self.source_heat = source_heat
         self.source_moist = source_moist
         self.lumped_capacity = lumped_capacity
-        # (gamma dt, LU) of the last step's operator, passed on to the next
+        # gamma dt and the factor of the last step, passed on to the next
         self._kept: tuple[float, SplitLU | BandLU | None] | None = None
 
         n = mesh.num_nodes

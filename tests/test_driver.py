@@ -715,8 +715,8 @@ class TestRun:
         made = []
 
         class CountingCholesky(mechanics.BandedCholesky):
-            def __init__(self, band):
-                super().__init__(band)
+            def __init__(self, band, order):
+                super().__init__(band, order)
                 made.append(self)
 
         monkeypatch.setattr(mechanics, "BandedCholesky", CountingCholesky)

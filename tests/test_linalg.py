@@ -232,9 +232,12 @@ class TestMatrixRightHandSide:
 class TestSplitFactor:
     @staticmethod
     def blocks(rng, n=50, k=20):
-        A = sp.random(n, n, density=0.1, random_state=rng) \
-            + sp.identity(n) * n
-        return A.tocsr(), k
+        """A random matrix with a heavy diagonal, split at k: its lower
+        block is symmetric and so positive definite, the upper block and
+        the coupling blocks are not symmetric."""
+        A = sp.random(n, n, density=0.1, random_state=rng).toarray()
+        A[k:, k:] += A[k:, k:].T
+        return sp.csr_matrix(A + n * np.eye(n)), k
 
     def test_solves_the_block_upper_triangular_part(self):
         rng = np.random.default_rng(4)
@@ -242,6 +245,7 @@ class TestSplitFactor:
         upper = A.toarray()
         upper[k:, :k] = 0.0
         assert np.abs(A.toarray()[k:, :k]).max() > 0.0
+        assert abs(A[:k, :k] - A[:k, :k].T).max() > 0.0
         n = A.shape[0]
         for b in (rng.normal(size=n), rng.normal(size=(n, 3))):
             x = solve_sparse(natural(A, k).factor(A), b)
@@ -252,25 +256,54 @@ class TestSplitFactor:
     def test_factorises_both_blocks_at_the_first_solve(self):
         # a singular block raises at the first solve, not before; a factor
         # solves repeatably, and the layouts of one matrix serve another of
-        # its structure: twice its values give bitwise half the solution
+        # its structure: four times its values give bitwise a quarter of
+        # the solution, the Cholesky factor of the lower block twice its
+        # own
         A, k = self.blocks(np.random.default_rng(5))
         factors = natural(A, k)
         b = np.ones(A.shape[0])
-        for block in (slice(0, k), slice(k, None)):
+        for block, message in ((slice(0, k), "zero pivot"),
+                               (slice(k, None), "not positive definite")):
             singular = A.copy()
             rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
             singular.data[(rows >= block.start)
                           & (rows < (block.stop or A.shape[0]))] = 0.0
             lu = factors.factor(singular)
-            with pytest.raises(SingularSystemError, match="zero pivot"):
+            with pytest.raises(SingularSystemError, match=message):
                 lu.solve(b)
         lu = factors.factor(A)
         x = lu.solve(b)
         assert lu.solve(b).tobytes() == x.tobytes()
-        twice = A.copy()
-        twice.data *= 2.0
-        assert factors.factor(twice).solve(b).tobytes() \
-            == (0.5 * x).tobytes()
+        four = A.copy()
+        four.data *= 4.0
+        assert factors.factor(four).solve(b).tobytes() \
+            == (0.25 * x).tobytes()
+
+    def test_lower_block_in_symmetric_storage(self):
+        # the lower block's band holds its lower triangle alone, the
+        # upper block's the general band with the rows of the pivoting
+        A, k = self.blocks(np.random.default_rng(6))
+        lu = natural(A, k).factor(A)
+        assert isinstance(lu._lower, BandedCholesky)
+        assert isinstance(lu._upper, BandLU)
+        P = A[k:, k:].tocoo()
+        kl = np.max(P.row - P.col)
+        assert lu._lower._band.shape == (kl + 1, A.shape[0] - k)
+        P = A[:k, :k].tocoo()
+        kl, ku = np.max(P.row - P.col), np.max(P.col - P.row)
+        assert lu._upper._band.shape == (2 * kl + ku + 1, k)
+
+    def test_indefinite_lower_block_raises_at_the_first_solve(self):
+        # a lower block that is nonsingular but not positive definite
+        A, k = self.blocks(np.random.default_rng(7))
+        A = A.tolil()
+        A[k + 3, k + 3] = -A[k + 3, k + 3]
+        A = A.tocsr()
+        assert np.linalg.matrix_rank(A[k:, k:].toarray()) == A.shape[0] - k
+        lu = natural(A, k).factor(A)
+        with pytest.raises(SingularSystemError,
+                           match="not positive definite at pivot 4"):
+            lu.solve(np.ones(A.shape[0]))
 
     def test_singular_block_raises(self):
         A = sp.csr_matrix(np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 0.0],
@@ -348,15 +381,16 @@ class TestBandwidthOrder:
 class TestBandedCholesky:
     @pytest.fixture()
     def system(self):
+        # the grid numbered at random, laid out in a bandwidth order
         rng = np.random.default_rng(12)
         A = grid_laplacian(15, 3, rng)
         order = bandwidth_order(A)
-        A = A[order][:, order].tocsr()
-        return A, BandLayout(positions(A), symmetric=True), rng
+        layout = BandLayout(positions(A)[order][:, order], symmetric=True)
+        return A, layout, order, rng
 
     def test_solves_like_a_dense_solve(self, system):
-        A, layout, rng = system
-        factor = BandedCholesky(layout.band(A))
+        A, layout, order, rng = system
+        factor = BandedCholesky(layout.band(A), order)
         dense = A.toarray()
         for b in (rng.normal(size=45), rng.normal(size=(45, 3))):
             x = solve_sparse(factor, b)
@@ -366,7 +400,7 @@ class TestBandedCholesky:
 
     def test_factorises_in_place_at_the_first_solve(self, system,
                                                     monkeypatch):
-        A, layout, _ = system
+        A, layout, order, _ = system
         calls = []
         dpbtrf = _linalg.lapack.dpbtrf
 
@@ -376,7 +410,7 @@ class TestBandedCholesky:
 
         monkeypatch.setattr(_linalg.lapack, "dpbtrf", counting)
         band = layout.band(A)
-        factor = BandedCholesky(band)
+        factor = BandedCholesky(band, order)
         assert calls == []
         b = np.ones(45)
         np.testing.assert_array_equal(factor.solve(b), factor.solve(b))
@@ -384,19 +418,19 @@ class TestBandedCholesky:
         assert not np.array_equal(band, layout.band(A))
 
     def test_indefinite_matrix_raises(self, system):
-        A, layout, _ = system
+        A, layout, order, _ = system
         A = A.copy()
         A.data[A.indices == np.repeat(np.arange(45), np.diff(A.indptr))] \
             -= 3.0
         with pytest.raises(SingularSystemError, match="not positive"):
-            solve_sparse(BandedCholesky(layout.band(A)), np.ones(45))
+            solve_sparse(BandedCholesky(layout.band(A), order), np.ones(45))
 
     def test_non_finite_solution_raises(self, system):
-        A, layout, _ = system
+        A, layout, order, _ = system
         b = np.ones(45)
         b[7] = np.inf
         with pytest.raises(SingularSystemError, match="non-finite"):
-            BandedCholesky(layout.band(A)).solve(b)
+            BandedCholesky(layout.band(A), order).solve(b)
 
 
 class TestBandLU:

@@ -20,6 +20,19 @@ def reduced(prob, factor, F):
     return K_f[:, prob._free], F[prob._free] - lift, lift
 
 
+def strain_matrices(mesh):
+    """The (E, 3, 6) matrices B of the elements, Voigt strains from their
+    six dofs [u_x, u_y] node by node, written here from the shape
+    function gradients."""
+    grads = mesh.grads
+    B = np.zeros((mesh.num_elements, 3, 6))
+    B[:, 0, 0::2] = grads[:, :, 0]
+    B[:, 1, 1::2] = grads[:, :, 1]
+    B[:, 2, 0::2] = grads[:, :, 1]
+    B[:, 2, 1::2] = grads[:, :, 0]
+    return B
+
+
 class TestBiot:
     def test_reference_values(self):
         assert mech.biot_coefficient(0.0) == 0.0
@@ -383,7 +396,9 @@ class TestProblemSetup:
         B[1, 1::2] = gy
         B[2, 0::2] = gy
         B[2, 1::2] = gx
-        np.testing.assert_allclose(prob.B[0], B, atol=1e-15)
+        u = np.random.default_rng(2).normal(size=6)
+        np.testing.assert_allclose(prob.strains(u)[0], B @ u[prob.dofs[0]],
+                                   rtol=0.0, atol=1e-14)
         D = mech.elastic_stiffness(1e10, 0.2)
         np.testing.assert_allclose(prob.KE[0], 0.5 * B.T @ D @ B, rtol=1e-13)
 
@@ -413,6 +428,15 @@ class TestProblemSetup:
         np.testing.assert_allclose(eps[:, 0], a, rtol=1e-12)
         np.testing.assert_allclose(eps[:, 1], b, rtol=1e-12)
         np.testing.assert_allclose(eps[:, 2], c, rtol=1e-12)
+
+    def test_strains_are_b_times_the_element_dofs(self, lshape_coarse):
+        prob = mech.MechanicsProblem(lshape_coarse, mech.MechParams())
+        u = np.random.default_rng(6).normal(size=2 * lshape_coarse.num_nodes)
+        want = np.einsum("eij,ej->ei", strain_matrices(lshape_coarse),
+                         u[prob.dofs])
+        np.testing.assert_allclose(prob.strains(u), want, rtol=0.0,
+                                   atol=1e-14 * abs(want).max())
+        assert not hasattr(prob, "B")
 
 
 class TestEquilibrium:
@@ -537,8 +561,8 @@ class TestFactorCache:
         made = []
 
         class CountingCholesky(mech.BandedCholesky):
-            def __init__(self, band):
-                super().__init__(band)
+            def __init__(self, band, order):
+                super().__init__(band, order)
                 made.append(self)
 
         monkeypatch.setattr(mech, "BandedCholesky", CountingCholesky)
@@ -731,7 +755,8 @@ class TestCapacitance:
 
         factor = np.maximum(1.0 - prev.d_w, params.residual_stiffness)
         t_vec = (params.biot * p_p)[:, None] * mech._IDENTITY
-        fe = np.einsum("eai,ea->ei", prob.B, t_vec) * mesh.areas[:, None]
+        fe = np.einsum("eai,ea->ei", strain_matrices(mesh), t_vec) \
+            * mesh.areas[:, None]
         F = np.zeros(2 * mesh.num_nodes)
         np.add.at(F, prob.dofs.ravel(), fe.ravel())
         A, b, _ = reduced(prob, factor, F)
@@ -789,9 +814,10 @@ class TestLoads:
         area = mesh.areas
         fixed = np.zeros(2 * mesh.num_nodes)
         thermal = np.zeros(2 * mesh.num_nodes)
+        B = strain_matrices(mesh)
         for e, dofs in enumerate(prob.dofs):
-            unit_p = mech._IDENTITY @ prob.B[e]
-            unit_th = (prob.D @ mech._IDENTITY) @ prob.B[e]
+            unit_p = mech._IDENTITY @ B[e]
+            unit_th = (prob.D @ mech._IDENTITY) @ B[e]
             body = np.tile(params.body_force, 3) * (area[e] / 3.0)
             np.add.at(fixed, dofs,
                       params.biot * p_p[e] * area[e] * unit_p + body)

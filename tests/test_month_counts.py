@@ -3,6 +3,7 @@
 import hashlib
 import importlib.util
 import json
+import resource
 import sys
 from pathlib import Path
 
@@ -61,6 +62,9 @@ def test_config_file(tmp_path, monkeypatch, capsys):
     assert counts["sha256"] == hashlib.sha256(probe.read_bytes()).hexdigest()
     assert counts["picard"] == summary.picard_iterations.sum()
     assert counts["fallbacks"] == []
+    # the process peak after the run, in MB
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    assert 0.0 < counts["peak_rss_mb"] <= round(peak, 2)
 
 
 def test_fallbacks_name_their_steps(monkeypatch):

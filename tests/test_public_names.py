@@ -9,7 +9,9 @@ reference is the name as an attribute, an import or an identifier
 string, the last because ``perfbench/spans.py`` wraps its seams by
 attribute name; a top-level name may also be a bare variable that is
 read, not only assigned. A method is never called by a bare name, so a
-local variable that shares its name does not count.
+local variable that shares its name does not count. A module of the
+package other than ``__init__.py`` reads every name it imports; listing
+a name in ``__all__`` is not reading it.
 """
 
 import ast
@@ -103,3 +105,26 @@ def test_every_private_name_has_a_reader():
     orphans = [f"{module}.{name}" for module, name in found
                if name not in variables | others]
     assert not orphans, f"nothing outside the unit tests reads {orphans}"
+
+
+def unread_imports(path):
+    """The names ``path`` imports, ``from __future__`` aside, and never
+    reads as a bare variable, which a string in ``__all__`` is not."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    yield name
+
+
+def test_every_import_is_read():
+    orphans = [f"{path.stem}.{name}"
+               for path in sorted(PACKAGE.glob("*.py"))
+               if path.name != "__init__.py"
+               for name in unread_imports(path)]
+    assert not orphans, f"imported and never read: {orphans}"

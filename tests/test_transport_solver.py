@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ import scipy.sparse as sp
 
 from frostsim import constitutive as con
 from frostsim import transport_solver as ts
-from frostsim._linalg import BandFactors, BandLU, SplitLU
+from frostsim._linalg import (BandedCholesky, BandFactors, BandLU, SplitLU,
+                              apply_dirichlet)
 from frostsim.errors import (
     DomainError,
     InvalidParametersError,
@@ -491,9 +493,9 @@ class TestStepOperator:
             # the systems the Picard iterates solve on the free dofs
             assert 0 < len(prob._fixed) < 2 * n
             vals = prob._dirichlet_at(t)
-            got = ts.apply_dirichlet(A, b, prob._free, prob._fixed, vals)
-            want = ts.apply_dirichlet(sp.csr_matrix(expect_A), expect_b,
-                                      prob._free, prob._fixed, vals)
+            got = apply_dirichlet(A, b, prob._free, prob._fixed, vals)
+            want = apply_dirichlet(sp.csr_matrix(expect_A), expect_b,
+                                   prob._free, prob._fixed, vals)
             np.testing.assert_allclose(got[0].toarray(), want[0].toarray(),
                                        rtol=0.0,
                                        atol=1e-12 * abs(expect_A).max())
@@ -616,8 +618,8 @@ class TestDirichlet:
                                     [1.0, 3.0, 1.0],
                                     [0.0, 1.0, 2.0]]))
         b = np.array([1.0, 2.0, 3.0])
-        A2, b2 = ts.apply_dirichlet(A, b, np.array([1, 2]), np.array([0]),
-                                    np.array([5.0]))
+        A2, b2 = apply_dirichlet(A, b, np.array([1, 2]), np.array([0]),
+                                 np.array([5.0]))
         # the free block of a symmetric matrix stays symmetric
         np.testing.assert_array_equal(A2.toarray(), [[3.0, 1.0], [1.0, 2.0]])
         # the eliminated column moved to the right-hand side
@@ -745,6 +747,25 @@ class TestPicardIteration:
                                       relax=1.0)
         assert result.iterations == 1
         np.testing.assert_array_equal(result.r, b)
+
+    def test_previous_update_matrix_released_before_the_next_build(self):
+        # a nonlinear diagonal system: the builder finds every matrix it
+        # returned before dead when it is called again, so no update
+        # matrix is held while the next is built
+        b = np.ones(3)
+        made = []
+
+        def builder(r, newton):
+            assert all(ref() is None for ref in made)
+            A = sp.diags(2.0 + r ** 2, format="csr")
+            made.append(weakref.ref(A))
+            return A, b, A @ r - b
+
+        result = ts.nonlinear_iterate(builder, np.zeros(3),
+                                      factors(self.eye(3)), tol=1e-10)
+        assert result.iterations == len(made) - 1 > 2
+        np.testing.assert_allclose((2.0 + result.r ** 2) * result.r, b,
+                                   rtol=1e-9)
 
     def test_converged_guess_takes_no_solve(self):
         b = np.array([2.0, -1.0])
@@ -1060,6 +1081,22 @@ class TestSplitFactor:
     the whole A is factorised only when that factor misses _ETA."""
 
     N = 30
+
+    def test_moisture_block_in_symmetric_storage(self):
+        # at h = 0.015 a fresh factor holds the [phi, phi] block in the 30
+        # rows of dpbtrf's lower storage, not the 88 of a pivoting band LU,
+        # which the [theta, theta] block keeps
+        mesh = generate_lshape(1.0, 0.4, 0.015)
+        prob = ts.TransportProblem(mesh, ts.ConstantCoefficients())
+        state = ts.TransportState(0.0, mesh.nodes[:, 0].copy(),
+                                  np.full(mesh.num_nodes, 0.5),
+                                  np.zeros(2 * mesh.num_nodes))
+        assert prob.step(state, 3600.0).factorisations == 1
+        lu = prob._kept[1]
+        assert isinstance(lu, SplitLU)
+        assert isinstance(lu._lower, BandedCholesky)
+        assert lu._lower._band.shape == (30, 3024)
+        assert lu._upper._band.shape == (88, 3024)
 
     def system(self, coupling):
         """[[T, B], [coupling B^T, T]] with T tridiagonal and B random."""
